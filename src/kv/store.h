@@ -28,6 +28,18 @@
 /// per-shard submission rings drained by a flat-combining applier into
 /// `applyAsyncBatch` below — one guard, one stamp window per batch).
 ///
+/// Every write runs through two kernels. `publishFold` is the only
+/// append: it finds the key, settles its head, optionally checks a
+/// transaction's read stamp, runs a *fold* over the settled head, and
+/// CAS-appends what the fold asks for — put folds to a constant, erase
+/// to a tombstone (nothing over a dead key), `compare_and_set` to a
+/// conditional, `merge` to the caller's function, an async group to its
+/// requests' folds in order, a transaction entry to a constant. A fold
+/// may answer "no write". `commitGroups` is the only commit-record
+/// driver: transactions and multi-key async batches publish their
+/// groups through `publishFold` under one record and resolve it with
+/// one clock tick (a single group takes the solo path, no record).
+///
 /// Shape:
 ///
 ///   store ── shard[0..S) ── split-ordered list (buckets = dummy nodes
@@ -67,18 +79,23 @@
 ///         lock-free), and an aborted head is unpublished from the
 ///         chain before anything goes above it. Corollary: only the
 ///         head of a chain can ever be unsettled or aborted, so stamps
-///         strictly decrease down every chain.
+///         strictly decrease down every chain. Enforced in one place:
+///         `publishFold` appends only after `settleHeadForWrite`.
 ///      2. *A version with a Pending stamp is never retired.* Trim
 ///         boundaries must be settled, suffix nodes below a boundary
 ///         are settled by (1), and an aborted head's stamp is cached
 ///         to Aborted before the unpublish CAS. This is what makes
 ///         dereferencing a version's commit-record pointer safe (see
-///         `stampOf` for the full argument).
+///         `stampOf` for the full argument). Enforced by `trimChain`'s
+///         boundary test and `unpublishAbortedHead`.
 ///      3. *A commit record is retired only after every version it
 ///         published has a non-Pending stamp* (the committer's settle
 ///         sweep, or the abort sweep's unpublish). Readers re-check the
 ///         version stamp after protecting the commit record, so a
 ///         Pending observation proves the record is still alive.
+///         Enforced in one place: `commitGroups` sweeps every published
+///         group (`settleAndTrim` / `abortPublished`) before
+///         `retireCommit`.
 ///
 /// Reclamation-mode selection is automatic: address-protecting schemes
 /// (HP) get intrusive nodes (scheme header first; records are trivially
@@ -239,7 +256,9 @@ public:
   /// the oldest live snapshot before returning.
   bool put(thread_id Tid, const K &Key, const V &Val) {
     auto G = Dom->enter(Tid);
-    return write(G, Key, &Val, /*Tombstone=*/false);
+    Assign A{&Val};
+    (void)publishFold(G, Key, Codec<K>::hash(Key), A, nullptr, nullptr);
+    return !A.WasLive;
   }
 
   /// Removes the binding for \p Key by appending a tombstone version (so
@@ -248,7 +267,9 @@ public:
   /// the tombstone, the key node itself is unlinked and retired.
   bool erase(thread_id Tid, const K &Key) {
     auto G = Dom->enter(Tid);
-    return write(G, Key, nullptr, /*Tombstone=*/true);
+    Assign A{nullptr};
+    (void)publishFold(G, Key, Codec<K>::hash(Key), A, nullptr, nullptr);
+    return A.WasLive;
   }
 
   /// Latest-value read: the newest *committed* version of \p Key, or
@@ -306,46 +327,15 @@ public:
   bool compare_and_set(thread_id Tid, const K &Key, const V &Expected,
                        const V &Desired) {
     auto G = Dom->enter(Tid);
-    const std::uint64_t H = Codec<K>::hash(Key);
-    const std::size_t S = shardOf(H);
-    const Probe P{itemSoKey(H), &Key};
-    VNode *FreshV = nullptr;
-    bool Result = false;
-    for (;;) {
-      const typename Index_t::Position Pos =
-          Index->find(G, S, H, P, /*InitBuckets=*/false);
-      if (!Pos.Found)
-        break;
-      KNode *KN = toK(Pos.CurrRaw);
-      std::uintptr_t Hd;
-      std::uint64_t HdStamp;
-      if (!settleHeadForWrite(G, KN, S, H, P, Hd, HdStamp))
-        continue;
-      VNode *HeadV = toV(Hd);
-      if (!HeadV || vr(HeadV).Tombstone)
-        break; // no visible value to compare against
-      if (Codec<V>::compare(vr(HeadV).Val, Expected) != 0)
-        break;
-      if (!FreshV)
-        FreshV = makeVersion(G, &Desired, false, Hd);
-      else
-        vr(FreshV).Older.store(Hd, std::memory_order_relaxed);
-      std::uintptr_t Expect = Hd;
-      protectSelf(G, FreshV);
-      if (kr(KN).VHead.compare_exchange_strong(Expect, rawV(FreshV),
-                                               std::memory_order_seq_cst,
-                                               std::memory_order_seq_cst)) {
-        Registry.resolve(vr(FreshV).Stamp);
-        FreshV = nullptr;
-        trimChain(G, KN, S, H, P);
-        Result = true;
-        break;
-      }
-      // Lost the append race; re-find, re-compare, retry.
-    }
-    if (FreshV)
-      discardVersion(G, FreshV);
-    return Result;
+    bool Swapped = false;
+    (void)publishFold(
+        G, Key, Codec<K>::hash(Key),
+        [&](const HeadView &Hd) {
+          Swapped = Hd.live() && Codec<V>::compare(vr(Hd.N).Val, Expected) == 0;
+          return Swapped ? Folded{true, &Desired} : Folded{};
+        },
+        nullptr, nullptr);
+    return Swapped;
   }
 
   /// Atomic read-modify-write of one key without a transaction: \p Fn
@@ -355,47 +345,15 @@ public:
   /// and must be pure. Returns the stored value.
   template <typename F> V merge(thread_id Tid, const K &Key, F &&Fn) {
     auto G = Dom->enter(Tid);
-    const std::uint64_t H = Codec<K>::hash(Key);
-    const std::size_t S = shardOf(H);
-    const Probe P{itemSoKey(H), &Key};
-    for (;;) {
-      const typename Index_t::Position Pos =
-          Index->find(G, S, H, P, /*InitBuckets=*/true);
-      if (!Pos.Found) {
-        const V NewV = Fn(std::optional<V>());
-        VNode *FreshV = makeVersion(G, &NewV, false, 0);
-        KNode *FreshK = makeKey(G, Key, P.SoKey, rawV(FreshV));
-        protectSelf(G, FreshV);
-        if (Index->insertAt(G, S, Pos, rawK(FreshK))) {
-          Registry.resolve(vr(FreshV).Stamp);
-          return NewV;
-        }
-        discardVersion(G, FreshV);
-        discardKey(G, FreshK);
-        continue;
-      }
-      KNode *KN = toK(Pos.CurrRaw);
-      std::uintptr_t Hd;
-      std::uint64_t HdStamp;
-      if (!settleHeadForWrite(G, KN, S, H, P, Hd, HdStamp))
-        continue;
-      VNode *HeadV = toV(Hd);
-      std::optional<V> Cur;
-      if (HeadV && !vr(HeadV).Tombstone)
-        Cur.emplace(Codec<V>::decode(vr(HeadV).Val));
-      const V NewV = Fn(std::move(Cur));
-      VNode *FreshV = makeVersion(G, &NewV, false, Hd);
-      std::uintptr_t Expect = Hd;
-      protectSelf(G, FreshV);
-      if (kr(KN).VHead.compare_exchange_strong(Expect, rawV(FreshV),
-                                               std::memory_order_seq_cst,
-                                               std::memory_order_seq_cst)) {
-        Registry.resolve(vr(FreshV).Stamp);
-        trimChain(G, KN, S, H, P);
-        return NewV;
-      }
-      discardVersion(G, FreshV); // the value may change: remake per retry
-    }
+    std::optional<V> NewV;
+    (void)publishFold(
+        G, Key, Codec<K>::hash(Key),
+        [&](const HeadView &Hd) {
+          NewV.emplace(Fn(Hd.value()));
+          return Folded{true, &*NewV};
+        },
+        nullptr, nullptr);
+    return std::move(*NewV);
   }
 
   /// Opens a multi-key transaction on this store: a snapshot pinned for
@@ -1088,193 +1046,233 @@ private:
     }
   }
 
-  /// Shared write path of put (Tomb=false, \p Val set) and erase
-  /// (Tomb=true, \p Val null). Returns true when the key had no live
-  /// binding before this write.
-  bool write(guard_type &G, const K &Key, const V *Val, bool Tomb) {
-    const std::uint64_t H = Codec<K>::hash(Key);
-    const std::size_t S = shardOf(H);
-    const Probe P{itemSoKey(H), &Key};
-    VNode *FreshV = nullptr;
-    KNode *FreshK = nullptr;
-    bool Result = false;
-    for (;;) {
-      const typename Index_t::Position Pos =
-          Index->find(G, S, H, P, /*InitBuckets=*/true);
-      if (!Pos.Found) {
-        if (Tomb)
-          break; // erase of an absent key: no tombstone needed
-        if (!FreshV)
-          FreshV = makeVersion(G, Val, false, 0);
-        else
-          vr(FreshV).Older.store(0, std::memory_order_relaxed);
-        if (!FreshK)
-          FreshK = makeKey(G, Key, P.SoKey, rawV(FreshV));
-        else
-          kr(FreshK).VHead.store(rawV(FreshV), std::memory_order_relaxed);
-        protectSelf(G, FreshV);
-        if (Index->insertAt(G, S, Pos, rawK(FreshK))) {
-          // Publish-then-stamp: the version entered the structure above;
-          // only now does it draw its clock value (helped by any racing
-          // reader via resolve).
-          Registry.resolve(vr(FreshV).Stamp);
-          FreshV = nullptr;
-          FreshK = nullptr;
-          Result = true;
-          break;
-        }
-        continue;
-      }
-      KNode *KN = toK(Pos.CurrRaw);
-      std::uintptr_t Hd;
-      std::uint64_t HdStamp;
-      if (!settleHeadForWrite(G, KN, S, H, P, Hd, HdStamp))
-        continue; // key died (or is dying): re-find — a put re-inserts
-                  // a fresh key node, an erase finds nothing
-      VNode *HeadV = toV(Hd);
-      const bool WasLive = HeadV && !vr(HeadV).Tombstone;
-      if (Tomb && !WasLive)
-        break; // erasing an already-tombstoned key changes nothing
-      if (!FreshV)
-        FreshV = makeVersion(G, Val, Tomb, Hd);
-      else
-        vr(FreshV).Older.store(Hd, std::memory_order_relaxed);
-      std::uintptr_t Expected = Hd;
-      protectSelf(G, FreshV);
-      if (kr(KN).VHead.compare_exchange_strong(Expected, rawV(FreshV),
-                                               std::memory_order_seq_cst,
-                                               std::memory_order_seq_cst)) {
-        Registry.resolve(vr(FreshV).Stamp);
-        FreshV = nullptr;
-        trimChain(G, KN, S, H, P);
-        // put reports "key was absent", erase reports "key was present".
-        Result = Tomb ? WasLive : !WasLive;
-        break;
-      }
-      // Lost the append race; re-find and retry.
+  //===------------------------------------------------------------------===//
+  // The write kernel: every store write is a fold over the settled head
+  //===------------------------------------------------------------------===//
+
+  /// The settled chain head a fold runs against (`N` null for an absent
+  /// key or an empty chain). Liveness is free; the value decodes only on
+  /// demand, so folds that ask just "was it live" (put, erase) never
+  /// decode.
+  struct HeadView {
+    VNode *N;
+    bool live() const { return N && !vr(N).Tombstone; }
+    std::optional<V> value() const {
+      if (!live())
+        return std::nullopt;
+      return Codec<V>::decode(vr(N).Val);
     }
-    if (FreshV)
-      discardVersion(G, FreshV);
-    if (FreshK)
-      discardKey(G, FreshK);
-    return Result;
-  }
-
-  //===------------------------------------------------------------------===//
-  // Transaction commit engine (driven by kv/txn.h)
-  //===------------------------------------------------------------------===//
-
-  /// Outcome of publishing one write-set entry.
-  struct PublishResult {
-    /// The appended version; null for a no-op entry (an erase of an
-    /// absent or already-dead key publishes nothing).
-    VNode *Published = nullptr;
-    /// First-writer-wins: the key's settled head stamp moved past the
-    /// transaction's read stamp, so the commit must abort.
-    bool Conflict = false;
   };
 
-  /// Publishes one version for \p Key under commit record \p C (null
-  /// for a conflict-checked solo write): settles the head, reports a
-  /// conflict when its settled stamp exceeds \p ReadStamp, otherwise
-  /// appends a version carrying \p C with its stamp left Pending. An
-  /// *absent* key never conflicts: unlinking a key requires its
-  /// tombstone to settle at or below the trim floor, and the caller's
-  /// live snapshot pins the floor at or below \p ReadStamp — so any
-  /// post-ReadStamp write would still be in the chain. For C == null
-  /// the caller resolves the published stamp itself.
-  PublishResult publishChecked(guard_type &G, const K &Key,
-                               const std::optional<V> &Val,
-                               std::uint64_t H, CNode *C,
-                               std::uint64_t ReadStamp) {
+  /// A fold's answer: append nothing (`Write` false), a tombstone (`Val`
+  /// null), or the value at `Val`, which the fold keeps alive until
+  /// `publishFold` returns.
+  struct Folded {
+    bool Write = false;
+    const V *Val = nullptr;
+  };
+
+  /// The put / erase / txn-entry fold: write the constant \p Val (null =
+  /// erase), recording whether the key was live. Erasing a dead key
+  /// writes nothing.
+  struct Assign {
+    const V *Val;
+    bool WasLive = false;
+    Folded operator()(const HeadView &Hd) {
+      WasLive = Hd.live();
+      return Folded{Val || WasLive, Val};
+    }
+  };
+
+  /// The async fold of one same-key request run `[First, Last)`: each
+  /// request's `fold(std::optional<V> &)` updates the running state in
+  /// submission order, stages its own completion result, and reports
+  /// whether it wrote. The run writes nothing when no request wrote (say,
+  /// every compare_and_set failed) or when it leaves a dead key dead.
+  template <typename Req> struct RequestFold {
+    Req *const *First, *const *Last;
+    std::optional<V> State{};
+    Folded operator()(const HeadView &Hd) {
+      State = Hd.value();
+      const bool WasLive = State.has_value();
+      bool Wrote = false;
+      for (Req *const *R = First; R != Last; ++R)
+        Wrote |= (*R)->fold(State);
+      if (!Wrote || (!WasLive && !State))
+        return Folded{};
+      return Folded{true, State ? &*State : nullptr};
+    }
+  };
+
+  /// One key's share of a `commitGroups` commit.
+  template <typename Fold> struct Group {
+    const K &Key;
+    std::uint64_t Hash;
+    Fold Fn;
+  };
+
+  /// `publishFold`'s outcome.
+  struct Publish {
+    bool Conflict = false;   ///< the head settled past the read stamp
+    bool Appended = false;   ///< a version entered the chain
+    std::uint64_t Stamp = 0; ///< a solo append's resolved stamp
+  };
+
+  /// The write kernel. Finds \p Key (a fresh key node is inserted when
+  /// it is absent), settles its head (invariant 1), checks the conflict
+  /// against \p Read, runs \p Fn over the settled head, and CAS-appends
+  /// the version the fold asks for. A lost append or insert race
+  /// re-finds and re-folds, so \p Fn may run more than once and must be
+  /// repeatable.
+  ///
+  /// \p C null is a solo write: publish-then-stamp resolves the fresh
+  /// version's stamp here, and the trim the write owes its chain runs
+  /// through the key node already in hand. With \p C set the version
+  /// carries the commit record and its stamp stays Pending until
+  /// `commitGroups` settles the record.
+  ///
+  /// \p Read (a transaction's snapshot, or null) makes the write
+  /// first-writer-wins: a settled head stamp above `Read->version()` is a
+  /// conflict. An *absent* key never conflicts: unlinking a key requires
+  /// its tombstone to settle at or below the trim floor, and the live
+  /// \p Read pins the floor at or below its version — so any later write
+  /// would still be in the chain. A solo write releases \p Read once its
+  /// stamp resolves (see `commitGroups`).
+  template <typename Fold>
+  Publish publishFold(guard_type &G, const K &Key, std::uint64_t H,
+                      Fold &&Fn, CNode *C, SnapshotHandle *Read) {
     const std::size_t S = shardOf(H);
     const Probe P{itemSoKey(H), &Key};
-    const bool Tomb = !Val.has_value();
-    const std::uintptr_t CRaw = C ? rawC(C) : 0;
-    VNode *FreshV = nullptr;
-    KNode *FreshK = nullptr;
-    PublishResult R;
+    const std::uint64_t ReadStamp =
+        Read ? Read->version() : SnapshotRegistry::Pending;
     for (;;) {
       const typename Index_t::Position Pos =
           Index->find(G, S, H, P, /*InitBuckets=*/true);
-      if (!Pos.Found) {
-        if (Tomb)
-          break; // erase of an absent key: nothing to publish
-        if (!FreshV)
-          FreshV = makeVersion(G, &*Val, false, 0, CRaw);
-        else
-          vr(FreshV).Older.store(0, std::memory_order_relaxed);
-        if (!FreshK)
-          FreshK = makeKey(G, Key, P.SoKey, rawV(FreshV));
-        else
-          kr(FreshK).VHead.store(rawV(FreshV), std::memory_order_relaxed);
-        protectSelf(G, FreshV);
-        if (Index->insertAt(G, S, Pos, rawK(FreshK))) {
-          R.Published = FreshV;
-          FreshV = nullptr;
-          FreshK = nullptr;
-          break;
-        }
-        continue;
+      KNode *KN = Pos.Found ? toK(Pos.CurrRaw) : nullptr;
+      std::uintptr_t Hd = 0;
+      if (KN) {
+        std::uint64_t HdStamp;
+        if (!settleHeadForWrite(G, KN, S, H, P, Hd, HdStamp))
+          continue; // key died (or is dying): re-find — a put re-inserts
+                    // a fresh key node, an erase finds nothing
+        if (HdStamp > ReadStamp)
+          return Publish{true};
       }
-      KNode *KN = toK(Pos.CurrRaw);
-      std::uintptr_t Hd;
-      std::uint64_t HdStamp;
-      if (!settleHeadForWrite(G, KN, S, H, P, Hd, HdStamp))
-        continue;
-      if (HdStamp > ReadStamp) {
-        R.Conflict = true;
-        break;
-      }
-      VNode *HeadV = toV(Hd);
-      if (Tomb && (!HeadV || vr(HeadV).Tombstone))
-        break; // erase of a dead key: nothing to publish
-      if (!FreshV)
-        FreshV = makeVersion(G, Val ? &*Val : nullptr, Tomb, Hd, CRaw);
-      else
-        vr(FreshV).Older.store(Hd, std::memory_order_relaxed);
-      std::uintptr_t Expected = Hd;
+      const Folded F = Fn(HeadView{toV(Hd)});
+      if (!F.Write)
+        return Publish{};
+      VNode *FreshV = makeVersion(G, F.Val, !F.Val, Hd, C ? rawC(C) : 0);
       protectSelf(G, FreshV);
-      if (kr(KN).VHead.compare_exchange_strong(Expected, rawV(FreshV),
-                                               std::memory_order_seq_cst,
-                                               std::memory_order_seq_cst)) {
-        R.Published = FreshV;
-        FreshV = nullptr;
-        break;
+      KNode *FreshK = KN ? nullptr : makeKey(G, Key, P.SoKey, rawV(FreshV));
+      std::uintptr_t Expected = Hd;
+      const bool Linked =
+          KN ? kr(KN).VHead.compare_exchange_strong(Expected, rawV(FreshV),
+                                                    std::memory_order_seq_cst,
+                                                    std::memory_order_seq_cst)
+             : Index->insertAt(G, S, Pos, rawK(FreshK));
+      if (!Linked) {
+        // Lost the race: the fold may be stale — re-find and re-fold.
+        discardVersion(G, FreshV);
+        if (FreshK)
+          discardKey(G, FreshK);
+        continue;
       }
-      // Lost the append race; re-find, re-check the conflict, retry.
+      if (C)
+        return Publish{false, true};
+      // Publish-then-stamp: the version entered the structure above; only
+      // now does it draw its clock value (helped by any racing reader).
+      const std::uint64_t T = Registry.resolve(vr(FreshV).Stamp);
+      if (Read)
+        Read->reset();
+      if (KN)
+        trimChain(G, KN, S, H, P);
+      return Publish{false, true, T};
     }
-    if (FreshV)
-      discardVersion(G, FreshV);
-    if (FreshK)
-      discardKey(G, FreshK);
-    return R;
   }
 
-  /// Commit-path settle sweep for one published entry: re-find the key
-  /// and walk it at the commit stamp \p T. `stampOf` settles our
-  /// version through the record when the walk meets it (the cache CAS
-  /// *is* the settle); a missing key or an already-buried version means
-  /// another thread settled it first — burial, trim, and unlink all
-  /// require a settled stamp. Never touches the stored `VNode*`
+  /// The commit driver shared by transactions and async batches: applies
+  /// the groups `At(0) .. At(N - 1)` (each a `Group`) atomically. One
+  /// group is a solo `publishFold`, atomic by construction. More share one
+  /// commit record: each group publishes under it, then the record is
+  /// opened (Unpublished -> Pending) and resolved with ONE clock tick, so
+  /// snapshot reads observe the set all-or-nothing — or it is marked
+  /// Aborted on a conflict. The open CAS loses only to a racing writer's
+  /// kill. The sweep then honours invariant 3 before the record retires:
+  /// committed groups settle and trim in one index descent
+  /// (`settleAndTrim`), aborted ones are unpublished (`abortPublished`).
+  ///
+  /// \p Read (a transaction's snapshot; null for async batches) drives
+  /// the conflict check and is released as soon as the record resolves:
+  /// from then on no published version is unresolved, so nothing needs
+  /// its pin, and the sweep's trim is not held back by it. Returns the
+  /// stamp at which every group became visible (a solo no-op reports the
+  /// read stamp, 0 without one), or nullopt when the commit aborted on a
+  /// conflict or a kill — nothing of an aborted commit was ever visible.
+  template <typename GroupAt>
+  std::optional<std::uint64_t> commitGroups(guard_type &G, std::size_t N,
+                                            GroupAt &&At,
+                                            SnapshotHandle *Read) {
+    if (N == 1) {
+      const std::uint64_t ReadStamp = Read ? Read->version() : 0;
+      auto Gr = At(0);
+      const Publish R = publishFold(G, Gr.Key, Gr.Hash, Gr.Fn, nullptr, Read);
+      if (R.Conflict)
+        return std::nullopt;
+      return R.Appended ? R.Stamp : ReadStamp;
+    }
+    CNode *C = makeCommit(G);
+    std::vector<bool> Published(N, false);
+    bool Doomed = false;
+    for (std::size_t I = 0; I < N && !Doomed; ++I) {
+      // A racing writer may have killed the record already; stop
+      // publishing born-dead versions once that is visible (the open CAS
+      // below then fails).
+      if (cr(C).Stamp.load(std::memory_order_seq_cst) ==
+          SnapshotRegistry::Aborted)
+        break;
+      auto Gr = At(I);
+      const Publish R = publishFold(G, Gr.Key, Gr.Hash, Gr.Fn, C, Read);
+      Doomed = R.Conflict;
+      Published[I] = R.Appended;
+    }
+    // Unpublished has no exit but this CAS and a kill's Aborted, so a
+    // lost CAS means the record is already dead.
+    std::uint64_t Exp = SnapshotRegistry::Unpublished;
+    const bool Committed =
+        cr(C).Stamp.compare_exchange_strong(
+            Exp, Doomed ? SnapshotRegistry::Aborted : SnapshotRegistry::Pending,
+            std::memory_order_seq_cst, std::memory_order_seq_cst) &&
+        !Doomed;
+    std::uint64_t T = 0;
+    if (Committed) {
+      T = Registry.resolveCommit(cr(C).Stamp); // helpers CAS benignly
+      if (Read)
+        Read->reset();
+    }
+    for (std::size_t I = 0; I < N; ++I) {
+      if (!Published[I])
+        continue;
+      auto Gr = At(I);
+      if (Committed)
+        settleAndTrim(G, Gr.Key, Gr.Hash, T);
+      else
+        abortPublished(G, Gr.Key, Gr.Hash, C);
+    }
+    retireCommit(G, C);
+    if (!Committed)
+      return std::nullopt;
+    return T;
+  }
+
+  /// Commit-path sweep for one published group: ONE find serves both the
+  /// settling walk (`readAt` at the commit stamp \p T — `stampOf`'s cache
+  /// CAS *is* the settle) and the suffix trim the write owes the chain.
+  /// The find's key protection spans both walks (`readAt` and `trimChain`
+  /// cycle only the V slots). A missing key or an already-buried version
+  /// means another thread settled it first — burial, trim, and unlink all
+  /// require a settled stamp. Never touches the published `VNode*`
   /// directly: the version may have been settled, trimmed, and its
   /// address recycled, so the only safe route back is a protected walk.
-  void settlePublished(guard_type &G, const K &Key, std::uint64_t H,
-                       std::uint64_t T) {
-    const Probe P{itemSoKey(H), &Key};
-    const typename Index_t::Position Pos =
-        Index->find(G, shardOf(H), H, P, /*InitBuckets=*/false);
-    if (Pos.Found)
-      (void)readAt(G, toK(Pos.CurrRaw), T);
-  }
-
-  /// `settlePublished` fused with the trim the write owes the chain:
-  /// ONE find serves both the settling walk (`readAt` at the commit
-  /// stamp — the cache CAS *is* the settle) and the suffix trim. The
-  /// async batch engine's per-group path: the find's key protection
-  /// spans both walks (`readAt` and `trimChain` cycle only the V
-  /// slots), so the safety argument is exactly the sequential pair's,
-  /// at one index traversal instead of two.
   void settleAndTrim(guard_type &G, const K &Key, std::uint64_t H,
                      std::uint64_t T) {
     const std::size_t S = shardOf(H);
@@ -1288,7 +1286,7 @@ private:
     trimChain(G, KN, S, H, P);
   }
 
-  /// Abort-path sweep for one published entry: while the key's head
+  /// Abort-path sweep for one published group: while the key's head
   /// still carries our commit record, cache the Aborted stamp into it
   /// and unpublish it. A head not carrying \p C proves our version was
   /// already unpublished (aborted versions are never buried, and the
@@ -1320,305 +1318,72 @@ private:
     }
   }
 
-  /// Commits a deduplicated, buffered write set atomically — the
-  /// `kv/txn.h` engine. \p ReadStamp is the transaction's snapshot
-  /// version; the caller must keep that snapshot live across the call
-  /// (it drives first-writer-wins conflict detection *and* pins the
-  /// trim floor under the in-flight chain heads). \p Entry carries
-  /// `.Key` (K), `.Val` (std::optional<V>, nullopt = erase) and
-  /// `.Hash`. Returns the commit stamp — every published version
-  /// becomes visible at it atomically — or nullopt when the commit
-  /// aborted on a conflict or a racing writer's kill.
+  /// Commits a transaction's deduplicated write set — the `kv/txn.h`
+  /// engine. Each `Entry` (`.Key`, `.Val` with nullopt = erase, `.Hash`)
+  /// is one `Assign` group of `commitGroups`, conflict-checked against
+  /// \p Read and releasing it once resolved. Adds the transaction
+  /// telemetry: commit/abort counters on every outcome, sampled commit
+  /// latency (one commit in `TelemetryStride`), and an abort trace event
+  /// carrying the read stamp.
   template <typename Entry>
-  std::optional<std::uint64_t>
-  commitWriteSet(thread_id Tid, std::uint64_t ReadStamp,
-                 const std::vector<Entry> &Set) {
+  std::optional<std::uint64_t> commitTxn(thread_id Tid, SnapshotHandle &Read,
+                                         const std::vector<Entry> &Set) {
     auto G = Dom->enter(Tid);
-    // Telemetry: commit/abort counters on every outcome, plus sampled
-    // end-to-end commit latency (one commit in `TelemetryStride`). The
-    // recorder fires on every return path below; aborts also emit a
-    // trace event carrying the transaction's read stamp.
-    struct TxnRecorder {
-      Store &St;
-      std::uint64_t ReadStamp;
-      std::uint64_t T0 = 0;
-      bool Committed = false;
-      TxnRecorder(Store &St, std::uint64_t RS) : St(St), ReadStamp(RS) {
-        thread_local telemetry::Sampler Smp;
-        if (Smp.tick(TelemetryStride))
-          T0 = telemetry::nowNs();
-      }
-      ~TxnRecorder() {
-        if (Committed) {
-          St.TxnCommits.add();
-          if (T0)
-            St.TxnCommitNs.record(telemetry::nowNs() - T0);
-        } else {
-          St.TxnAborts.add();
-          LFSMR_TRACE_EVENT(telemetry::TraceEvent::CommitAbort, ReadStamp);
-        }
-      }
-    } TR{*this, ReadStamp};
-    if (Set.size() == 1) {
-      // Solo fast path: a one-entry batch is atomic by construction —
-      // a conflict-checked write, no commit record, per-key resolve.
-      const Entry &E = Set.front();
-      const PublishResult R =
-          publishChecked(G, E.Key, E.Val, E.Hash, /*C=*/nullptr, ReadStamp);
-      if (R.Conflict)
-        return std::nullopt;
-      TR.Committed = true;
-      if (!R.Published)
-        return ReadStamp; // no-op erase: trivially committed
-      const std::uint64_t T = Registry.resolve(vr(R.Published).Stamp);
-      trimAt(G, E.Key, E.Hash);
-      return T;
+    [[maybe_unused]] const std::uint64_t ReadStamp = Read.version();
+    thread_local telemetry::Sampler Smp;
+    const std::uint64_t T0 = Smp.tick(TelemetryStride) ? telemetry::nowNs() : 0;
+    const std::optional<std::uint64_t> T = commitGroups(
+        G, Set.size(),
+        [&](std::size_t I) {
+          const Entry &E = Set[I];
+          return Group<Assign>{E.Key, E.Hash,
+                               Assign{E.Val ? &*E.Val : nullptr}};
+        },
+        &Read);
+    if (T) {
+      TxnCommits.add();
+      if (T0)
+        TxnCommitNs.record(telemetry::nowNs() - T0);
+    } else {
+      TxnAborts.add();
+      LFSMR_TRACE_EVENT(telemetry::TraceEvent::CommitAbort, ReadStamp);
     }
-
-    CNode *C = makeCommit(G);
-    std::vector<bool> Published(Set.size(), false);
-    bool Doomed = false;
-    for (std::size_t I = 0; I < Set.size() && !Doomed; ++I) {
-      // A racing writer may have killed the record already; stop
-      // publishing born-dead versions once that is visible.
-      if (cr(C).Stamp.load(std::memory_order_seq_cst) ==
-          SnapshotRegistry::Aborted) {
-        Doomed = true;
-        break;
-      }
-      const PublishResult R =
-          publishChecked(G, Set[I].Key, Set[I].Val, Set[I].Hash, C, ReadStamp);
-      if (R.Conflict)
-        Doomed = true;
-      else
-        Published[I] = R.Published != nullptr;
-    }
-
-    std::uint64_t T = 0;
-    bool Committed = false;
-    if (!Doomed) {
-      // The whole write set is in the chains: open the record for
-      // helping. Losing this CAS means a writer killed the record
-      // between our last publish and here — abort.
-      std::uint64_t Exp = SnapshotRegistry::Unpublished;
-      if (cr(C).Stamp.compare_exchange_strong(Exp, SnapshotRegistry::Pending,
-                                              std::memory_order_seq_cst,
-                                              std::memory_order_seq_cst)) {
-        // One tick stamps the entire batch (helpers CAS benignly).
-        T = Registry.resolveCommit(cr(C).Stamp);
-        Committed = true;
-      }
-    }
-    if (!Committed) {
-      // Conflict or killed: make the terminal state explicit (a no-op
-      // when a killer already wrote it).
-      std::uint64_t Exp = SnapshotRegistry::Unpublished;
-      cr(C).Stamp.compare_exchange_strong(Exp, SnapshotRegistry::Aborted,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_seq_cst);
-    }
-    // Invariant 3: every published version's stamp must leave Pending
-    // before the record is retired.
-    for (std::size_t I = 0; I < Set.size(); ++I) {
-      if (!Published[I])
-        continue;
-      if (Committed)
-        settlePublished(G, Set[I].Key, Set[I].Hash, T);
-      else
-        abortPublished(G, Set[I].Key, Set[I].Hash, C);
-    }
-    retireCommit(G, C);
-    TR.Committed = Committed;
-    if (!Committed)
-      return std::nullopt;
-    for (std::size_t I = 0; I < Set.size(); ++I)
-      if (Published[I])
-        trimAt(G, Set[I].Key, Set[I].Hash);
     return T;
   }
 
   friend class Txn<Scheme, K, V>;
 
-  //===------------------------------------------------------------------===//
-  // Async submission batch engine (driven by kv/submit.h)
-  //===------------------------------------------------------------------===//
-
-  /// Re-finds \p Key and trims its version chain (shared post-publish
-  /// epilogue of the write, commit, and batch paths).
-  void trimAt(guard_type &G, const K &Key, std::uint64_t H) {
-    const Probe P{itemSoKey(H), &Key};
-    const typename Index_t::Position Pos =
-        Index->find(G, shardOf(H), H, P, /*InitBuckets=*/false);
-    if (Pos.Found)
-      trimChain(G, toK(Pos.CurrRaw), shardOf(H), H, P);
-  }
-
-  /// Publishes ONE version carrying the folded result of the same-key
-  /// request group `Batch[Begin, End)`: settles the head, folds every
-  /// request in submission order against the key's current visible
-  /// value, and CAS-appends a single version holding the final state —
-  /// or nothing when the fold is a no-op (erases of a dead key).
-  /// \p Req is duck-typed: `key()`, `hash()`, and
-  /// `fold(std::optional<V>&&) -> std::optional<V>` (which records the
-  /// request's own completion result; a lost append race re-runs the
-  /// folds against the new head, so they must be repeatable).
-  ///
-  /// With \p C null the append is a solo write — the caller must
-  /// `resolve` the returned version's stamp. With \p C set the version
-  /// carries the shared commit record and its stamp stays Pending until
-  /// the record settles; the returned pointer is then only good for a
-  /// null test (invariant 2 keeps the version alive, but the VSlotSelf
-  /// protection is recycled by the next group's publish).
-  template <typename Req>
-  VNode *publishGroupFold(guard_type &G, Req *const *Batch,
-                          std::size_t Begin, std::size_t End, CNode *C) {
-    const K &Key = Batch[Begin]->key();
-    const std::uint64_t H = Batch[Begin]->hash();
-    const std::size_t S = shardOf(H);
-    const Probe P{itemSoKey(H), &Key};
-    const std::uintptr_t CRaw = C ? rawC(C) : 0;
-    for (;;) {
-      const typename Index_t::Position Pos =
-          Index->find(G, S, H, P, /*InitBuckets=*/true);
-      std::uintptr_t Hd = 0;
-      KNode *KN = nullptr;
-      std::optional<V> Cur;
-      if (Pos.Found) {
-        KN = toK(Pos.CurrRaw);
-        std::uint64_t HdStamp;
-        if (!settleHeadForWrite(G, KN, S, H, P, Hd, HdStamp))
-          continue; // key died under us: re-find (a put re-inserts)
-        if (VNode *HeadV = toV(Hd); HeadV && !vr(HeadV).Tombstone)
-          Cur.emplace(Codec<V>::decode(vr(HeadV).Val));
-      }
-      const bool WasLive = Cur.has_value();
-      std::optional<V> Folded = std::move(Cur);
-      for (std::size_t I = Begin; I < End; ++I)
-        Folded = Batch[I]->fold(std::move(Folded));
-      if (!Folded.has_value() && !WasLive)
-        return nullptr; // the group folds to a no-op: publish nothing
-      const bool Tomb = !Folded.has_value();
-      if (!Pos.Found) {
-        VNode *FreshV = makeVersion(G, &*Folded, false, 0, CRaw);
-        KNode *FreshK = makeKey(G, Key, P.SoKey, rawV(FreshV));
-        protectSelf(G, FreshV);
-        if (Index->insertAt(G, S, Pos, rawK(FreshK)))
-          return FreshV;
-        discardVersion(G, FreshV);
-        discardKey(G, FreshK);
-        continue;
-      }
-      VNode *FreshV =
-          makeVersion(G, Folded ? &*Folded : nullptr, Tomb, Hd, CRaw);
-      std::uintptr_t Expected = Hd;
-      protectSelf(G, FreshV);
-      if (kr(KN).VHead.compare_exchange_strong(Expected, rawV(FreshV),
-                                               std::memory_order_seq_cst,
-                                               std::memory_order_seq_cst))
-        return FreshV;
-      // Head moved (a racing writer appended): the folded value may be
-      // stale — remake from a fresh head, like `merge`.
-      discardVersion(G, FreshV);
-    }
-  }
-
   /// Applies one drained submission batch — the `kv/submit.h` engine.
   /// \p Batch must hold same-key requests adjacent, submission order
-  /// preserved within a key (the submitter's stable sort). The caller's
-  /// combiner already paid the per-batch costs this amortizes: the whole
-  /// batch runs under the ONE guard entered here, and multi-key batches
-  /// settle under ONE commit record resolved with ONE clock tick (the
-  /// PR 7 machinery), so snapshot reads and scans observe the batch
-  /// all-or-nothing. Unlike `commitWriteSet` there is no read stamp and
-  /// no conflict abort — submitted writes are unconditional (a
-  /// compare_and_set checks its expectation inside the fold, at apply
-  /// time) — so the only abort source is a racing solo writer's kill,
-  /// and a killed batch (nothing of which ever became visible) retries
-  /// wholesale with a fresh record: the same obstruction-free progress
-  /// class as transactions, with the kill guaranteeing the *other*
-  /// writer completed. Completion results land in the requests (via
-  /// `fold`); the caller publishes them after this returns.
+  /// preserved within a key (the submitter's stable sort); each same-key
+  /// run is one `RequestFold` group. The whole batch runs under ONE guard
+  /// and commits through `commitGroups` (one record, one clock tick).
+  /// Submitted writes have no read stamp — a compare_and_set checks its
+  /// expectation inside the fold, at apply time — so the only abort is a
+  /// racing solo writer's kill. Nothing of a killed batch became visible,
+  /// so it re-folds and retries with a fresh record: the transactions'
+  /// obstruction-free progress class, with the kill guaranteeing the
+  /// *other* writer completed. Completion results land in the requests
+  /// (via `fold`); the caller publishes them after this returns.
   template <typename Req>
   void applyAsyncBatch(thread_id Tid, Req *const *Batch, std::size_t N) {
     if (!N)
       return;
     auto G = Dom->enter(Tid); // ONE guard for the whole batch
     SubmitBatchLen.record(N);
-
-    // Adjacent same-key requests form one group = one published version.
-    struct Group {
-      std::size_t Begin, End;
+    std::vector<std::size_t> Starts; // group I is [Starts[I], Starts[I+1])
+    Starts.reserve(N + 1);
+    for (std::size_t I = 0; I < N; ++I)
+      if (I == 0 || !Batch[I - 1]->sameKey(*Batch[I]))
+        Starts.push_back(I);
+    Starts.push_back(N);
+    const auto At = [&](std::size_t I) {
+      Req *const *First = Batch + Starts[I];
+      return Group<RequestFold<Req>>{(*First)->key(), (*First)->hash(),
+                                     {First, Batch + Starts[I + 1]}};
     };
-    std::vector<Group> Groups;
-    Groups.reserve(N);
-    for (std::size_t I = 0; I < N;) {
-      std::size_t J = I + 1;
-      while (J < N && Batch[I]->sameKey(*Batch[J]))
-        ++J;
-      Groups.push_back({I, J});
-      I = J;
-    }
-
-    if (Groups.size() == 1) {
-      // One key: atomic by construction — a solo publish, no record.
-      VNode *VN = publishGroupFold(G, Batch, 0, N, /*C=*/nullptr);
-      if (VN) {
-        Registry.resolve(vr(VN).Stamp);
-        trimAt(G, Batch[0]->key(), Batch[0]->hash());
-      }
-      return;
-    }
-
-    std::vector<bool> Published(Groups.size());
-    for (;;) { // whole-batch retry when a racing writer kills the record
-      CNode *C = makeCommit(G);
-      Published.assign(Groups.size(), false);
-      bool Doomed = false;
-      for (std::size_t GI = 0; GI < Groups.size(); ++GI) {
-        // Stop publishing born-dead versions once a kill is visible.
-        if (cr(C).Stamp.load(std::memory_order_seq_cst) ==
-            SnapshotRegistry::Aborted) {
-          Doomed = true;
-          break;
-        }
-        Published[GI] = publishGroupFold(G, Batch, Groups[GI].Begin,
-                                         Groups[GI].End, C) != nullptr;
-      }
-      std::uint64_t T = 0;
-      bool Committed = false;
-      if (!Doomed) {
-        std::uint64_t Exp = SnapshotRegistry::Unpublished;
-        if (cr(C).Stamp.compare_exchange_strong(
-                Exp, SnapshotRegistry::Pending, std::memory_order_seq_cst,
-                std::memory_order_seq_cst)) {
-          // ONE tick settles the entire batch (helpers CAS benignly).
-          T = Registry.resolveCommit(cr(C).Stamp);
-          Committed = true;
-        }
-      }
-      if (!Committed) {
-        std::uint64_t Exp = SnapshotRegistry::Unpublished;
-        cr(C).Stamp.compare_exchange_strong(Exp, SnapshotRegistry::Aborted,
-                                            std::memory_order_seq_cst,
-                                            std::memory_order_seq_cst);
-      }
-      // Invariant 3: every published version's stamp leaves Pending
-      // before the record is retired. The commit sweep fuses the settle
-      // with the trim the write owes the chain (one find per group).
-      for (std::size_t GI = 0; GI < Groups.size(); ++GI) {
-        if (!Published[GI])
-          continue;
-        const Req &R = *Batch[Groups[GI].Begin];
-        if (Committed)
-          settleAndTrim(G, R.key(), R.hash(), T);
-        else
-          abortPublished(G, R.key(), R.hash(), C);
-      }
-      retireCommit(G, C);
-      if (!Committed)
-        continue; // killed: nothing became visible — re-fold, re-publish
-      return;
-    }
+    while (!commitGroups(G, Starts.size() - 1, At, nullptr)) {
+    } // killed: re-fold and re-publish
   }
 
   friend class Submitter<Scheme, K, V>;

@@ -194,33 +194,35 @@ template <typename Scheme, typename K, typename V> struct AsyncRequest {
     return Hash == O.Hash && detail::foldEquals(KeyV, O.KeyV);
   }
 
-  /// Applies this op to the running folded state of its key group (see
-  /// `Store::publishGroupFold`): returns the key's new value state and
-  /// stages the op's completion result. Results mirror the sync API:
-  /// put -> "key was absent", erase -> "key was present",
-  /// compare_and_set -> "swapped", merge -> true. Re-run when the
-  /// group's append loses a race, so the fold is pure in everything but
-  /// `Result` (the final run's value wins).
-  std::optional<V> fold(std::optional<V> &&Cur) {
+  /// Applies this op in place to the running value state \p Cur of its
+  /// key group (nullopt = absent; see `Store::RequestFold`), stages the
+  /// op's completion result, and returns whether the op wrote. Results
+  /// mirror the sync API: put -> "key was absent", erase -> "key was
+  /// present", compare_and_set -> "swapped", merge -> true; a failed
+  /// compare_and_set or an erase of a dead key writes nothing. Re-run
+  /// when the group's append loses a race, so the fold is pure in
+  /// everything but `Result` (the final run's value wins).
+  bool fold(std::optional<V> &Cur) {
     switch (Kind) {
     case AsyncOp::Put:
       Result = !Cur.has_value();
-      return std::optional<V>(Val);
+      Cur = Val;
+      return true;
     case AsyncOp::Erase:
       Result = Cur.has_value();
-      return std::nullopt;
+      Cur.reset();
+      return Result;
     case AsyncOp::CompareAndSet:
-      if (Cur.has_value() && detail::foldEquals(*Cur, Expected)) {
-        Result = true;
-        return std::optional<V>(Val);
-      }
-      Result = false;
-      return std::move(Cur);
+      Result = Cur.has_value() && detail::foldEquals(*Cur, Expected);
+      if (Result)
+        Cur = Val;
+      return Result;
     case AsyncOp::Merge:
       Result = true;
-      return std::optional<V>(Fn(std::move(Cur), Val));
+      Cur = Fn(std::move(Cur), Val);
+      return true;
     }
-    return std::move(Cur); // unreachable
+    return false; // unreachable
   }
 };
 

@@ -33,14 +33,19 @@
 ///      Pending, a record can only settle — kills race only the
 ///      publish window, never the resolve.
 ///
-/// Lifetime rules: the transaction's snapshot stays live until
-/// `commit`/`abort`, which both finish the transaction (release the
-/// snapshot, clear the set). That snapshot is load-bearing — it pins
-/// the trim floor at or below the read stamp while versions sit
-/// published-but-unresolved, and it is what makes the absent-key
-/// conflict check sound. A finished transaction cannot be reused;
-/// begin a new one to retry. Like snapshots, a transaction must not
-/// outlive its store.
+/// Lifetime rules: the transaction's snapshot stays live from creation
+/// through the publish phase of `commit` — it pins the trim floor at or
+/// below the read stamp while versions sit published-but-unresolved,
+/// and it is what makes the absent-key conflict check sound. The commit
+/// releases it the moment the record resolves (a single-key commit:
+/// the moment its stamp resolves), before the settle+trim sweep: no
+/// published version is unresolved any more and the conflict check is
+/// over, so nothing needs the pin — and keeping it would make the
+/// sweep's trim keep every key's pre-commit version. `commit`/`abort`
+/// both finish the transaction (release the snapshot if still held,
+/// clear the set). A finished transaction cannot be reused; begin a new
+/// one to retry. Like snapshots, a transaction must not outlive its
+/// store.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -142,13 +147,13 @@ public:
       // everyone live regardless, sorting just cuts mutual aborts.
       std::sort(Set.begin(), Set.end(),
                 [](const Entry &A, const Entry &B) { return A.Hash < B.Hash; });
-      const std::optional<std::uint64_t> T =
-          Db->commitWriteSet(Tid, Snap.version(), Set);
+      // The commit releases the snapshot as soon as it resolves.
+      const std::optional<std::uint64_t> T = Db->commitTxn(Tid, Snap, Set);
       Ok = T.has_value();
       if (Ok)
         CommitV = *T;
     }
-    Snap.reset(); // kept live until after commitWriteSet — see file doc
+    Snap.reset();
     Set.clear();
     return Ok;
   }
@@ -167,7 +172,7 @@ private:
   friend store_type;
 
   /// One buffered write; `Val == nullopt` is an erase. The field shape
-  /// (`Key`/`Val`/`Hash`) is the `commitWriteSet` entry contract.
+  /// (`Key`/`Val`/`Hash`) is the `Store::commitTxn` entry contract.
   struct Entry {
     K Key;
     std::optional<V> Val;

@@ -164,6 +164,20 @@ TYPED_TEST(KvAsync, ResultsMirrorSyncApi) {
   EXPECT_TRUE(Sub.merge(0, K(3), Val(31), KeepFirst).get(0));
   EXPECT_EQ(*Db.get(0, K(3)), Val(30)) << "merge saw the current value";
 
+  {
+    // A failing compare_and_set writes nothing, sync or async: with a
+    // snapshot holding the chain, no new version and no clock tick.
+    kv::snapshot Snap = Db.open_snapshot();
+    const std::size_t Chain = Db.version_count(0, K(1));
+    const uint64_t Clock = Db.version();
+    EXPECT_FALSE(Db.compare_and_set(0, K(1), Val(10), Val(13)));
+    EXPECT_FALSE(Sub.compare_and_set(0, K(1), Val(10), Val(13)).get(0));
+    EXPECT_EQ(Db.version_count(0, K(1)), Chain)
+        << "a failed cas must not append a copy of the current value";
+    EXPECT_EQ(Db.version(), Clock) << "a failed cas must not tick the clock";
+    EXPECT_EQ(*Db.get(0, K(1), Snap), Val(12));
+  }
+
   EXPECT_TRUE(Sub.erase(0, K(1)).get(0)) << "erase: key was present";
   EXPECT_FALSE(Sub.erase(0, K(1)).get(0)) << "erase: key was absent";
   EXPECT_FALSE(Db.get(0, K(1)).has_value());

@@ -405,6 +405,31 @@ TYPED_TEST(KvTxn, TrimSafetyWithStalledPreCommitSnapshot) {
         << "after release, chains trim to the newest version";
 }
 
+TYPED_TEST(KvTxn, CommitTrimsPastItsOwnSnapshot) {
+  // The transaction's own snapshot must not hold back the trim its
+  // commit owes the chains: with no other snapshot live, every committed
+  // key ends at one version, like a plain put.
+  typename TestFixture::Store Db(txnTestOptions());
+  const auto K = [](uint64_t X) { return TestFixture::key(X); };
+  const auto V = [](uint64_t X) { return TestFixture::val(X); };
+  for (uint64_t X = 1; X <= 5; ++X)
+    Db.put(0, K(X), V(X));
+  ASSERT_EQ(Db.live_snapshots(), 0u);
+
+  auto T1 = Db.begin_transaction();
+  T1.put(K(1), V(11));
+  ASSERT_TRUE(T1.commit(0));
+  EXPECT_EQ(Db.version_count(0, K(1)), 1u) << "single-key commit";
+
+  auto T4 = Db.begin_transaction();
+  for (uint64_t X = 2; X <= 5; ++X)
+    T4.put(K(X), V(X + 100));
+  ASSERT_TRUE(T4.commit(0));
+  for (uint64_t X = 2; X <= 5; ++X)
+    EXPECT_EQ(Db.version_count(0, K(X)), 1u) << "4-key commit, key " << X;
+  EXPECT_EQ(Db.live_snapshots(), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Concurrency (CI-sized; the all-or-nothing scan assertion of the
 // acceptance criteria — runs under the asan and tsan presets)
@@ -576,6 +601,74 @@ TYPED_TEST(KvTxn, ConcurrentTxnsVsSoloWritersStayConsistent) {
   const memory_stats MS = Db.stats();
   EXPECT_GE(MS.allocated, MS.retired);
   EXPECT_GE(MS.retired, MS.freed);
+}
+
+TYPED_TEST(KvTxn, NoLostUpdatesAcrossWritePaths) {
+  // Sync merge(+1), compare_and_set read-increment loops, and 2-key +1
+  // transactions race on 4 hot keys. Each successful op adds exactly
+  // its increments, so the final sum over the keys counts them all: an
+  // update lost on any write path shows up as a shortfall, a duplicated
+  // one as an excess.
+  constexpr unsigned Mergers = 2, Casers = 2, Txners = 2;
+  constexpr uint64_t Keys = 4;
+  constexpr int Ops = 300;
+  using Value = typename TestFixture::Value;
+  typename TestFixture::Store Db(txnTestOptions(Mergers + Casers + Txners));
+  const auto K = [](uint64_t X) { return TestFixture::key(X); };
+  const auto V = [](uint64_t X) { return TestFixture::val(X); };
+  const auto Num = [](const Value &P) { return TestFixture::stampOf(P); };
+  for (uint64_t X = 0; X < Keys; ++X)
+    Db.put(0, K(X), V(0));
+
+  std::atomic<uint64_t> Increments{0};
+  std::atomic<int> Bad{0};
+  std::vector<std::thread> Ts;
+  for (unsigned Tid = 0; Tid < Mergers + Casers + Txners; ++Tid)
+    Ts.emplace_back([&, Tid] {
+      Xoshiro256 Rng(streamSeed(700 + Tid));
+      for (int I = 0; I < Ops; ++I) {
+        const uint64_t X = Rng.nextBounded(Keys);
+        if (Tid < Mergers) {
+          Db.merge(Tid, K(X), [&](std::optional<Value> Cur) {
+            return V(Cur ? Num(*Cur) + 1 : 1);
+          });
+          Increments.fetch_add(1, std::memory_order_relaxed);
+        } else if (Tid < Mergers + Casers) {
+          for (;;) {
+            const std::optional<Value> Cur = Db.get(Tid, K(X));
+            if (!Cur) {
+              ++Bad; // hot keys are never erased
+              return;
+            }
+            if (Db.compare_and_set(Tid, K(X), *Cur, V(Num(*Cur) + 1)))
+              break;
+          }
+          Increments.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          const uint64_t Y = (X + 1 + Rng.nextBounded(Keys - 1)) % Keys;
+          auto T = Db.begin_transaction();
+          const std::optional<Value> A = T.get(Tid, K(X));
+          const std::optional<Value> B = T.get(Tid, K(Y));
+          if (!A || !B) {
+            ++Bad;
+            return;
+          }
+          T.put(K(X), V(Num(*A) + 1));
+          T.put(K(Y), V(Num(*B) + 1));
+          if (T.commit(Tid))
+            Increments.fetch_add(2, std::memory_order_relaxed);
+        }
+      }
+    });
+  for (std::thread &T : Ts)
+    T.join();
+
+  EXPECT_EQ(Bad.load(), 0);
+  uint64_t Sum = 0;
+  for (uint64_t X = 0; X < Keys; ++X)
+    Sum += Num(*Db.get(0, K(X)));
+  EXPECT_EQ(Sum, Increments.load());
+  EXPECT_GE(Increments.load(), uint64_t{(Mergers + Casers) * Ops});
 }
 
 } // namespace
