@@ -1190,9 +1190,10 @@ template <typename S> struct KvServeOp {
         KvSuiteOp<S>::pointOptions(StallCfg ? T + 1 : T, O.KeyRange);
     if (StallCfg) {
       // A robust scheme's stall bound is proportional to its detection
-      // thresholds (Hyaline-S frees nothing for a stalled slot until it
-      // falls AckThreshold acks behind, so its plateau sits near 64x
-      // AckThreshold). The library defaults size those for steady state;
+      // thresholds (Hyaline-S keeps inserting batches into a stalled
+      // slot while threads sharing it keep its access era current, until
+      // the traversals the slot owes pass AckThreshold and enter diverts
+      // those threads). The library defaults size those for steady state;
       // a smoke-length window ends before the default trip point and
       // every scheme would look unbounded. Tighten detection so the
       // window shows the bound itself, not the pre-trip ramp.
@@ -1375,12 +1376,9 @@ void runKvServeSuite(const CommandLine &Cmd, report::Report &Rep) {
            "chains as live memory for every scheme) but its guard stays "
            "stalled, so sampled avg/peak unreclaimed is the paper's "
            "robustness metric on the serving surface: flat for "
-           "hp/he/ibr/hyaline1s, growing for epoch/hyaline/hyaline1/nomm "
-           "(stall stores run EraFreq=16, AckThreshold=512 so detection "
-           "trips inside short windows); hyalines' per-batch birth-era "
-           "tag lets the zipf cold tail drag whole batches into the "
-           "stalled slot, so its Thm-5 bound reads as growth here — see "
-           "ARCHITECTURE.md");
+           "hp/he/ibr/hyalines/hyaline1s, growing for "
+           "epoch/hyaline/hyaline1/nomm (stall stores run EraFreq=16, "
+           "AckThreshold=512 so detection trips inside short windows)");
   Rep.note("kv-serve: stall-serve is a latency A/B — mix write-stalled "
            "runs under the holder, mix write-baseline runs the "
            "byte-identical store/config without it, so comparing the two "

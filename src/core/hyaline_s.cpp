@@ -200,11 +200,16 @@ bool HyalineS::publishBatch(LocalBatch &B) {
       continue;
     CurrNode = CurrNode->BatchNext;
     assert(CurrNode != B.First && "batch ran out of slot-carrier nodes");
-    if (Old.Ptr)
+    if (Old.Ptr) {
       adjust(Old.Ptr, Old.Ptr->refNode()->batchAdjs() + Old.Ref);
-    // Figure 9, line 15: account the threads that will dereference this
-    // batch in this slot.
-    S.Ack.fetch_add(static_cast<int64_t>(Old.Ref), std::memory_order_relaxed);
+      // Figure 9, line 15: charge Ack when a batch covers a node. Exactly
+      // the Old.Ref threads charged to Old.Ptr's NRef above traverse it
+      // later, once each, so Ack equals the traversals still owed. An
+      // insertion into an empty list covers nothing: its node is settled
+      // through adjust(Curr, Adjs) in leave and never traversed.
+      S.Ack.fetch_add(static_cast<int64_t>(Old.Ref),
+                      std::memory_order_relaxed);
+    }
   }
   if (DoAdj)
     adjust(B.First, Empty);

@@ -16,9 +16,14 @@
 ///    threads share a slot); `retire` skips slots whose access era is
 ///    older than the batch's minimum birth era — threads there can never
 ///    have dereferenced any node of the batch;
-///  - per-slot *Ack* counters: retire adds the observed HRef, traversal
-///    subtracts the nodes it visited; a slot whose Ack keeps growing past
-///    a threshold harbours a stalled thread and is avoided by `enter`;
+///  - per-slot *Ack* counters, charged with the slot's HRef when a batch
+///    covers a node and decremented by each node a traversal visits, so
+///    Ack equals the traversals still owed: 0 at quiescence, growing only
+///    while a thread of the slot stalls. A slot whose Ack passes a
+///    threshold harbours a stalled thread and is avoided by `enter`.
+///    (The paper's Ack is approximate and "may also be positive" at rest;
+///    this count is exact, so a busy slot never drifts into looking
+///    stalled);
 ///  - *adaptive resizing* (Figure 10): when every slot is deemed stalled,
 ///    the slot count doubles via a directory of slot arrays, so the scheme
 ///    stays fully robust with any number of stalled threads. The per-batch

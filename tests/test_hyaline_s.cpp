@@ -16,6 +16,7 @@
 #include "core/slot_directory.h"
 #include "scheme_fixtures.h"
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -200,24 +201,58 @@ TEST(HyalineSAcks, RetireChargesAndTraverseAcknowledges) {
   S.deref(Reader, Cell, 0); // slot 0 era current -> insertions proceed
 
   ASSERT_EQ(S.ackValue(Reader.Slot), 0);
-  // Two published batches: each insertion charges Ack with the slot's
-  // HRef (1: just the reader; the writer sits in slot 1).
+  // Two published batches into slot 0 (HRef 1: just the reader; the
+  // writer sits in slot 1). The first lands in an empty list and covers
+  // nothing; the second covers the first and charges Ack with the HRef.
   std::vector<TestNode<HyalineS> *> Nodes;
   for (int I = 0; I < 6; ++I)
     Nodes.push_back(makeNode(S, Writer, I));
   for (auto *N : Nodes)
     S.retire(Writer, &N->Hdr);
-  EXPECT_EQ(S.ackValue(Reader.Slot), 2)
-      << "each insertion must charge the slot's Ack with its HRef";
+  EXPECT_EQ(S.ackValue(Reader.Slot), 1)
+      << "only a covering insertion owes a traversal";
 
   S.leave(Writer);
   S.leave(Reader);
-  // The reader's leave traverses the displaced batch (1 node visited; the
-  // head batch is accounted through HRef, not traversal), so Ack drops by
-  // exactly one. The residual positive drift is what the paper's large
-  // Threshold absorbs ("Ack may also be positive").
-  EXPECT_EQ(S.ackValue(0), 1);
+  // The reader's leave traverses the covered batch (1 node visited; the
+  // head batch is settled through HRef, not traversal): nothing is owed.
+  EXPECT_EQ(S.ackValue(0), 0);
   S.discard(&Probe->Hdr); // unpublished after both guards left
+}
+
+TEST(HyalineSAcks, LoneSlotAckStaysExact) {
+  // A thread alone in its slot owes no traversal once it has left, so
+  // its slot's Ack must read 0 after every leave. Were a batch landing in
+  // an empty list charged too, the busy slot would drift past the
+  // threshold within AckThreshold ops and enter would flee it as stalled.
+  std::atomic<int64_t> Freed{0};
+  constexpr int64_t Threshold = 8;
+  HyalineS S(sConfig(2, 4, /*EraFreq=*/1000000, Threshold),
+             countingDeleter<HyalineS>, &Freed);
+  const std::size_t Slots = S.slots();
+  const std::size_t Batch = std::max<std::size_t>(2, Slots + 1); // MinBatch 2
+
+  for (int Op = 0; Op < 64 * Threshold; ++Op) {
+    auto G = S.enter(0);
+    // Dereferencing keeps the slot's access era current, so every batch
+    // is inserted into the thread's own slot.
+    auto *Probe = makeNode(S, G, 0);
+    std::atomic<TestNode<HyalineS> *> Cell{Probe};
+    S.deref(G, Cell, 0);
+    S.retire(G, &Probe->Hdr);
+    // Even ops publish one batch (into the empty list); odd ops publish
+    // two, the second covering the first, which leave then traverses.
+    const std::size_t N = (1 + Op % 2) * Batch;
+    for (std::size_t I = 1; I < N; ++I)
+      S.retire(G, &makeNode(S, G, I)->Hdr);
+    S.leave(G);
+
+    ASSERT_EQ(G.Slot, 0u) << "op " << Op << ": enter fled the thread's slot";
+    ASSERT_EQ(S.ackValue(G.Slot), 0) << "op " << Op << ": Ack drifted";
+    ASSERT_EQ(S.slots(), Slots) << "op " << Op << ": the directory grew";
+  }
+  EXPECT_EQ(Freed.load(), S.memCounter().allocated())
+      << "every batch was published and its only reader left";
 }
 
 TEST(HyalineSAcks, EnterAvoidsSaturatedSlot) {
