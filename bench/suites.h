@@ -14,7 +14,10 @@
 ///   nmtree      Natarajan-Mittal tree      (Fig. 11c/11f + 12c/12f)
 ///   bonsai      Bonsai tree                (Fig. 13)
 ///   kv          versioned KV store         (snapshot reads/scans, string
-///                                           keys, cooperative resizing)
+///                                           keys, resizing, transactions)
+///   kv-snap-cycle snapshot open/close      (one-RMW fast path latency)
+///   kv-serve    serving realism            (zipf, churn, oversub, stall)
+///   kv-async    batched async writes       (submitter vs sync A/B)
 ///   enter-leave SMR primitive microbench   (Section 3.2 costs)
 ///   ablation    Hyaline Slots x MinBatch   (Section 3.2 knob sweep)
 ///   stall       stalled-reader robustness  (Theorem 5 / Section 4.2)
@@ -23,7 +26,9 @@
 ///
 /// Every suite writes through the structured report layer
 /// (support/report.h), so one invocation yields one JSON/CSV/human
-/// document carrying run metadata.
+/// document carrying run metadata. The suites live by family in
+/// suites_paper.cpp and suites_kv.cpp, all on the one timed run and
+/// point loop of driver.h; this header's registry is in suites.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +50,22 @@ struct Suite {
   const char *Description; ///< one-line summary for --help
   void (*Run)(const CommandLine &Cmd, report::Report &Rep);
 };
+
+/// Suite entry points (suites_paper.cpp).
+void runListSuite(const CommandLine &Cmd, report::Report &Rep);
+void runHashMapSuite(const CommandLine &Cmd, report::Report &Rep);
+void runNMTreeSuite(const CommandLine &Cmd, report::Report &Rep);
+void runBonsaiSuite(const CommandLine &Cmd, report::Report &Rep);
+void runEnterLeaveSuite(const CommandLine &Cmd, report::Report &Rep);
+void runAblationSuite(const CommandLine &Cmd, report::Report &Rep);
+void runStallSuite(const CommandLine &Cmd, report::Report &Rep);
+void runTable1Suite(const CommandLine &Cmd, report::Report &Rep);
+
+/// Suite entry points (suites_kv.cpp).
+void runKvSuite(const CommandLine &Cmd, report::Report &Rep);
+void runKvSnapCycleSuite(const CommandLine &Cmd, report::Report &Rep);
+void runKvServeSuite(const CommandLine &Cmd, report::Report &Rep);
+void runKvAsyncSuite(const CommandLine &Cmd, report::Report &Rep);
 
 /// All suites in presentation order ("all" is synthesized, not listed).
 const std::vector<Suite> &allSuites();

@@ -12,7 +12,7 @@
 /// one binary the way the paper's figures do.
 ///
 /// The name list is generated from `smr/scheme_list.h`, the same X-macro
-/// the benchmark harness dispatches over, so a scheme added there is
+/// the benchmark dispatches over, so a scheme added there is
 /// automatically constructible here.
 ///
 /// `any_domain` always runs in transparent mode: objects are allocated

@@ -23,7 +23,7 @@
 /// | `schemes::hyaline_packed`  | `"hyalinep"`  | no     | yes         |
 ///
 /// The runtime names (second column) select the same schemes through
-/// `lfsmr::any_domain` and the benchmark harness. See `docs/schemes.md`
+/// `lfsmr::any_domain` and the benchmark. See `docs/schemes.md`
 /// for the full per-scheme map into the paper and the source.
 ///
 //===----------------------------------------------------------------------===//

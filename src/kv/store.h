@@ -273,49 +273,14 @@ public:
   }
 
   /// Latest-value read: the newest *committed* version of \p Key, or
-  /// nullopt when the key is absent or tombstoned. Versions belonging
-  /// to an unpublished or aborted transaction are invisible: the read
-  /// descends past pending ones and restarts from the head when it
-  /// meets an aborted one (same protocol as `readAt`).
+  /// nullopt when the key is absent or tombstoned. The snapshot read at
+  /// the top of the stamp range: every settled stamp is at or below
+  /// `StampMask` and the Pending/Unpublished/Aborted sentinels above it,
+  /// so versions of an unpublished or aborted transaction stay invisible
+  /// (`readAt` descends past pending ones and restarts from the head
+  /// when it meets an aborted one).
   std::optional<V> get(thread_id Tid, const K &Key) {
-    auto G = Dom->enter(Tid);
-    const std::uint64_t H = Codec<K>::hash(Key);
-    const Probe P{itemSoKey(H), &Key};
-    const typename Index_t::Position Pos =
-        Index->find(G, shardOf(H), H, P, /*InitBuckets=*/false);
-    if (!Pos.Found)
-      return std::nullopt;
-    KNode *KN = toK(Pos.CurrRaw);
-    for (;;) {
-      const std::uintptr_t Hd = G.protect_link(kr(KN).VHead, VSlotA);
-      if (Hd & Tag)
-        return std::nullopt; // key logically removed
-      VNode *Cur = toV(Hd);
-      unsigned A = VSlotA, B = VSlotB;
-      bool Restart = false;
-      while (Cur) {
-        const std::uint64_t St = stampOf(G, Cur);
-        if (St == SnapshotRegistry::Aborted) {
-          Restart = true;
-          break;
-        }
-        if (St != SnapshotRegistry::Pending) { // newest settled version
-          if (vr(Cur).Tombstone)
-            return std::nullopt;
-          return Codec<V>::decode(vr(Cur).Val);
-        }
-        const std::uintptr_t Nxt = G.protect_link(vr(Cur).Older, B);
-        if (vr(Cur).Stamp.load(std::memory_order_seq_cst) ==
-            SnapshotRegistry::Aborted) {
-          Restart = true; // killed under us: Nxt may be stale
-          break;
-        }
-        Cur = toV(Nxt);
-        std::swap(A, B);
-      }
-      if (!Restart)
-        return std::nullopt;
-    }
+    return getAt(Tid, Key, SnapshotRegistry::StampMask);
   }
 
   /// Atomically replaces \p Key's value with \p Desired iff its current
@@ -367,17 +332,7 @@ public:
   /// same key through the same snapshot return the same result.
   std::optional<V> get(thread_id Tid, const K &Key,
                        const SnapshotHandle &Snap) {
-    auto G = Dom->enter(Tid);
-    const std::uint64_t H = Codec<K>::hash(Key);
-    const Probe P{itemSoKey(H), &Key};
-    const typename Index_t::Position Pos =
-        Index->find(G, shardOf(H), H, P, /*InitBuckets=*/false);
-    if (!Pos.Found)
-      return std::nullopt;
-    VNode *VN = readAt(G, toK(Pos.CurrRaw), Snap.version());
-    if (!VN)
-      return std::nullopt;
-    return Codec<V>::decode(vr(VN).Val);
+    return getAt(Tid, Key, Snap.version());
   }
 
   /// Opens a snapshot of the whole store at the current version clock.
@@ -1482,6 +1437,21 @@ private:
                                              std::memory_order_seq_cst,
                                              std::memory_order_seq_cst))
       Index->helpUnlink(G, S, rawK(KN), H, P);
+  }
+
+  /// Both `get`s: find \p Key, read its chain at \p At, decode.
+  std::optional<V> getAt(thread_id Tid, const K &Key, std::uint64_t At) {
+    auto G = Dom->enter(Tid);
+    const std::uint64_t H = Codec<K>::hash(Key);
+    const Probe P{itemSoKey(H), &Key};
+    const typename Index_t::Position Pos =
+        Index->find(G, shardOf(H), H, P, /*InitBuckets=*/false);
+    if (!Pos.Found)
+      return std::nullopt;
+    VNode *VN = readAt(G, toK(Pos.CurrRaw), At);
+    if (!VN)
+      return std::nullopt;
+    return Codec<V>::decode(vr(VN).Val);
   }
 
   /// The snapshot read: newest version of \p KN with stamp <= \p At,

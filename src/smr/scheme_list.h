@@ -6,10 +6,11 @@
 ///
 /// \file
 /// X-macro lists pairing every runnable scheme name with its concrete
-/// type, so the string-keyed dispatchers (harness registry, bench suite
-/// dispatch, scheme-name validation) share ONE list instead of drifting
-/// copies. Adding a scheme means adding one line here; every dispatcher
-/// and name list picks it up.
+/// type, so the string-keyed dispatchers (bench suite dispatch,
+/// scheme-name validation, `lfsmr::any_domain`) and the typed test
+/// matrices share ONE list instead of drifting copies. Adding a scheme
+/// means adding one line here; every dispatcher and name list picks it
+/// up.
 ///
 /// This header defines macros only — the expansion site must include the
 /// scheme headers it instantiates.

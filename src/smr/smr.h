@@ -34,7 +34,7 @@
 
 namespace lfsmr::smr {
 
-/// Identifies a participating thread. The harness assigns dense ids
+/// Identifies a participating thread. The benchmark assigns dense ids
 /// 0..N-1. The Hyaline schemes only use it to pick a slot (transparency:
 /// ids above the slot count are folded), while the baseline schemes index
 /// per-thread state with it and require `Tid < Config::MaxThreads`.

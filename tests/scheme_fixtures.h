@@ -5,42 +5,126 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Typed-test scaffolding shared by the test suite: the list of all nine
-/// schemes, a counting test node, and a deleter that tracks destruction.
+/// Typed-test scaffolding shared by the test suite: the scheme lists and
+/// the scheme x payload kv matrix, all generated from smr/scheme_list.h
+/// and filtered on the Table 1 traits; the gtest instance names; a
+/// counting test node and a deleter that tracks destruction.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LFSMR_TESTS_SCHEME_FIXTURES_H
 #define LFSMR_TESTS_SCHEME_FIXTURES_H
 
-#include "core/hyaline.h"
-#include "core/hyaline1.h"
-#include "core/hyaline1s.h"
-#include "core/hyaline_packed.h"
-#include "core/hyaline_s.h"
-#include "smr/ebr.h"
-#include "smr/he.h"
-#include "smr/hp.h"
-#include "smr/ibr.h"
-#include "smr/nomm.h"
+#include "smr/reclaimer_traits.h"
+#include "smr/scheme_list.h"
 
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <string>
+#include <type_traits>
 
 namespace lfsmr::testing {
 
-/// Every scheme in the library. NoMM is excluded from reclamation tests
-/// (it never frees) but included in API-shape tests.
-using AllSchemes =
-    ::testing::Types<smr::EBR, smr::HP, smr::HE, smr::IBR, core::Hyaline,
-                     core::Hyaline1, core::HyalineS, core::Hyaline1S,
-                     core::HyalinePacked>;
+/// A compile-time type list; `GtestTypes` turns one into ::testing::Types.
+template <typename... Ts> struct TypeList {};
+
+template <typename... Ls> struct Concat {
+  using type = TypeList<>;
+};
+template <typename... As> struct Concat<TypeList<As...>> {
+  using type = TypeList<As...>;
+};
+template <typename... As, typename... Bs, typename... Rest>
+struct Concat<TypeList<As...>, TypeList<Bs...>, Rest...>
+    : Concat<TypeList<As..., Bs...>, Rest...> {};
+
+/// The types T of \p L for which Keep<T>::value holds.
+template <typename L, template <typename> class Keep> struct Filter;
+template <typename... Ts, template <typename> class Keep>
+struct Filter<TypeList<Ts...>, Keep>
+    : Concat<std::conditional_t<Keep<Ts>::value, TypeList<Ts>,
+                                TypeList<>>...> {};
+
+template <typename L> struct GtestTypesOf;
+template <typename... Ts> struct GtestTypesOf<TypeList<Ts...>> {
+  using type = ::testing::Types<Ts...>;
+};
+template <typename L> using GtestTypes = typename GtestTypesOf<L>::type;
+
+/// Every runnable scheme, in smr/scheme_list.h order.
+#define LFSMR_SCHEME_TYPE(NAME, TYPE) TypeList<TYPE>,
+using SchemeList =
+    typename Concat<LFSMR_FOREACH_SCHEME(LFSMR_SCHEME_TYPE) TypeList<>>::type;
+#undef LFSMR_SCHEME_TYPE
+
+/// NoMM never frees, so reclamation tests leave it out.
+template <typename S>
+struct Reclaims : std::bool_constant<!std::is_same_v<S, smr::NoMM>> {};
+template <typename S>
+struct IsRobust
+    : std::bool_constant<smr::ReclaimerTraits<S>::Row.Robust[0] == 'Y'> {};
+/// Guard/era schemes: their protection covers a whole operation, so
+/// they can run structures with unbounded per-operation protections
+/// (Bonsai) and traversals through detached chains (the NM tree).
+template <typename S>
+struct WholeOperation
+    : std::bool_constant<Reclaims<S>::value &&
+                         smr::ReclaimerTraits<S>::Row.SupportsBonsai> {};
+
+/// Every scheme that reclaims.
+using ReclaimingSchemes = typename Filter<SchemeList, Reclaims>::type;
+using AllSchemes = GtestTypes<ReclaimingSchemes>;
 
 /// Schemes with robust (bounded under stall) reclamation.
-using RobustSchemes =
-    ::testing::Types<smr::HP, smr::HE, smr::IBR, core::HyalineS,
-                     core::Hyaline1S>;
+using RobustSchemes = GtestTypes<typename Filter<SchemeList, IsRobust>::type>;
+
+/// Schemes that can run the Bonsai tree and the concurrent NM tree (all
+/// but HP/HE; paper Section 6).
+using WholeOperationSchemes =
+    GtestTypes<typename Filter<SchemeList, WholeOperation>::type>;
+
+/// Human-readable names in gtest output: the Table 1 name up to its
+/// first space, without dashes ("Hyaline-1S" -> "Hyaline1S",
+/// "IBR (2GE)" -> "IBR").
+class SchemeNames {
+public:
+  template <typename T> static std::string GetName(int) {
+    std::string Name;
+    for (const char *C = smr::ReclaimerTraits<T>::Row.Name; *C && *C != ' ';
+         ++C)
+      if (*C != '-')
+        Name.push_back(*C);
+    return Name;
+  }
+};
+
+/// Every reclaiming scheme with the classic 64-bit payloads AND with
+/// owned byte-string keys/values (the acceptance bar for the codec
+/// layer), as `Cfg<Scheme, Key, Value>` instances — the matrix the kv,
+/// txn, and async suites run. Each suite passes its own three-type
+/// configuration template, so its typed-test names (which print the
+/// TypeParam) stay its own.
+template <template <typename, typename, typename> class Cfg, typename L>
+struct KvMatrixOf;
+template <template <typename, typename, typename> class Cfg, typename... Ss>
+struct KvMatrixOf<Cfg, TypeList<Ss...>> {
+  using type = ::testing::Types<Cfg<Ss, uint64_t, uint64_t>...,
+                                Cfg<Ss, std::string, std::string>...>;
+};
+template <template <typename, typename, typename> class Cfg>
+using KvMatrix = typename KvMatrixOf<Cfg, ReclaimingSchemes>::type;
+
+/// Readable kv instance names ("HyalineS_str", ...).
+class KvCfgNames {
+public:
+  template <typename C> static std::string GetName(int I) {
+    const std::string S = SchemeNames::GetName<typename C::Scheme>(I);
+    const char *P =
+        std::is_same_v<typename C::Key, std::string> ? "_str" : "_u64";
+    return S + P;
+  }
+};
 
 /// A test node with the scheme header first, like real DS nodes.
 template <typename S> struct TestNode {
@@ -55,34 +139,6 @@ template <typename S> void countingDeleter(void *Hdr, void *Ctx) {
                                                       std::memory_order_relaxed);
   delete static_cast<TestNode<S> *>(Hdr);
 }
-
-/// Human-readable names in gtest output.
-class SchemeNames {
-public:
-  template <typename T> static std::string GetName(int) {
-    if constexpr (std::is_same_v<T, smr::NoMM>)
-      return "NoMM";
-    if constexpr (std::is_same_v<T, smr::EBR>)
-      return "Epoch";
-    if constexpr (std::is_same_v<T, smr::HP>)
-      return "HP";
-    if constexpr (std::is_same_v<T, smr::HE>)
-      return "HE";
-    if constexpr (std::is_same_v<T, smr::IBR>)
-      return "IBR";
-    if constexpr (std::is_same_v<T, core::Hyaline>)
-      return "Hyaline";
-    if constexpr (std::is_same_v<T, core::Hyaline1>)
-      return "Hyaline1";
-    if constexpr (std::is_same_v<T, core::HyalineS>)
-      return "HyalineS";
-    if constexpr (std::is_same_v<T, core::Hyaline1S>)
-      return "Hyaline1S";
-    if constexpr (std::is_same_v<T, core::HyalinePacked>)
-      return "HyalineP";
-    return "Unknown";
-  }
-};
 
 } // namespace lfsmr::testing
 

@@ -15,11 +15,6 @@ using namespace lfsmr::testing;
 
 namespace {
 
-/// Schemes that can run the Bonsai tree (all but HP/HE; paper Section 6).
-using BonsaiSchemes =
-    ::testing::Types<smr::EBR, smr::IBR, core::Hyaline, core::Hyaline1,
-                     core::HyalineS, core::Hyaline1S, core::HyalinePacked>;
-
 template <typename S> class BonsaiTest : public ::testing::Test {
 protected:
   using Tree = BonsaiTree<S>;
@@ -52,7 +47,8 @@ protected:
   }
 };
 
-TYPED_TEST_SUITE(BonsaiTest, BonsaiSchemes, SchemeNames);
+/// Schemes that can run the Bonsai tree (all but HP/HE; paper Section 6).
+TYPED_TEST_SUITE(BonsaiTest, WholeOperationSchemes, SchemeNames);
 
 TYPED_TEST(BonsaiTest, SequentialSemantics) {
   BonsaiTree<TypeParam> T(dsTestConfig());

@@ -238,36 +238,7 @@ template <typename S, typename KT, typename VT> struct KvCfg {
   using Value = VT;
 };
 
-/// Every scheme with the classic 64-bit payloads AND with owned
-/// byte-string keys/values (the acceptance bar for the codec layer).
-using KvConfigs = ::testing::Types<
-    KvCfg<smr::EBR, uint64_t, uint64_t>, KvCfg<smr::HP, uint64_t, uint64_t>,
-    KvCfg<smr::HE, uint64_t, uint64_t>, KvCfg<smr::IBR, uint64_t, uint64_t>,
-    KvCfg<core::Hyaline, uint64_t, uint64_t>,
-    KvCfg<core::Hyaline1, uint64_t, uint64_t>,
-    KvCfg<core::HyalineS, uint64_t, uint64_t>,
-    KvCfg<core::Hyaline1S, uint64_t, uint64_t>,
-    KvCfg<core::HyalinePacked, uint64_t, uint64_t>,
-    KvCfg<smr::EBR, std::string, std::string>,
-    KvCfg<smr::HP, std::string, std::string>,
-    KvCfg<smr::HE, std::string, std::string>,
-    KvCfg<smr::IBR, std::string, std::string>,
-    KvCfg<core::Hyaline, std::string, std::string>,
-    KvCfg<core::Hyaline1, std::string, std::string>,
-    KvCfg<core::HyalineS, std::string, std::string>,
-    KvCfg<core::Hyaline1S, std::string, std::string>,
-    KvCfg<core::HyalinePacked, std::string, std::string>>;
-
-/// Readable gtest instantiation names ("HyalineS_str", ...).
-class KvCfgNames {
-public:
-  template <typename C> static std::string GetName(int I) {
-    const std::string S = SchemeNames::GetName<typename C::Scheme>(I);
-    const char *P =
-        std::is_same_v<typename C::Key, std::string> ? "_str" : "_u64";
-    return S + P;
-  }
-};
+using KvConfigs = KvMatrix<KvCfg>;
 
 template <typename C> class KvStore : public ::testing::Test {
 protected:

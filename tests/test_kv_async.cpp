@@ -85,35 +85,7 @@ template <typename S, typename KT, typename VT> struct AsyncCfg {
   using Value = VT;
 };
 
-using AsyncConfigs = ::testing::Types<
-    AsyncCfg<smr::EBR, uint64_t, uint64_t>,
-    AsyncCfg<smr::HP, uint64_t, uint64_t>,
-    AsyncCfg<smr::HE, uint64_t, uint64_t>,
-    AsyncCfg<smr::IBR, uint64_t, uint64_t>,
-    AsyncCfg<core::Hyaline, uint64_t, uint64_t>,
-    AsyncCfg<core::Hyaline1, uint64_t, uint64_t>,
-    AsyncCfg<core::HyalineS, uint64_t, uint64_t>,
-    AsyncCfg<core::Hyaline1S, uint64_t, uint64_t>,
-    AsyncCfg<core::HyalinePacked, uint64_t, uint64_t>,
-    AsyncCfg<smr::EBR, std::string, std::string>,
-    AsyncCfg<smr::HP, std::string, std::string>,
-    AsyncCfg<smr::HE, std::string, std::string>,
-    AsyncCfg<smr::IBR, std::string, std::string>,
-    AsyncCfg<core::Hyaline, std::string, std::string>,
-    AsyncCfg<core::Hyaline1, std::string, std::string>,
-    AsyncCfg<core::HyalineS, std::string, std::string>,
-    AsyncCfg<core::Hyaline1S, std::string, std::string>,
-    AsyncCfg<core::HyalinePacked, std::string, std::string>>;
-
-class AsyncCfgNames {
-public:
-  template <typename C> static std::string GetName(int I) {
-    const std::string S = SchemeNames::GetName<typename C::Scheme>(I);
-    const char *P =
-        std::is_same_v<typename C::Key, std::string> ? "_str" : "_u64";
-    return S + P;
-  }
-};
+using AsyncConfigs = KvMatrix<AsyncCfg>;
 
 template <typename C> class KvAsync : public ::testing::Test {
 protected:
@@ -129,7 +101,7 @@ protected:
   static uint64_t stampOf(const Value &V) { return Payload<Value>::stamp(V); }
 };
 
-TYPED_TEST_SUITE(KvAsync, AsyncConfigs, AsyncCfgNames);
+TYPED_TEST_SUITE(KvAsync, AsyncConfigs, KvCfgNames);
 
 //===----------------------------------------------------------------------===//
 // Results mirror the sync API

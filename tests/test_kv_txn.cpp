@@ -128,33 +128,7 @@ template <typename S, typename KT, typename VT> struct TxnCfg {
   using Value = VT;
 };
 
-using TxnConfigs = ::testing::Types<
-    TxnCfg<smr::EBR, uint64_t, uint64_t>, TxnCfg<smr::HP, uint64_t, uint64_t>,
-    TxnCfg<smr::HE, uint64_t, uint64_t>, TxnCfg<smr::IBR, uint64_t, uint64_t>,
-    TxnCfg<core::Hyaline, uint64_t, uint64_t>,
-    TxnCfg<core::Hyaline1, uint64_t, uint64_t>,
-    TxnCfg<core::HyalineS, uint64_t, uint64_t>,
-    TxnCfg<core::Hyaline1S, uint64_t, uint64_t>,
-    TxnCfg<core::HyalinePacked, uint64_t, uint64_t>,
-    TxnCfg<smr::EBR, std::string, std::string>,
-    TxnCfg<smr::HP, std::string, std::string>,
-    TxnCfg<smr::HE, std::string, std::string>,
-    TxnCfg<smr::IBR, std::string, std::string>,
-    TxnCfg<core::Hyaline, std::string, std::string>,
-    TxnCfg<core::Hyaline1, std::string, std::string>,
-    TxnCfg<core::HyalineS, std::string, std::string>,
-    TxnCfg<core::Hyaline1S, std::string, std::string>,
-    TxnCfg<core::HyalinePacked, std::string, std::string>>;
-
-class TxnCfgNames {
-public:
-  template <typename C> static std::string GetName(int I) {
-    const std::string S = SchemeNames::GetName<typename C::Scheme>(I);
-    const char *P =
-        std::is_same_v<typename C::Key, std::string> ? "_str" : "_u64";
-    return S + P;
-  }
-};
+using TxnConfigs = KvMatrix<TxnCfg>;
 
 template <typename C> class KvTxn : public ::testing::Test {
 protected:
@@ -168,7 +142,7 @@ protected:
   static uint64_t stampOf(const Value &V) { return Payload<Value>::stamp(V); }
 };
 
-TYPED_TEST_SUITE(KvTxn, TxnConfigs, TxnCfgNames);
+TYPED_TEST_SUITE(KvTxn, TxnConfigs, KvCfgNames);
 
 TYPED_TEST(KvTxn, ReadYourWritesAndLastWriteWins) {
   typename TestFixture::Store Db(txnTestOptions());

@@ -24,10 +24,7 @@ TYPED_TEST_SUITE(NMTreeTest, AllSchemes, SchemeNames);
 /// and the paper's benchmark framework inherits it). The guard/era
 /// schemes cover the whole operation interval and are immune.
 template <typename S> class NMTreeConcurrent : public ::testing::Test {};
-using NMTreeSafeSchemes =
-    ::testing::Types<smr::EBR, smr::IBR, core::Hyaline, core::Hyaline1,
-                     core::HyalineS, core::Hyaline1S, core::HyalinePacked>;
-TYPED_TEST_SUITE(NMTreeConcurrent, NMTreeSafeSchemes, SchemeNames);
+TYPED_TEST_SUITE(NMTreeConcurrent, WholeOperationSchemes, SchemeNames);
 
 TYPED_TEST(NMTreeTest, SequentialSemantics) {
   NMTree<TypeParam> T(dsTestConfig());

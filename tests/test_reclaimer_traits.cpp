@@ -6,19 +6,25 @@
 ///
 /// \file
 /// Pins the Table 1 metadata (smr/reclaimer_traits.h) at compile time and
-/// cross-checks it against the harness registry, so registry.cpp's
-/// HP/HE-vs-Bonsai exclusions can never drift from the traits they encode.
+/// cross-checks it against the scheme list (smr/scheme_list.h) that every
+/// name dispatcher expands, so the benchmark's HP/HE-vs-Bonsai exclusion,
+/// which reads the traits, stays the paper's.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "harness/registry.h"
+#include "ds/hm_list.h"
+#include "ds/michael_hashmap.h"
+#include "ds/nm_tree.h"
 #include "smr/reclaimer_traits.h"
+#include "smr/scheme_list.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 using namespace lfsmr;
 using smr::ReclaimerTraits;
@@ -97,58 +103,69 @@ static_assert(rowInvariants<core::HyalinePacked>());
 static_assert(rowInvariants<core::HyalineS>());
 static_assert(rowInvariants<core::Hyaline1S>());
 
-// --- Registry cross-check ------------------------------------------------
+// --- Scheme-list cross-check ---------------------------------------------
 
+/// The paper lineup's names, in smr/scheme_list.h order.
+const std::vector<std::string> &paperSchemes() {
+  static const std::vector<std::string> Names = {
+#define LFSMR_SCHEME_NAME(NAME, TYPE) NAME,
+      LFSMR_FOREACH_PAPER_SCHEME(LFSMR_SCHEME_NAME)
+#undef LFSMR_SCHEME_NAME
+  };
+  return Names;
+}
+
+/// The traits row of the scheme the list pairs with \p Name.
 const SchemeTraits &rowFor(const std::string &Name) {
-  if (Name == "nomm")
-    return ReclaimerTraits<smr::NoMM>::Row;
-  if (Name == "epoch")
-    return ReclaimerTraits<smr::EBR>::Row;
-  if (Name == "hp")
-    return ReclaimerTraits<smr::HP>::Row;
-  if (Name == "he")
-    return ReclaimerTraits<smr::HE>::Row;
-  if (Name == "ibr")
-    return ReclaimerTraits<smr::IBR>::Row;
-  if (Name == "hyaline")
-    return ReclaimerTraits<core::Hyaline>::Row;
-  if (Name == "hyalinep")
-    return ReclaimerTraits<core::HyalinePacked>::Row;
-  if (Name == "hyaline1")
-    return ReclaimerTraits<core::Hyaline1>::Row;
-  if (Name == "hyalines")
-    return ReclaimerTraits<core::HyalineS>::Row;
-  if (Name == "hyaline1s")
-    return ReclaimerTraits<core::Hyaline1S>::Row;
-  ADD_FAILURE() << "registry names a scheme with no traits row: " << Name;
+#define LFSMR_ROW_FOR(NAME, TYPE)                                            \
+  if (Name == NAME)                                                          \
+    return ReclaimerTraits<TYPE>::Row;
+  LFSMR_FOREACH_SCHEME(LFSMR_ROW_FOR)
+#undef LFSMR_ROW_FOR
+  ADD_FAILURE() << "the scheme list has no scheme named " << Name;
   return ReclaimerTraits<smr::NoMM>::Row;
 }
 
+/// One insert/get round trip through every structure the figure sweeps
+/// run for every scheme (no remove: NoMM would leak the retired node).
+template <typename S> void runsNonBonsaiStructures(const char *Name) {
+  smr::Config C;
+  C.MaxThreads = 1;
+  ds::HMList<S> L(C);
+  ds::MichaelHashMap<S> M(C);
+  ds::NMTree<S> T(C);
+  EXPECT_TRUE(L.insert(0, 7, 8) && L.get(0, 7) == 8u)
+      << Name << "/list";
+  EXPECT_TRUE(M.insert(0, 7, 8) && M.get(0, 7) == 8u)
+      << Name << "/hashmap";
+  EXPECT_TRUE(T.insert(0, 7, 8) && T.get(0, 7) == 8u)
+      << Name << "/nmtree";
+}
+
 TEST(ReclaimerTraits, RegistryListsAllNineSchemes) {
-  EXPECT_EQ(harness::allSchemes().size(), 9u);
-  EXPECT_EQ(harness::allStructures().size(), 4u);
+  EXPECT_EQ(paperSchemes().size(), 9u);
+  for (const std::string &Scheme : paperSchemes())
+    EXPECT_EQ(std::count(paperSchemes().begin(), paperSchemes().end(), Scheme),
+              1)
+        << Scheme;
 }
 
 TEST(ReclaimerTraits, BonsaiExclusionMatchesTraits) {
-  for (const std::string &Scheme : harness::allSchemes()) {
-    const SchemeTraits &Row = rowFor(Scheme);
-    EXPECT_EQ(harness::isSupported(Scheme, "bonsai"), Row.SupportsBonsai)
-        << Scheme << ": registry and traits disagree on Bonsai support";
-  }
+  // Paper Section 6: HP and HE, and only they, cannot run the Bonsai tree.
+  for (const std::string &Scheme : paperSchemes())
+    EXPECT_EQ(rowFor(Scheme).SupportsBonsai, Scheme != "hp" && Scheme != "he")
+        << Scheme;
 }
 
 TEST(ReclaimerTraits, NonBonsaiStructuresRunEverywhere) {
-  for (const std::string &Scheme : harness::allSchemes())
-    for (const std::string &Ds : harness::allStructures()) {
-      if (Ds != "bonsai") {
-        EXPECT_TRUE(harness::isSupported(Scheme, Ds)) << Scheme << "/" << Ds;
-      }
-    }
+#define LFSMR_RUNS(NAME, TYPE) runsNonBonsaiStructures<TYPE>(NAME);
+  LFSMR_FOREACH_SCHEME(LFSMR_RUNS)
+#undef LFSMR_RUNS
 }
 
 TEST(ReclaimerTraits, RobustColumnNamesExactlyTheRobustSchemes) {
   // The paper's robust set: HP, HE, IBR, Hyaline-S, Hyaline-1S.
-  for (const std::string &Scheme : harness::allSchemes()) {
+  for (const std::string &Scheme : paperSchemes()) {
     const bool Robust = Scheme == "hp" || Scheme == "he" || Scheme == "ibr" ||
                         Scheme == "hyalines" || Scheme == "hyaline1s";
     EXPECT_STREQ(rowFor(Scheme).Robust, Robust ? "Yes" : "No") << Scheme;

@@ -39,6 +39,11 @@ test -f "$PREFIX/include/lfsmr/impl/kv/scan.h"
 test -f "$PREFIX/include/lfsmr/impl/kv/txn.h"
 test -f "$PREFIX/lib/cmake/lfsmr/lfsmrConfig.cmake"
 test -f "$PREFIX/lib/cmake/lfsmr/lfsmrConfigVersion.cmake"
+# The benchmark driver lives in bench/ and is not part of the library.
+if [ -e "$PREFIX/include/lfsmr/impl/harness" ]; then
+  echo "ERROR: benchmark-only headers installed under impl/harness" >&2
+  exit 1
+fi
 
 echo "== 2. configure the standalone consumer against the prefix"
 cmake -B "$BUILD/consumer" -S examples/find_package_consumer \
