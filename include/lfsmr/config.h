@@ -30,9 +30,10 @@ namespace lfsmr {
 /// (Section 6). See `smr::Config` for the per-field documentation.
 using config = smr::Config;
 
-/// Dense id of a participating thread. The Hyaline schemes fold any id
-/// onto a slot (transparency); the baseline schemes require
-/// `tid < config::MaxThreads`.
+/// Dense id of a participating thread. Every scheme requires
+/// `tid < config::MaxThreads`; the multiple-list Hyaline schemes fold the
+/// id onto one of their `k` slots, where `k` does not depend on the number
+/// of threads (transparency).
 using thread_id = smr::ThreadId;
 
 /// Frees one retired object given its scheme header and the context value

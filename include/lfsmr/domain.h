@@ -75,8 +75,10 @@ public:
   domain &operator=(const domain &) = delete;
 
   /// Begins an operation as thread \p tid; the returned guard leaves on
-  /// destruction. Hyaline-family schemes accept any id (transparency);
-  /// the baseline schemes require `tid < cfg.MaxThreads`.
+  /// destruction. Every scheme requires `tid < cfg.MaxThreads`: each
+  /// one keeps per-thread state (Hyaline's local retire batches) indexed
+  /// by it. Hyaline's transparency is that its slot count `k` does not
+  /// depend on the number of threads, and threads need no registration.
   guard_type enter(thread_id tid) {
     return guard_type(s, tid, cfg_.NumHazards ? cfg_.NumHazards : 1,
                       transparent_);

@@ -1,11 +1,13 @@
-//===- core/hyaline.cpp - Hyaline (double-width CAS) ----------------------===//
+//===- core/hyaline.cpp - The shared core and multiple-list Hyaline -------===//
 //
 // Part of the lfsmr project (Hyaline reproduction, PLDI 2021).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/hyaline.h"
+#include "core/hyaline1.h"
 
+#include "support/trace.h"
 #include <cassert>
 #include <thread>
 
@@ -13,55 +15,121 @@ using namespace lfsmr;
 using namespace lfsmr::core;
 using namespace lfsmr::smr;
 
-static unsigned resolveSlots(const Config &C) {
+//===----------------------------------------------------------------------===//
+// HyalineBase
+
+template <typename Derived, bool Robust>
+HyalineBase<Derived, Robust>::HyalineBase(const Config &C, Deleter Free,
+                                          void *FreeCtx)
+    : Free(Free), FreeCtx(FreeCtx), MinBatch(C.MinBatch),
+      MaxThreads(C.MaxThreads),
+      Threads(new CachePadded<PerThread>[C.MaxThreads]), Clock{C.EraFreq} {
+  assert(Free && "Hyaline requires a deleter");
+}
+
+template <typename Derived, bool Robust>
+HyalineBase<Derived, Robust>::~HyalineBase() {
+  // Published batches have all been reclaimed at quiescence; only the
+  // thread-local accumulators can still hold nodes. Their BatchNext cycle
+  // is not closed yet: the chain ends at RefNode.
+  for (unsigned I = 0; I < MaxThreads; ++I) {
+    LocalBatch &B = Threads[I]->Batch;
+    for (HyalineNode *N = B.First; N;) {
+      HyalineNode *Next = (N == B.RefNode) ? nullptr : N->BatchNext;
+      Free(N, FreeCtx);
+      Counter.onFree();
+      N = Next;
+    }
+  }
+}
+
+template <typename Derived, bool Robust>
+void HyalineBase<Derived, Robust>::initNode(Guard &G, NodeHeader *Node)
+  requires Robust
+{
+  PerThread &T = *Threads[G.Tid];
+  if (++T.AllocCounter % Clock.Freq == 0) {
+    [[maybe_unused]] const auto NewEra =
+        Clock.AllocEra.fetch_add(1, std::memory_order_acq_rel) + 1;
+    LFSMR_TRACE_EVENT(telemetry::TraceEvent::EraAdvance, NewEra);
+  }
+  Node->setBirthEra(Clock.AllocEra.load(std::memory_order_acquire));
+  Counter.onAlloc();
+}
+
+template <typename Derived, bool Robust>
+void HyalineBase<Derived, Robust>::retire(Guard &G, NodeHeader *Node) {
+  assert(G.Tid < MaxThreads && "thread id out of range");
+  LocalBatch &B = Threads[G.Tid]->Batch;
+  B.append(Node, Robust ? Node->birthEra() : 0);
+  Counter.onRetire();
+  if (B.Size >= batchThreshold() && self().publishBatch(B))
+    B.reset();
+}
+
+//===----------------------------------------------------------------------===//
+// MultiList
+
+static std::size_t resolveSlots(const Config &C) {
   unsigned Want = C.Slots;
   if (Want == 0)
     Want = std::thread::hardware_concurrency();
   if (Want == 0)
     Want = 1;
-  return static_cast<unsigned>(nextPowerOfTwo(Want));
+  return nextPowerOfTwo(Want);
 }
 
-Hyaline::Hyaline(const Config &C, Deleter Free, void *FreeCtx)
-    : HyalineBase(Free, FreeCtx), K(resolveSlots(C)), Adjs(adjsForSlots(K)),
-      Threshold(std::max<std::size_t>(C.MinBatch, K + 1)),
-      MaxThreads(C.MaxThreads),
-      Heads(new CachePadded<DWAtomicHead>[K]),
-      Threads(new CachePadded<PerThread>[C.MaxThreads]) {
-  for (unsigned I = 0; I < K; ++I)
-    Heads[I]->storeRelaxed(Head{});
-}
+template <typename HeadCodec, bool Robust>
+MultiList<HeadCodec, Robust>::MultiList(const Config &C, Deleter Free,
+                                        void *FreeCtx)
+    : Base(C, Free, FreeCtx), Slots(resolveSlots(C)),
+      Adjs(adjsForSlots(Slots.capacity())), AckThreshold(C.AckThreshold) {}
 
-Hyaline::~Hyaline() {
-  // Published batches have all been reclaimed at quiescence; only the
-  // thread-local accumulators can still hold nodes.
-  for (unsigned I = 0; I < MaxThreads; ++I)
-    freeLocalBatch(Threads[I]->Batch);
+template <typename HeadCodec, bool Robust>
+MultiList<HeadCodec, Robust>::~MultiList() {
 #ifndef NDEBUG
-  for (unsigned I = 0; I < K; ++I) {
-    const Head H = Heads[I]->load();
+  for (std::size_t I = 0; I < Slots.capacity(); ++I) {
+    const Head H = HeadCodec::load(slot(I).H);
     assert(H.Ref == 0 && H.Ptr == nullptr &&
            "Hyaline destroyed while threads are still inside operations");
   }
 #endif
 }
 
-Hyaline::Guard Hyaline::enter(ThreadId Tid) {
-  assert(Tid < MaxThreads && "thread id out of range");
-  const unsigned Slot = Tid & (K - 1);
-  DWAtomicHead &H = *Heads[Slot];
-  // Figure 7 line 4: FAA on [HRef, HPtr]; x86 has no 128-bit FAA, so a CAS
-  // loop emulates it (the paper's artifact does the same). The initial
-  // load may be torn; a failing CAS returns the exact value (dwcas.h).
-  Head Old = H.load();
-  while (!H.compareExchange(Old, Head{Old.Ref + 1, Old.Ptr})) {
+template <typename HeadCodec, bool Robust>
+auto MultiList<HeadCodec, Robust>::enter(ThreadId Tid) -> Guard {
+  assert(Tid < this->MaxThreads && "thread id out of range");
+  std::size_t Slot = Tid;
+  if constexpr (!Robust) {
+    Slot &= Slots.capacity() - 1;
+  } else {
+    while (true) {
+      const std::size_t K = Slots.capacity();
+      Slot &= K - 1;
+      // Figure 9, lines 25-27: skip slots whose Ack counter says a
+      // stalled thread is pinning them.
+      bool Found = false;
+      for (std::size_t Scanned = 0; Scanned < K; ++Scanned) {
+        if (slot(Slot).Ack.load(std::memory_order_relaxed) < AckThreshold) {
+          Found = true;
+          break;
+        }
+        Slot = (Slot + 1) & (K - 1);
+      }
+      if (Found)
+        break;
+      // Section 4.3: every slot looks stalled — double the slot count.
+      Slots.grow(K);
+    }
   }
-  return Guard{Tid, Slot, Old.Ptr};
+  const Head Old = HeadCodec::enter(slot(Slot).H);
+  return Guard{Tid, static_cast<unsigned>(Slot), Old.Ptr};
 }
 
-void Hyaline::leave(Guard &G) {
-  DWAtomicHead &H = *Heads[G.Slot];
-  Head Old = H.load();
+template <typename HeadCodec, bool Robust>
+void MultiList<HeadCodec, Robust>::leave(Guard &G) {
+  SlotState &S = slot(G.Slot);
+  Head Old = HeadCodec::load(S.H);
   HyalineNode *Curr = nullptr;
   HyalineNode *Next = nullptr;
   Head New;
@@ -76,62 +144,105 @@ void Hyaline::leave(Guard &G) {
     // below, treating it as a predecessor (Figure 7 lines 13, 16-17).
     New.Ptr = (Old.Ref == 1) ? nullptr : Curr;
     New.Ref = Old.Ref - 1;
-  } while (!H.compareExchange(Old, New));
+  } while (!HeadCodec::compareExchange(S.H, Old, New));
   if (Old.Ref == 1 && Curr)
-    adjust(Curr, Adjs);
+    this->adjust(Curr, adjsOf(Curr));
   if (Curr != G.Handle)
-    traverse(Next, G.Handle);
+    acknowledge(S, this->traverse(Next, G.Handle));
   G.Handle = nullptr;
 }
 
-void Hyaline::trim(Guard &G) {
+template <typename HeadCodec, bool Robust>
+void MultiList<HeadCodec, Robust>::trim(Guard &G) {
   // Appendix B, Figure 15: dereference batches retired since enter (or the
   // previous trim) without touching Head. The current head node stays: its
   // references are tracked through HRef until it is displaced.
-  const Head H = Heads[G.Slot]->load();
-  HyalineNode *Curr = H.Ptr;
-  if (Curr != G.Handle) {
-    assert(Curr && "head cannot be null while our handle is newer");
-    traverse(Curr->next(std::memory_order_acquire), G.Handle);
-    G.Handle = Curr;
+  SlotState &S = slot(G.Slot);
+  HyalineNode *Curr = HeadCodec::load(S.H).Ptr;
+  if (Curr == G.Handle)
+    return;
+  assert(Curr && "head cannot be null while our handle is newer");
+  acknowledge(S,
+              this->traverse(Curr->next(std::memory_order_acquire), G.Handle));
+  G.Handle = Curr;
+}
+
+template <typename HeadCodec, bool Robust>
+uintptr_t MultiList<HeadCodec, Robust>::protect(
+    Guard &G, const std::atomic<uintptr_t> &Src)
+  requires Robust
+{
+  SlotState &S = slot(G.Slot);
+  uint64_t Access = S.Access.load(std::memory_order_seq_cst);
+  while (true) {
+    // Figure 9, lines 7-11. The pointer must be re-read after every era
+    // update: only a load made while the slot era already matched the
+    // global era is protected.
+    const uintptr_t Value = Src.load(std::memory_order_acquire);
+    const uint64_t Alloc =
+        this->Clock.AllocEra.load(std::memory_order_seq_cst);
+    if (Access == Alloc)
+      return Value;
+    Access = touch(S, Alloc);
   }
 }
 
-void Hyaline::retire(Guard &G, NodeHeader *Node) {
-  assert(G.Tid < MaxThreads && "thread id out of range");
-  LocalBatch &B = Threads[G.Tid]->Batch;
-  B.append(Node, /*Birth=*/0);
-  Counter.onRetire();
-  if (B.Size >= Threshold) {
-    publishBatch(B);
-    B.reset();
+template <typename HeadCodec, bool Robust>
+uint64_t MultiList<HeadCodec, Robust>::touch(SlotState &S, uint64_t Era)
+  requires Robust
+{
+  // CAS-max (Figure 9, lines 19-24): eras shared by all threads of the
+  // slot must only grow.
+  uint64_t Access = S.Access.load(std::memory_order_seq_cst);
+  while (Access < Era) {
+    if (S.Access.compare_exchange_weak(Access, Era, std::memory_order_seq_cst,
+                                       std::memory_order_seq_cst))
+      return Era;
   }
+  return Access;
 }
 
-void Hyaline::publishBatch(LocalBatch &B) {
+template <typename HeadCodec, bool Robust>
+bool MultiList<HeadCodec, Robust>::publishBatch(LocalBatch &B) {
+  const std::size_t K = Slots.capacity();
+  uint64_t BatchAdjs = Adjs;
+  if constexpr (Robust) {
+    // Re-read k: it may have grown since the threshold check. A concurrent
+    // grow right after this read is harmless — threads entering new slots
+    // take their handle from an empty head and need not see this batch
+    // (Section 4.3).
+    if (B.Size < K + 1)
+      return false; // not enough carrier nodes yet; keep accumulating
+    BatchAdjs = adjsForSlots(K);
+  }
+
   B.seal();
+  if constexpr (Robust)
+    B.RefNode->setBatchAdjs(BatchAdjs); // Section 4.3: per-batch Adjs
   B.RefNode->setNRef(0, std::memory_order_relaxed);
 
   bool DoAdj = false;
   uint64_t Empty = 0;
   HyalineNode *CurrNode = B.First;
 
-  for (unsigned Slot = 0; Slot < K; ++Slot) {
-    DWAtomicHead &H = *Heads[Slot];
-    Head Old = H.load();
+  for (std::size_t I = 0; I < K; ++I) {
+    SlotState &S = slot(I);
+    Head Old = HeadCodec::load(S.H);
     bool Inserted = false;
     do {
-      if (Old.Ref == 0) {
-        // Slot has no active threads: account for it directly (Figure 7
-        // lines 30-32). A torn read cannot fake this: the Ref half is
-        // loaded atomically and zero means the slot really was empty
-        // after every node of this batch had been unlinked.
+      // Slot has no active threads, or (robust) its access era proves none
+      // of them ever dereferenced a batch node: account for it directly
+      // (Figure 7 lines 30-32, Figure 9 line 14). A torn read cannot fake
+      // an empty slot: the Ref half is loaded atomically and zero means
+      // the slot really was empty after every node of this batch had been
+      // unlinked.
+      if (Old.Ref == 0 || this->predates(S, B.MinBirth)) {
         DoAdj = true;
-        Empty += Adjs;
+        Empty += BatchAdjs;
         break;
       }
       CurrNode->setNext(Old.Ptr, std::memory_order_relaxed);
-      Inserted = H.compareExchange(Old, Head{Old.Ref, CurrNode});
+      Inserted = HeadCodec::compareExchange(S.H, Old, Head{Old.Ref, CurrNode});
     } while (!Inserted);
     if (!Inserted)
       continue;
@@ -142,9 +253,30 @@ void Hyaline::publishBatch(LocalBatch &B) {
     // Figure 3 for the counter-propagation picture). An empty list has no
     // predecessor; our node's own insertion is accounted for when it is
     // displaced in turn, or by the last leaver.
-    if (Old.Ptr)
-      adjust(Old.Ptr, Adjs + Old.Ref);
+    if (Old.Ptr) {
+      this->adjust(Old.Ptr, adjsOf(Old.Ptr) + Old.Ref);
+      // Figure 9, line 15: charge Ack when a batch covers a node. Exactly
+      // the Old.Ref threads charged to Old.Ptr's NRef above traverse it
+      // later, once each, so Ack equals the traversals still owed. An
+      // insertion into an empty list covers nothing: its node is settled
+      // through adjust(Curr, Adjs) in leave and never traversed.
+      if constexpr (Robust)
+        S.Ack.fetch_add(static_cast<int64_t>(Old.Ref),
+                        std::memory_order_relaxed);
+    }
   }
   if (DoAdj)
-    adjust(B.First, Empty);
+    this->adjust(B.First, Empty);
+  return true;
 }
+
+// The definitions live only in this file and hyaline1.cpp, so call sites
+// see declarations and call these out of line.
+template class lfsmr::core::HyalineBase<MultiList<DwHead, false>, false>;
+template class lfsmr::core::HyalineBase<MultiList<PackedRefHead, false>, false>;
+template class lfsmr::core::HyalineBase<MultiList<DwHead, true>, true>;
+template class lfsmr::core::HyalineBase<SingleList<false>, false>;
+template class lfsmr::core::HyalineBase<SingleList<true>, true>;
+template class lfsmr::core::MultiList<DwHead, false>;
+template class lfsmr::core::MultiList<PackedRefHead, false>;
+template class lfsmr::core::MultiList<DwHead, true>;

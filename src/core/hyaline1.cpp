@@ -1,4 +1,4 @@
-//===- core/hyaline1.cpp - Hyaline-1 (single-width CAS) -------------------===//
+//===- core/hyaline1.cpp - Single-list Hyaline (Hyaline-1, -1S) -----------===//
 //
 // Part of the lfsmr project (Hyaline reproduction, PLDI 2021).
 //
@@ -12,72 +12,77 @@ using namespace lfsmr;
 using namespace lfsmr::core;
 using namespace lfsmr::smr;
 
-Hyaline1::Hyaline1(const Config &C, Deleter Free, void *FreeCtx)
-    : HyalineBase(Free, FreeCtx), K(C.MaxThreads),
-      Threshold(std::max<std::size_t>(C.MinBatch, K + 1)),
-      Heads(new CachePadded<std::atomic<uint64_t>>[K]),
-      Threads(new CachePadded<PerThread>[K]) {
-  for (unsigned I = 0; I < K; ++I)
-    Heads[I]->store(PackedHead::pack(false, nullptr),
-                    std::memory_order_relaxed);
-}
+template <bool Robust>
+SingleList<Robust>::SingleList(const Config &C, Deleter Free, void *FreeCtx)
+    : Base(C, Free, FreeCtx),
+      Slots(new CachePadded<SlotState>[C.MaxThreads]) {}
 
-Hyaline1::~Hyaline1() {
-  for (unsigned I = 0; I < K; ++I)
-    freeLocalBatch(Threads[I]->Batch);
+template <bool Robust> SingleList<Robust>::~SingleList() {
 #ifndef NDEBUG
-  for (unsigned I = 0; I < K; ++I) {
-    const uint64_t H = Heads[I]->load(std::memory_order_relaxed);
+  for (std::size_t I = 0; I < slots(); ++I) {
+    const uint64_t H = Slots[I]->H.load(std::memory_order_relaxed);
     assert(!PackedHead::isActive(H) && !PackedHead::pointer(H) &&
            "Hyaline-1 destroyed while threads are still inside operations");
   }
 #endif
 }
 
-Hyaline1::Guard Hyaline1::enter(ThreadId Tid) {
-  assert(Tid < K && "thread id out of range (Hyaline-1 is 1:1 thread:slot)");
+template <bool Robust>
+auto SingleList<Robust>::enter(ThreadId Tid) -> Guard {
+  assert(Tid < slots() && "thread id out of range (1:1 thread:slot)");
   // A plain store suffices: the slot can only be {inactive, null} here
   // (our own previous leave emptied it and retirers skip inactive slots),
   // so no concurrent CAS can succeed between then and now. seq_cst makes
   // the activation visible before any pointer this operation reads, which
   // recent compilers lower to xchg (the cost comparison in Section 3.2).
-  Heads[Tid]->store(PackedHead::pack(true, nullptr), std::memory_order_seq_cst);
-  return Guard{Tid, nullptr};
+  Slots[Tid]->H.store(PackedHead::pack(true, nullptr),
+                      std::memory_order_seq_cst);
+  return Guard{Tid, Tid, nullptr};
 }
 
-void Hyaline1::leave(Guard &G) {
-  const uint64_t Old = Heads[G.Tid]->exchange(
+template <bool Robust> void SingleList<Robust>::leave(Guard &G) {
+  const uint64_t Old = Slots[G.Slot]->H.exchange(
       PackedHead::pack(false, nullptr), std::memory_order_acq_rel);
   assert(PackedHead::isActive(Old) && "leave without a matching enter");
   // Unlike Hyaline, the whole detached list is dereferenced including its
   // first node: there is no HRef to carry the head node's count.
   if (HyalineNode *List = PackedHead::pointer(Old))
-    traverse(List, G.Handle);
+    this->traverse(List, G.Handle);
   G.Handle = nullptr;
 }
 
-void Hyaline1::trim(Guard &G) {
-  const uint64_t Old = Heads[G.Tid]->load(std::memory_order_acquire);
+template <bool Robust> void SingleList<Robust>::trim(Guard &G) {
+  const uint64_t Old = Slots[G.Slot]->H.load(std::memory_order_acquire);
   HyalineNode *Curr = PackedHead::pointer(Old);
   if (!Curr || Curr == G.Handle)
     return;
   // The head node stays in place: the eventual leave's swap dereferences
   // it, so trim must skip it (Figure 15).
-  traverse(Curr->next(std::memory_order_acquire), G.Handle);
+  this->traverse(Curr->next(std::memory_order_acquire), G.Handle);
   G.Handle = Curr;
 }
 
-void Hyaline1::retire(Guard &G, NodeHeader *Node) {
-  LocalBatch &B = Threads[G.Tid]->Batch;
-  B.append(Node, /*Birth=*/0);
-  Counter.onRetire();
-  if (B.Size >= Threshold) {
-    publishBatch(B);
-    B.reset();
+template <bool Robust>
+uintptr_t SingleList<Robust>::protect(Guard &G,
+                                      const std::atomic<uintptr_t> &Src)
+  requires Robust
+{
+  SlotState &S = *Slots[G.Slot];
+  uint64_t Access = S.Access.load(std::memory_order_relaxed);
+  while (true) {
+    const uintptr_t Value = Src.load(std::memory_order_acquire);
+    const uint64_t Alloc =
+        this->Clock.AllocEra.load(std::memory_order_seq_cst);
+    if (Access == Alloc)
+      return Value;
+    // 1:1 thread-to-slot: a plain store replaces Hyaline-S's CAS-max
+    // (Figure 9, line 20 note). seq_cst orders it before the re-read.
+    S.Access.store(Alloc, std::memory_order_seq_cst);
+    Access = Alloc;
   }
 }
 
-void Hyaline1::publishBatch(LocalBatch &B) {
+template <bool Robust> bool SingleList<Robust>::publishBatch(LocalBatch &B) {
   B.seal();
   B.RefNode->setNRef(0, std::memory_order_relaxed);
 
@@ -86,15 +91,19 @@ void Hyaline1::publishBatch(LocalBatch &B) {
   uint64_t Inserts = 0;
   HyalineNode *CurrNode = B.First;
 
-  for (unsigned Slot = 0; Slot < K; ++Slot) {
-    std::atomic<uint64_t> &H = *Heads[Slot];
-    uint64_t Old = H.load(std::memory_order_acquire);
+  for (std::size_t I = 0; I < slots(); ++I) {
+    SlotState &S = *Slots[I];
+    uint64_t Old = S.H.load(std::memory_order_acquire);
     bool Inserted = false;
     do {
-      if (!PackedHead::isActive(Old))
-        break; // inactive slot: the owner holds no references
+      // Skip inactive slots (the owner holds no references) and (robust)
+      // slots whose access era proves their owner never dereferenced any
+      // node of this batch (Figure 9, line 14) — this is what makes
+      // stalled owners harmless.
+      if (!PackedHead::isActive(Old) || this->predates(S, B.MinBirth))
+        break;
       CurrNode->setNext(PackedHead::pointer(Old), std::memory_order_relaxed);
-      Inserted = H.compare_exchange_weak(
+      Inserted = S.H.compare_exchange_weak(
           Old, PackedHead::pack(true, CurrNode), std::memory_order_acq_rel,
           std::memory_order_acquire);
     } while (!Inserted);
@@ -106,5 +115,9 @@ void Hyaline1::publishBatch(LocalBatch &B) {
   }
   // Frees immediately when Inserts == 0, or when every owner has already
   // dereferenced its copy (NRef was -Inserts mod 2^64).
-  adjust(B.First, Inserts);
+  this->adjust(B.First, Inserts);
+  return true;
 }
+
+template class lfsmr::core::SingleList<false>;
+template class lfsmr::core::SingleList<true>;

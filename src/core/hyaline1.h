@@ -1,4 +1,4 @@
-//===- core/hyaline1.h - Hyaline-1 (single-width CAS) ------------*- C++ -*-===//
+//===- core/hyaline1.h - Single-list Hyaline (Hyaline-1, -1S) ----*- C++ -*-===//
 //
 // Part of the lfsmr project (Hyaline reproduction, PLDI 2021).
 //
@@ -18,6 +18,14 @@
 /// a slot is needed per concurrent thread, so the slot array scales with
 /// MaxThreads rather than with the core count.
 ///
+/// Hyaline-1S (Section 4.2, Figure 9) is the same algorithm with `Robust`
+/// set: birth eras for robustness. With a 1:1 thread-to-slot mapping the
+/// access era needs no CAS-max (a plain store) and no Ack counters: a
+/// stalled thread only pins its own slot, whose retirement list nobody
+/// else depends on, and `retire` skips that slot as soon as its access era
+/// goes stale. The number of unreclaimable nodes is therefore bounded
+/// (Theorem 5) and the scheme is fully robust.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LFSMR_CORE_HYALINE1_H
@@ -31,24 +39,23 @@
 
 #include <atomic>
 #include <memory>
+#include <type_traits>
 
 namespace lfsmr::core {
 
-/// The one-slot-per-thread Hyaline variant.
-class Hyaline1 : public HyalineBase {
+/// The one-slot-per-thread Hyaline scheme (Figure 8), robust when
+/// \p Robust (Figure 9).
+template <bool Robust>
+class SingleList : public HyalineBase<SingleList<Robust>, Robust> {
+  using Base = HyalineBase<SingleList, Robust>;
+  friend Base;
+
 public:
-  using NodeHeader = HyalineNode;
+  using typename Base::Guard;
 
-  struct Guard {
-    smr::ThreadId Tid;
-    HyalineNode *Handle; ///< null except after trim (Appendix B)
-  };
-
-  Hyaline1(const smr::Config &C, smr::Deleter Free, void *FreeCtx);
-  ~Hyaline1();
-
-  Hyaline1(const Hyaline1 &) = delete;
-  Hyaline1 &operator=(const Hyaline1 &) = delete;
+  /// \p Free is invoked (with \p FreeCtx) for every reclaimed node.
+  SingleList(const smr::Config &C, smr::Deleter Free, void *FreeCtx);
+  ~SingleList();
 
   /// Wait-free: marks the thread's own slot active with a plain store
   /// (Figure 8, lines 1-3).
@@ -62,43 +69,41 @@ public:
   /// the list head; advances the handle.
   void trim(Guard &G);
 
-  /// Plain acquire load (non-robust variant).
-  template <typename T>
-  T *deref(Guard &, const std::atomic<T *> &Src, unsigned /*Idx*/) {
-    return Src.load(std::memory_order_acquire);
-  }
-
-  /// \copydoc deref
-  uintptr_t derefLink(Guard &, const std::atomic<uintptr_t> &Src,
-                      unsigned /*Idx*/) {
-    return Src.load(std::memory_order_acquire);
-  }
-
-  /// Counts the allocation.
-  void initNode(Guard &, NodeHeader *) { Counter.onAlloc(); }
-
-  /// Appends to the thread's local batch; publishes once the batch holds
-  /// max(MinBatch, k+1) nodes, where k == MaxThreads.
-  void retire(Guard &G, NodeHeader *Node);
-
-  /// Number of slots (== MaxThreads for this variant).
-  unsigned slots() const { return K; }
-
-  /// Effective batch-publication threshold (exposed for tests).
-  std::size_t batchThreshold() const { return Threshold; }
+  /// Number of slots (== MaxThreads, 1:1 thread-to-slot).
+  std::size_t slots() const { return this->MaxThreads; }
 
 private:
-  void publishBatch(LocalBatch &B);
-
-  struct PerThread {
-    LocalBatch Batch;
+  struct PlainSlot {
+    std::atomic<uint64_t> H{0}; ///< PackedHead word
   };
+  struct RobustSlot {
+    std::atomic<uint64_t> H{0};
+    std::atomic<uint64_t> Access{0};
+  };
+  using SlotState = std::conditional_t<Robust, RobustSlot, PlainSlot>;
 
-  const unsigned K; ///< slot count == MaxThreads (1:1 thread-to-slot)
-  const std::size_t Threshold;
+  /// Publishes a sealed batch to every active slot (Figure 8); always
+  /// succeeds.
+  bool publishBatch(LocalBatch &B);
 
-  std::unique_ptr<CachePadded<std::atomic<uint64_t>>[]> Heads;
-  std::unique_ptr<CachePadded<PerThread>[]> Threads;
+  /// Era-protected read; raises the thread's own access era with a plain
+  /// store (Figure 9, line 20 note).
+  uintptr_t protect(Guard &G, const std::atomic<uintptr_t> &Src)
+    requires Robust;
+
+  std::unique_ptr<CachePadded<SlotState>[]> Slots;
+};
+
+// Classes rather than aliases, so each scheme keeps its own type name.
+
+/// The one-slot-per-thread Hyaline variant (Figure 8).
+class Hyaline1 : public SingleList<false> {
+  using SingleList::SingleList;
+};
+
+/// The robust one-slot-per-thread Hyaline variant (Figure 9).
+class Hyaline1S : public SingleList<true> {
+  using SingleList::SingleList;
 };
 
 } // namespace lfsmr::core

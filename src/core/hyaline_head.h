@@ -11,7 +11,8 @@
 /// with 16-byte CAS (paper Figure 6). On this x86-64 build the 16-byte
 /// `std::atomic` operations are provided by libatomic, which dispatches to
 /// `cmpxchg16b` at runtime; the paper's Appendix A describes the equivalent
-/// single-width LL/SC construction for PowerPC/MIPS.
+/// single-width LL/SC construction for PowerPC/MIPS. The Hyaline-P ablation
+/// packs the same tuple into one word (`PackedRefHead`, core/hyaline.h).
 ///
 /// Hyaline-1 and Hyaline-1S squeeze `HRef` into one bit of a single word
 /// (Section 3.2, "Hyaline-1 for Single-width CAS"): with one thread per

@@ -17,9 +17,6 @@
 
 #include "core/hyaline.h"
 #include "core/hyaline1.h"
-#include "core/hyaline_packed.h"
-#include "core/hyaline1s.h"
-#include "core/hyaline_s.h"
 #include "smr/ebr.h"
 #include "smr/he.h"
 #include "smr/hp.h"

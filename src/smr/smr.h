@@ -35,9 +35,10 @@
 namespace lfsmr::smr {
 
 /// Identifies a participating thread. The benchmark assigns dense ids
-/// 0..N-1. The Hyaline schemes only use it to pick a slot (transparency:
-/// ids above the slot count are folded), while the baseline schemes index
-/// per-thread state with it and require `Tid < Config::MaxThreads`.
+/// 0..N-1. Every scheme indexes per-thread state with it (Hyaline: the
+/// thread's local retire batch) and requires `Tid < Config::MaxThreads`.
+/// The multiple-list Hyaline schemes also fold it onto one of their `k`
+/// slots; `k` does not depend on the thread count (transparency).
 using ThreadId = unsigned;
 
 /// Frees one retired object. \p Node points at the scheme's NodeHeader,
@@ -49,8 +50,8 @@ using Deleter = void (*)(void *Node, void *Ctx);
 /// Tuning knobs shared by all schemes. Defaults follow the paper's
 /// evaluation (Section 6).
 struct Config {
-  /// Capacity of per-thread state arrays in the baseline schemes and
-  /// Hyaline-1(-S). Threads must use ids below this.
+  /// Capacity of per-thread state arrays in every scheme (and the slot
+  /// count of Hyaline-1(-S)). Threads must use ids below this.
   unsigned MaxThreads = 192;
 
   /// Number of Hyaline slots `k` (rounded up to a power of two).

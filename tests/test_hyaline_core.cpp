@@ -128,23 +128,6 @@ smr::Config tinyConfig(unsigned Slots, unsigned MaxThreads) {
   return C;
 }
 
-TEST(HyalineCore, SlotResolution) {
-  std::atomic<int64_t> Freed{0};
-  {
-    smr::Config C = tinyConfig(5, 4); // 5 rounds up to 8
-    Hyaline S(C, countingDeleter<Hyaline>, &Freed);
-    EXPECT_EQ(S.slots(), 8u);
-    EXPECT_EQ(S.batchThreshold(), 9u);
-  }
-  {
-    smr::Config C = tinyConfig(1, 4);
-    C.MinBatch = 64;
-    Hyaline S(C, countingDeleter<Hyaline>, &Freed);
-    EXPECT_EQ(S.slots(), 1u);
-    EXPECT_EQ(S.batchThreshold(), 64u);
-  }
-}
-
 /// Helper: retire exactly one publishable batch (threshold nodes) through
 /// guard \p G.
 template <typename S>
@@ -157,130 +140,215 @@ void retireBatch(S &Scheme, typename S::Guard &G, std::size_t N) {
   }
 }
 
-TEST(HyalineCore, TwoSlotHandshake) {
+/// Enters as \p Tid and dereferences once, as any operation would. For
+/// the robust variants this raises the slot's access era to the current
+/// era, so batches retired afterwards are inserted into the slot and the
+/// free points below are the same for every variant; for the others it is
+/// a plain load.
+template <typename S> typename S::Guard enterAndRead(S &Scheme, unsigned Tid) {
+  static const std::atomic<TestNode<S> *> Root{nullptr};
+  auto G = Scheme.enter(Tid);
+  Scheme.deref(G, Root, 0);
+  return G;
+}
+
+//===----------------------------------------------------------------------===
+// Multiple-list handshakes (Figure 7): Hyaline, Hyaline-P, Hyaline-S
+
+template <typename S> void slotResolution() {
+  std::atomic<int64_t> Freed{0};
+  {
+    smr::Config C = tinyConfig(5, 4); // 5 rounds up to 8
+    S Scheme(C, countingDeleter<S>, &Freed);
+    EXPECT_EQ(Scheme.slots(), 8u);
+    EXPECT_EQ(Scheme.batchThreshold(), 9u);
+  }
+  {
+    smr::Config C = tinyConfig(1, 4);
+    C.MinBatch = 64;
+    S Scheme(C, countingDeleter<S>, &Freed);
+    EXPECT_EQ(Scheme.slots(), 1u);
+    EXPECT_EQ(Scheme.batchThreshold(), 64u);
+  }
+}
+
+template <typename S> void twoSlotHandshake() {
   // Three guards across two slots; a batch retired while all are active
   // is freed exactly when the last participant leaves (Figure 4's style
   // of step-by-step accounting).
   std::atomic<int64_t> Freed{0};
-  Hyaline S(tinyConfig(2, 4), countingDeleter<Hyaline>, &Freed);
-  ASSERT_EQ(S.batchThreshold(), 3u);
+  S Scheme(tinyConfig(2, 4), countingDeleter<S>, &Freed);
+  ASSERT_EQ(Scheme.batchThreshold(), 3u);
 
-  auto G0 = S.enter(0); // slot 0
-  auto G1 = S.enter(1); // slot 1
-  auto G2 = S.enter(2); // slot 0 again
+  auto G0 = enterAndRead(Scheme, 0); // slot 0
+  auto G1 = enterAndRead(Scheme, 1); // slot 1
+  auto G2 = enterAndRead(Scheme, 2); // slot 0 again
 
-  retireBatch(S, G0, 3);
+  retireBatch(Scheme, G0, 3);
   EXPECT_EQ(Freed.load(), 0);
 
-  S.leave(G2);
+  Scheme.leave(G2);
   EXPECT_EQ(Freed.load(), 0) << "slot 0 still has an active thread";
-  S.leave(G0);
+  Scheme.leave(G0);
   EXPECT_EQ(Freed.load(), 0) << "slot 1 still holds the batch";
-  S.leave(G1);
+  Scheme.leave(G1);
   EXPECT_EQ(Freed.load(), 3) << "last leaver must free the batch";
 }
 
-TEST(HyalineCore, ReaderEnteringAfterRetireDoesNotPin) {
+template <typename S> void readerEnteringAfterRetireDoesNotPin() {
   std::atomic<int64_t> Freed{0};
-  Hyaline S(tinyConfig(2, 4), countingDeleter<Hyaline>, &Freed);
+  S Scheme(tinyConfig(2, 4), countingDeleter<S>, &Freed);
 
-  auto G0 = S.enter(0);
-  retireBatch(S, G0, 3);
-  S.leave(G0);
+  auto G0 = enterAndRead(Scheme, 0);
+  retireBatch(Scheme, G0, 3);
+  Scheme.leave(G0);
   EXPECT_EQ(Freed.load(), 3)
       << "no other thread was active; leave must reclaim immediately";
 
   // A reader entering now must see an empty retirement list.
-  auto G1 = S.enter(1);
-  retireBatch(S, G1, 3);
-  S.leave(G1);
+  auto G1 = enterAndRead(Scheme, 1);
+  retireBatch(Scheme, G1, 3);
+  Scheme.leave(G1);
   EXPECT_EQ(Freed.load(), 6);
 }
 
-TEST(HyalineCore, StackedBatchesFreedInOrder) {
+template <typename S> void stackedBatchesFreedInOrder() {
   std::atomic<int64_t> Freed{0};
-  Hyaline S(tinyConfig(2, 4), countingDeleter<Hyaline>, &Freed);
-  auto G0 = S.enter(0);
-  retireBatch(S, G0, 3); // batch 1
-  retireBatch(S, G0, 3); // batch 2 displaces batch 1 in both slots
+  S Scheme(tinyConfig(2, 4), countingDeleter<S>, &Freed);
+  auto G0 = enterAndRead(Scheme, 0);
+  retireBatch(Scheme, G0, 3); // batch 1
+  retireBatch(Scheme, G0, 3); // batch 2 displaces batch 1 in slot 0
   EXPECT_EQ(Freed.load(), 0);
-  S.leave(G0);
+  Scheme.leave(G0);
   EXPECT_EQ(Freed.load(), 6);
 }
 
-TEST(HyalineCore, TrimReclaimsWithoutLeaving) {
+template <typename S> void trimReclaimsWithoutLeaving() {
   // Appendix B: trim frees batches retired since enter while the guard
   // stays active. The head batch remains pinned (its count lives in
   // HRef) — exactly one batch's worth stays until leave.
   std::atomic<int64_t> Freed{0};
-  Hyaline S(tinyConfig(2, 4), countingDeleter<Hyaline>, &Freed);
+  S Scheme(tinyConfig(2, 4), countingDeleter<S>, &Freed);
 
-  auto Reader = S.enter(0); // slot 0
-  auto Writer = S.enter(1); // slot 1
-  retireBatch(S, Writer, 3); // batch 1
-  retireBatch(S, Writer, 3); // batch 2
-  S.leave(Writer);
+  auto Reader = enterAndRead(Scheme, 0); // slot 0
+  auto Writer = enterAndRead(Scheme, 1); // slot 1
+  retireBatch(Scheme, Writer, 3);        // batch 1
+  retireBatch(Scheme, Writer, 3);        // batch 2
+  Scheme.leave(Writer);
   EXPECT_EQ(Freed.load(), 0) << "reader pins both batches";
 
-  S.trim(Reader);
+  Scheme.trim(Reader);
   EXPECT_EQ(Freed.load(), 3)
       << "trim must free the displaced batch but keep the head batch";
 
-  S.trim(Reader);
+  Scheme.trim(Reader);
   EXPECT_EQ(Freed.load(), 3) << "repeated trim with no new batches: no-op";
 
-  S.leave(Reader);
+  Scheme.leave(Reader);
+  EXPECT_EQ(Freed.load(), 6);
+}
+
+TEST(HyalineCore, SlotResolution) { slotResolution<Hyaline>(); }
+TEST(HyalineCore, TwoSlotHandshake) { twoSlotHandshake<Hyaline>(); }
+TEST(HyalineCore, ReaderEnteringAfterRetireDoesNotPin) {
+  readerEnteringAfterRetireDoesNotPin<Hyaline>();
+}
+TEST(HyalineCore, StackedBatchesFreedInOrder) {
+  stackedBatchesFreedInOrder<Hyaline>();
+}
+TEST(HyalineCore, TrimReclaimsWithoutLeaving) {
+  trimReclaimsWithoutLeaving<Hyaline>();
+}
+
+template <typename S> class MultiListCore : public ::testing::Test {};
+using MultiListSchemes = ::testing::Types<Hyaline, HyalinePacked, HyalineS>;
+TYPED_TEST_SUITE(MultiListCore, MultiListSchemes, SchemeNames);
+
+TYPED_TEST(MultiListCore, SlotResolution) { slotResolution<TypeParam>(); }
+TYPED_TEST(MultiListCore, TwoSlotHandshake) { twoSlotHandshake<TypeParam>(); }
+TYPED_TEST(MultiListCore, ReaderEnteringAfterRetireDoesNotPin) {
+  readerEnteringAfterRetireDoesNotPin<TypeParam>();
+}
+TYPED_TEST(MultiListCore, StackedBatchesFreedInOrder) {
+  stackedBatchesFreedInOrder<TypeParam>();
+}
+TYPED_TEST(MultiListCore, TrimReclaimsWithoutLeaving) {
+  trimReclaimsWithoutLeaving<TypeParam>();
+}
+
+//===----------------------------------------------------------------------===
+// Single-list handshakes (Figure 8): Hyaline-1, Hyaline-1S
+
+template <typename S> void handshakeAndInsertCounting() {
+  std::atomic<int64_t> Freed{0};
+  smr::Config C = tinyConfig(0, 2); // single list: slots == MaxThreads == 2
+  S Scheme(C, countingDeleter<S>, &Freed);
+  ASSERT_EQ(Scheme.slots(), 2u);
+  ASSERT_EQ(Scheme.batchThreshold(), 3u);
+
+  auto G0 = enterAndRead(Scheme, 0);
+  auto G1 = enterAndRead(Scheme, 1);
+  retireBatch(Scheme, G0, 3); // inserted into both active slots
+  EXPECT_EQ(Freed.load(), 0);
+  Scheme.leave(G0);
+  EXPECT_EQ(Freed.load(), 0) << "slot 1's owner has not dereferenced yet";
+  Scheme.leave(G1);
+  EXPECT_EQ(Freed.load(), 3);
+}
+
+template <typename S> void retireWithNoActiveSlotsFreesImmediately() {
+  std::atomic<int64_t> Freed{0};
+  smr::Config C = tinyConfig(0, 2);
+  S Scheme(C, countingDeleter<S>, &Freed);
+  auto G0 = enterAndRead(Scheme, 0);
+  Scheme.leave(G0);
+  // Retire through a guard that already left its slot... not allowed by
+  // the API; instead: the only active slot is the retirer's own, which is
+  // dereferenced on its leave.
+  auto G = enterAndRead(Scheme, 0);
+  retireBatch(Scheme, G, 3);
+  Scheme.leave(G);
+  EXPECT_EQ(Freed.load(), 3);
+}
+
+template <typename S> void trimAdvancesHandle() {
+  std::atomic<int64_t> Freed{0};
+  smr::Config C = tinyConfig(0, 2);
+  S Scheme(C, countingDeleter<S>, &Freed);
+
+  auto Reader = enterAndRead(Scheme, 0);
+  auto Writer = enterAndRead(Scheme, 1);
+  retireBatch(Scheme, Writer, 3);
+  retireBatch(Scheme, Writer, 3);
+  Scheme.leave(Writer);
+  EXPECT_EQ(Freed.load(), 0);
+
+  Scheme.trim(Reader);
+  EXPECT_EQ(Freed.load(), 3);
+  Scheme.leave(Reader);
   EXPECT_EQ(Freed.load(), 6);
 }
 
 TEST(Hyaline1Core, HandshakeAndInsertCounting) {
-  std::atomic<int64_t> Freed{0};
-  smr::Config C = tinyConfig(0, 2); // Hyaline-1: slots == MaxThreads == 2
-  Hyaline1 S(C, countingDeleter<Hyaline1>, &Freed);
-  ASSERT_EQ(S.slots(), 2u);
-  ASSERT_EQ(S.batchThreshold(), 3u);
-
-  auto G0 = S.enter(0);
-  auto G1 = S.enter(1);
-  retireBatch(S, G0, 3); // inserted into both active slots
-  EXPECT_EQ(Freed.load(), 0);
-  S.leave(G0);
-  EXPECT_EQ(Freed.load(), 0) << "slot 1's owner has not dereferenced yet";
-  S.leave(G1);
-  EXPECT_EQ(Freed.load(), 3);
+  handshakeAndInsertCounting<Hyaline1>();
 }
-
 TEST(Hyaline1Core, RetireWithNoActiveSlotsFreesImmediately) {
-  std::atomic<int64_t> Freed{0};
-  smr::Config C = tinyConfig(0, 2);
-  Hyaline1 S(C, countingDeleter<Hyaline1>, &Freed);
-  auto G0 = S.enter(0);
-  S.leave(G0);
-  // Retire through a guard that already left its slot... not allowed by
-  // the API; instead: the only active slot is the retirer's own, which is
-  // dereferenced on its leave.
-  auto G = S.enter(0);
-  retireBatch(S, G, 3);
-  S.leave(G);
-  EXPECT_EQ(Freed.load(), 3);
+  retireWithNoActiveSlotsFreesImmediately<Hyaline1>();
 }
+TEST(Hyaline1Core, TrimAdvancesHandle) { trimAdvancesHandle<Hyaline1>(); }
 
-TEST(Hyaline1Core, TrimAdvancesHandle) {
-  std::atomic<int64_t> Freed{0};
-  smr::Config C = tinyConfig(0, 2);
-  Hyaline1 S(C, countingDeleter<Hyaline1>, &Freed);
+template <typename S> class SingleListCore : public ::testing::Test {};
+using SingleListSchemes = ::testing::Types<Hyaline1, Hyaline1S>;
+TYPED_TEST_SUITE(SingleListCore, SingleListSchemes, SchemeNames);
 
-  auto Reader = S.enter(0);
-  auto Writer = S.enter(1);
-  retireBatch(S, Writer, 3);
-  retireBatch(S, Writer, 3);
-  S.leave(Writer);
-  EXPECT_EQ(Freed.load(), 0);
-
-  S.trim(Reader);
-  EXPECT_EQ(Freed.load(), 3);
-  S.leave(Reader);
-  EXPECT_EQ(Freed.load(), 6);
+TYPED_TEST(SingleListCore, HandshakeAndInsertCounting) {
+  handshakeAndInsertCounting<TypeParam>();
+}
+TYPED_TEST(SingleListCore, RetireWithNoActiveSlotsFreesImmediately) {
+  retireWithNoActiveSlotsFreesImmediately<TypeParam>();
+}
+TYPED_TEST(SingleListCore, TrimAdvancesHandle) {
+  trimAdvancesHandle<TypeParam>();
 }
 
 TEST(HyalineCore, ConcurrentTrimmers) {

@@ -12,7 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/hyaline_s.h"
+#include "core/hyaline.h"
 #include "core/slot_directory.h"
 #include "scheme_fixtures.h"
 

@@ -14,8 +14,6 @@
 
 #include "core/hyaline.h"
 #include "core/hyaline1.h"
-#include "core/hyaline1s.h"
-#include "core/hyaline_s.h"
 #include "ds/michael_hashmap.h"
 #include "ds_common.h"
 #include "scheme_fixtures.h"

@@ -393,22 +393,25 @@ TEST(Workload, ValueSizeDistShapes) {
 TEST(Workload, RunSessionsSpawnsFreshThreadPerSession) {
   constexpr unsigned Workers = 3, Sessions = 5;
   std::mutex Mu;
-  std::set<std::thread::id> Ids;
   std::set<std::pair<unsigned, unsigned>> Seen;
+  std::vector<unsigned> CallsOnThread;
   const uint64_t Total =
       workload::runSessions(Workers, Sessions, [&](unsigned W, unsigned S) {
+        // A fresh thread starts with fresh thread_local state, so this
+        // counter reads 1 on every call. Thread ids are no proof: joined
+        // threads' ids are recycled by later spawns.
+        thread_local unsigned Calls = 0;
+        ++Calls;
         std::lock_guard<std::mutex> Lock(Mu);
-        Ids.insert(std::this_thread::get_id());
+        CallsOnThread.push_back(Calls);
         Seen.insert({W, S});
         return uint64_t{1};
       });
   EXPECT_EQ(Total, uint64_t{Workers} * Sessions);
   EXPECT_EQ(Seen.size(), std::size_t{Workers} * Sessions)
       << "every (worker, session) pair runs exactly once";
-  // Joined threads can have their ids recycled by later spawns, so the
-  // strict lower bound is the concurrent-worker count; in practice the
-  // count is far higher, proving sessions are not reusing one thread.
-  EXPECT_GE(Ids.size(), std::size_t{Workers});
+  EXPECT_EQ(CallsOnThread, std::vector<unsigned>(Workers * Sessions, 1u))
+      << "every session must run on a thread of its own";
 }
 
 TEST(Workload, RunSessionedStopsAndCounts) {
