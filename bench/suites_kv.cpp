@@ -368,8 +368,8 @@ void lfsmr::bench::runKvSuite(const CommandLine &Cmd, report::Report &Rep) {
   const SweepOptions O = parseSweep(Cmd);
   for (const std::string &Scheme : O.Schemes)
     dispatchScheme<KvSuiteOp>(Scheme, O, Rep);
-  Rep.note("kv: hp runs the store's intrusive node mode; every other "
-           "scheme runs transparent allocation (guard::create/retire)");
+  Rep.note("kv: every scheme runs the store's one node layout (scheme "
+           "header, then the record; an intrusive-mode domain)");
   Rep.note("kv: nomm never reclaims trimmed versions (leaking floor)");
   Rep.note("kv: kv-string runs store<S, std::string, std::string> "
            "(variable-size codec records); kv-resize starts from 4-bucket "

@@ -20,8 +20,9 @@
 ///    writers themselves retire obsolete versions (no background GC
 ///    thread exists);
 ///  - the same code runs under a robust scheme (`hyaline_s`) and under
-///    hazard pointers via the store's intrusive mode — swap the
-///    template argument and nothing else changes.
+///    hazard pointers — the store lays every node out the same way for
+///    every scheme, so swap the template argument and nothing else
+///    changes.
 ///
 /// Build & run:  ./examples/kv_snapshots [--secs 2] [--writers 3]
 ///               [--readers 2] [--keys 4096]

@@ -8,10 +8,10 @@
 /// `lfsmr::kv` — a sharded, versioned key-value store with snapshot
 /// reads and scans, built entirely on the public reclamation API. It is
 /// the library's serving-scale workload: every allocation and retirement
-/// flows through `lfsmr::domain`/`lfsmr::guard` (transparent mode where
-/// the scheme allows it, intrusive headers under hazard pointers), and a
-/// versioned store retires obsolete versions at write rate — the shape
-/// of load that separates robust reclamation schemes from the rest.
+/// flows through `lfsmr::domain`/`lfsmr::guard` (intrusive mode: every
+/// node carries its scheme header first), and a versioned store retires
+/// obsolete versions at write rate — the shape of load that separates
+/// robust reclamation schemes from the rest.
 ///
 /// \code
 ///   #include <lfsmr/kv.h>
@@ -85,10 +85,12 @@
 ///    cleanly if a buffered key advanced past the transaction's read
 ///    stamp. `compare_and_set`/`merge` are the buffer-free single-key
 ///    fast path (see `kv/txn.h` for the protocol).
-///  - **All nine schemes.** The store picks intrusive node layout for
-///    address-protecting schemes (HP) and transparent allocation for the
-///    rest, so `store<Scheme, K, V>` compiles and runs for every alias
-///    in `lfsmr/schemes.h`.
+///  - **All nine schemes, one node layout.** Every key, version, commit
+///    record and bucket dummy is the scheme's header followed by its
+///    record, so `store<Scheme, K, V>` runs the same code for every
+///    alias in `lfsmr/schemes.h`, HP included. `store::domain()` is
+///    therefore an intrusive-mode domain under every scheme:
+///    `guard::create` on it throws `std::logic_error`.
 ///
 //===----------------------------------------------------------------------===//
 

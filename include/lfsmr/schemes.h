@@ -11,7 +11,7 @@
 ///
 /// | alias                      | runtime name  | robust | transparent |
 /// | -------------------------- | ------------- | ------ | ----------- |
-/// | `schemes::nomm`            | `"nomm"`      | —      | yes (leaks) |
+/// | `schemes::nomm`            | `"nomm"`      | —      | yes (never reclaims) |
 /// | `schemes::epoch`           | `"epoch"`     | no     | no          |
 /// | `schemes::hyaline`         | `"hyaline"`   | no     | yes         |
 /// | `schemes::hyaline1`        | `"hyaline1"`  | no     | partially   |
@@ -41,7 +41,8 @@
 
 namespace lfsmr::schemes {
 
-/// The leaking baseline: retire is a no-op (paper Section 6 floor).
+/// The no-reclamation baseline: nothing retired is freed until the
+/// domain is destroyed (paper Section 6 floor).
 using nomm = smr::NoMM;
 
 /// Epoch-based reclamation (the paper's "Epoch" baseline). Fast, not

@@ -11,15 +11,13 @@
 /// type, the four questions a lock-free record layout forces:
 ///
 ///  1. **What lives inside the record?** (`storage_type`, a trivially
-///     destructible POD — records are reclaimed by scheme deleters that
-///     must never run user code, and under HP the whole node is a raw
-///     envelope).
+///     destructible POD — records are reclaimed by one raw-free deleter
+///     that must never run user code).
 ///  2. **How many trailing bytes follow the record?** Variable-size
 ///     payloads (byte-strings) are carried *in the same allocation* as
-///     the record — one `guard::create_extended` block in transparent
-///     mode, one oversized `operator new` for the intrusive HP envelope —
-///     so a version is always exactly one node to protect, retire, and
-///     free. `trailingBytes(v)` sizes that suffix.
+///     the record — one oversized `operator new` per node, behind the
+///     scheme header — so a version is always exactly one node to
+///     protect, retire, and free. `trailingBytes(v)` sizes that suffix.
 ///  3. **How is a value written/read?** `encode` places the payload into
 ///     the storage (+ trailing suffix); `decode` materializes an owned
 ///     `T`; `view` returns a borrowed view valid while the record is
@@ -36,7 +34,7 @@
 ///  - `std::string` (**owned byte-strings**): a `BytesStorage` header
 ///    inside the record plus the bytes in the trailing suffix, referenced
 ///    by a self-relative offset (records never move, so the offset is
-///    stable in both allocation modes).
+///    stable for the record's whole life).
 ///
 /// Adding a type = adding a `Codec` specialization; the store, index, and
 /// scan layers never look at payloads except through this interface.
@@ -80,8 +78,8 @@ inline std::uint64_t hashBytes(const void *Data, std::size_t Len) {
 
 /// In-record header of a variable-size byte payload. The bytes live in
 /// the record's trailing suffix; `Off` is self-relative (record addresses
-/// are stable for their whole life), so the storage works identically
-/// inside transparent blocks and intrusive HP envelopes.
+/// are stable for their whole life), so the storage does not depend on
+/// where the record sits inside its node.
 struct BytesStorage {
   /// Byte offset from `this` to the payload bytes.
   std::int32_t Off;

@@ -94,16 +94,18 @@
 ///         version stamp after protecting the commit record, so a
 ///         Pending observation proves the record is still alive.
 ///         Enforced in one place: `commitGroups` sweeps every published
-///         group (`settleAndTrim` / `abortPublished`) before
-///         `retireCommit`.
+///         group (`settleAndTrim` / `abortPublished`) before the
+///         record retires.
 ///
-/// Reclamation-mode selection is automatic: address-protecting schemes
-/// (HP) get intrusive nodes (scheme header first; records are trivially
-/// destructible by construction, so one raw-free deleter serves every
-/// node shape); every other scheme runs the transparent allocation mode
-/// (`guard::create` / `create_extended` / `retire(ptr)`, no header in
-/// the node types). All nine schemes — including HP — run the same
-/// store code.
+/// One node layout for every scheme: each node is the scheme's header
+/// followed by one record (version, key, commit record or bucket dummy),
+/// its codec payload running on into trailing bytes of the same
+/// allocation. Records are trivially destructible by construction, so
+/// one raw-free deleter serves every node shape, and the store's domain
+/// runs in intrusive mode under all nine schemes — `guard::create` on
+/// `domain()` throws. With a 24 B header (Hyaline) a `uint64_t` key
+/// node is 56 B and a version 64 B; a transparent block would add 40 B
+/// to each.
 ///
 /// Protection-slot discipline (HP/HE): the index walk rotates slots 0–2
 /// exactly like `ds::ListOps`; version-chain walks rotate slots 3–4,
@@ -196,22 +198,16 @@ public:
   /// The RAII guard all operations run under.
   using guard_type = lfsmr::guard<Scheme>;
 
-  /// True when \p Scheme protects published addresses (HP) and the store
-  /// therefore runs intrusive nodes instead of transparent allocation.
-  static constexpr bool IntrusiveMode = detail::protectsAddresses<Scheme>;
-
   /// Builds the store: the shard index, the snapshot registry, and one
-  /// reclamation domain in the mode \p Scheme supports.
+  /// intrusive-mode reclamation domain (every node carries its scheme
+  /// header first).
   explicit Store(const Options &O = {})
       : Opt(normalize(O)), Registry(Opt.MinSnapshotSlots),
-        ShardBits(floorLog2(Opt.Shards)) {
-    if constexpr (IntrusiveMode)
-      Dom.emplace(Opt.Reclaim, &Store::deleteNode, nullptr);
-    else
-      Dom.emplace(Opt.Reclaim);
+        ShardBits(floorLog2(Opt.Shards)),
+        Dom(Opt.Reclaim, &Store::deleteNode, nullptr) {
     Index.reset(
         new Index_t(*this, Opt.Shards, Opt.BucketsPerShard, Opt.MaxLoadFactor));
-    auto G = Dom->enter(0);
+    auto G = Dom.enter(0);
     for (std::size_t S = 0; S < Opt.Shards; ++S)
       Index->attachRoot(G, S);
   }
@@ -224,7 +220,7 @@ public:
   ~Store() {
     assert(Registry.liveSnapshots() == 0 &&
            "destroy or reset() every kv::snapshot before the store");
-    auto G = Dom->enter(0);
+    auto G = Dom.enter(0);
     for (std::size_t S = 0; S < Opt.Shards; ++S) {
       std::uintptr_t Raw = Index->root(S);
       while (Raw & ~Tag) {
@@ -233,12 +229,12 @@ public:
         if (L->SoKey & 1) {
           KNode *KN = toK(Raw);
           std::uintptr_t VW =
-              kr(KN).VHead.load(std::memory_order_relaxed) & ~Tag;
+              KN->R.VHead.load(std::memory_order_relaxed) & ~Tag;
           while (VNode *VN = toV(VW)) {
-            VW = vr(VN).Older.load(std::memory_order_relaxed);
-            discardVersion(G, VN);
+            VW = VN->R.Older.load(std::memory_order_relaxed);
+            G.discard(&VN->Hdr);
           }
-          discardKey(G, KN);
+          G.discard(&KN->Hdr);
         } else {
           discardDummy(G, Raw & ~Tag);
         }
@@ -255,7 +251,7 @@ public:
   /// or insert over a tombstone). Trims the version-chain suffix past
   /// the oldest live snapshot before returning.
   bool put(thread_id Tid, const K &Key, const V &Val) {
-    auto G = Dom->enter(Tid);
+    auto G = Dom.enter(Tid);
     Assign A{&Val};
     (void)publishFold(G, Key, Codec<K>::hash(Key), A, nullptr, nullptr);
     return !A.WasLive;
@@ -266,7 +262,7 @@ public:
   /// \p Key had no live binding. Once no snapshot can see anything but
   /// the tombstone, the key node itself is unlinked and retired.
   bool erase(thread_id Tid, const K &Key) {
-    auto G = Dom->enter(Tid);
+    auto G = Dom.enter(Tid);
     Assign A{nullptr};
     (void)publishFold(G, Key, Codec<K>::hash(Key), A, nullptr, nullptr);
     return A.WasLive;
@@ -291,12 +287,12 @@ public:
   /// holds a different value.
   bool compare_and_set(thread_id Tid, const K &Key, const V &Expected,
                        const V &Desired) {
-    auto G = Dom->enter(Tid);
+    auto G = Dom.enter(Tid);
     bool Swapped = false;
     (void)publishFold(
         G, Key, Codec<K>::hash(Key),
         [&](const HeadView &Hd) {
-          Swapped = Hd.live() && Codec<V>::compare(vr(Hd.N).Val, Expected) == 0;
+          Swapped = Hd.live() && Codec<V>::compare(Hd.N->R.Val, Expected) == 0;
           return Swapped ? Folded{true, &Desired} : Folded{};
         },
         nullptr, nullptr);
@@ -309,7 +305,7 @@ public:
   /// append lands on an unchanged head, so \p Fn may run more than once
   /// and must be pure. Returns the stored value.
   template <typename F> V merge(thread_id Tid, const K &Key, F &&Fn) {
-    auto G = Dom->enter(Tid);
+    auto G = Dom.enter(Tid);
     std::optional<V> NewV;
     (void)publishFold(
         G, Key, Codec<K>::hash(Key),
@@ -401,15 +397,15 @@ public:
     // era over the whole collection would hold back reclamation of
     // everything retired domain-wide while it runs.
     for (std::size_t S = 0; S < Opt.Shards; ++S) {
-      auto G = Dom->enter(Tid);
+      auto G = Dom.enter(Tid);
       scanShardList(G, Index->root(S),
                     [this](std::uintptr_t R) { return linkOf(R); },
                     [&](std::uintptr_t R) {
-                      Keys.push_back(K(Codec<K>::view(kr(toK(R)).Key)));
+                      Keys.push_back(K(Codec<K>::view(toK(R)->R.Key)));
                     });
     }
     for (const K &Key : Keys) {
-      auto G = Dom->enter(Tid);
+      auto G = Dom.enter(Tid);
       const std::uint64_t H = Codec<K>::hash(Key);
       const Probe P{itemSoKey(H), &Key};
       const typename Index_t::Position Pos =
@@ -436,7 +432,7 @@ public:
   /// every telemetry-only field.
   telemetry::store_stats stats() const {
     telemetry::store_stats St{};
-    static_cast<telemetry::domain_stats &>(St) = Dom->stats();
+    static_cast<telemetry::domain_stats &>(St) = Dom.stats();
     St.version_clock = Registry.clock();
     St.live_snapshots = Registry.liveSnapshots();
     St.snapshot_slots = Registry.slotCapacity();
@@ -481,7 +477,7 @@ public:
   /// Length of \p Key's version chain (0 when absent). Test /
   /// introspection hook; O(chain), racy under concurrent writes.
   std::size_t version_count(thread_id Tid, const K &Key) {
-    auto G = Dom->enter(Tid);
+    auto G = Dom.enter(Tid);
     const std::uint64_t H = Codec<K>::hash(Key);
     const Probe P{itemSoKey(H), &Key};
     const typename Index_t::Position Pos =
@@ -491,14 +487,14 @@ public:
     std::size_t N = 0;
     unsigned A = VSlotA, B = VSlotB;
     std::uintptr_t Raw =
-        G.protect_link(kr(toK(Pos.CurrRaw)).VHead, A) & ~Tag;
+        G.protect_link(toK(Pos.CurrRaw)->R.VHead, A) & ~Tag;
     while (VNode *VN = toV(Raw)) {
       ++N;
       const std::uint64_t St =
-          vr(VN).Stamp.load(std::memory_order_seq_cst);
-      Raw = G.protect_link(vr(VN).Older, B);
+          VN->R.Stamp.load(std::memory_order_seq_cst);
+      Raw = G.protect_link(VN->R.Older, B);
       if (St == SnapshotRegistry::Pending &&
-          vr(VN).Stamp.load(std::memory_order_seq_cst) ==
+          VN->R.Stamp.load(std::memory_order_seq_cst) ==
               SnapshotRegistry::Aborted)
         break; // a txn died under the walk; the count is racy anyway
       std::swap(A, B);
@@ -509,17 +505,18 @@ public:
   /// The snapshot registry (scheme-independent clock + slots).
   SnapshotRegistry &registry() { return Registry; }
 
-  /// The reclamation domain backing the store.
-  lfsmr::domain<Scheme> &domain() { return *Dom; }
+  /// The reclamation domain backing the store. Intrusive mode under every
+  /// scheme: `guard::create` on it throws `std::logic_error`.
+  lfsmr::domain<Scheme> &domain() { return Dom; }
 
   /// The underlying scheme instance (for counters and tests).
-  Scheme &smr() { return Dom->scheme(); }
+  Scheme &smr() { return Dom.scheme(); }
   /// \copydoc smr
-  const Scheme &smr() const { return Dom->scheme(); }
+  const Scheme &smr() const { return Dom.scheme(); }
 
 private:
   //===------------------------------------------------------------------===//
-  // Node layout — codec-shaped records, or intrusive envelopes for HP
+  // Node layout — the scheme header, then one codec-shaped record
   //===------------------------------------------------------------------===//
 
   /// Low bit of `VHead` marks a logically removed key; low bit of a
@@ -594,80 +591,43 @@ private:
 
   static_assert(offsetof(KeyRec, L) == 0 && offsetof(DummyRec, L) == 0,
                 "the link prefix must head every list-resident record");
-  static_assert(std::is_trivially_destructible_v<VersionRec> &&
-                    std::is_trivially_destructible_v<KeyRec> &&
-                    std::is_trivially_destructible_v<DummyRec> &&
-                    std::is_trivially_destructible_v<CommitRec>,
-                "records are reclaimed by deleters that run no user code");
 
-  /// Intrusive-mode common prefix: the scheme header, sitting first so
-  /// every scheme's deleter recovers the node from the header address.
-  /// No kind tag is needed — all record shapes are trivially
-  /// destructible (asserted above), so `deleteNode` frees uniformly.
-  struct IPrefix {
+  /// A node: the scheme header first, then one record. The header sits
+  /// at the node's address, which is what every scheme's deleter frees
+  /// and what HP's hazard slots hold. The record's codec payload may run
+  /// on into trailing bytes of the same allocation.
+  template <typename Rec> struct Node {
     typename Scheme::NodeHeader Hdr;
+    Rec R;
+
+    template <typename... A>
+    explicit Node(A &&...Args) : Hdr{}, R(std::forward<A>(Args)...) {}
   };
 
-  struct IVersionNode {
-    IPrefix P;
-    VersionRec R;
-    IVersionNode(bool Tomb, std::uintptr_t Old, std::uintptr_t C = 0)
-        : P{}, R(Tomb, Old, C) {}
-  };
+  using VNode = Node<VersionRec>;
+  using KNode = Node<KeyRec>;
+  using DNode = Node<DummyRec>;
+  using CNode = Node<CommitRec>;
 
-  struct IKeyNode {
-    IPrefix P;
-    KeyRec R;
-    IKeyNode(std::uint64_t So, std::uintptr_t Head) : P{}, R(So, Head) {}
-  };
-
-  struct IDummyNode {
-    IPrefix P;
-    DummyRec R;
-    explicit IDummyNode(std::uint64_t So) : P{}, R(So) {}
-  };
-
-  struct ICommitNode {
-    IPrefix P;
-    CommitRec R;
-    ICommitNode() : P{}, R{} {}
-  };
-
-  using VNode = std::conditional_t<IntrusiveMode, IVersionNode, VersionRec>;
-  using KNode = std::conditional_t<IntrusiveMode, IKeyNode, KeyRec>;
-  using DNode = std::conditional_t<IntrusiveMode, IDummyNode, DummyRec>;
-  using CNode = std::conditional_t<IntrusiveMode, ICommitNode, CommitRec>;
-
-  /// Offset of the link prefix inside a list-resident node (identical
-  /// for key and dummy nodes by construction).
-  static constexpr std::size_t linkOffset() {
-    if constexpr (IntrusiveMode) {
-      static_assert(offsetof(IKeyNode, R) == offsetof(IDummyNode, R),
-                    "key and dummy nodes must share the link offset");
-      return offsetof(IKeyNode, R);
-    } else {
-      return 0;
-    }
+  /// True when `Node<Rec>` is its scheme header followed directly by its
+  /// record: no hidden prefix, no padding beyond the record's alignment.
+  template <typename Rec> static constexpr bool headerThenRecord() {
+    constexpr std::size_t A = alignof(Rec);
+    constexpr std::size_t At =
+        (sizeof(typename Scheme::NodeHeader) + A - 1) / A * A;
+    return offsetof(Node<Rec>, Hdr) == 0 && offsetof(Node<Rec>, R) == At &&
+           sizeof(Node<Rec>) == At + sizeof(Rec);
   }
-
-  static VersionRec &vr(VNode *N) {
-    if constexpr (IntrusiveMode)
-      return N->R;
-    else
-      return *N;
-  }
-  static KeyRec &kr(KNode *N) {
-    if constexpr (IntrusiveMode)
-      return N->R;
-    else
-      return *N;
-  }
-  static CommitRec &cr(CNode *N) {
-    if constexpr (IntrusiveMode)
-      return N->R;
-    else
-      return *N;
-  }
+  static_assert(headerThenRecord<VersionRec>() && headerThenRecord<KeyRec>() &&
+                    headerThenRecord<DummyRec>() &&
+                    headerThenRecord<CommitRec>(),
+                "a node is its scheme header followed by its record");
+  static_assert(sizeof(typename Scheme::NodeHeader) != 24 ||
+                    !std::is_same_v<K, std::uint64_t> ||
+                    !std::is_same_v<V, std::uint64_t> ||
+                    (sizeof(VNode) == 64 && sizeof(KNode) == 56 &&
+                     sizeof(DNode) == 40),
+                "24 B header + uint64_t K/V: version 64, key 56, dummy 40");
 
   static VNode *toV(std::uintptr_t Raw) {
     return reinterpret_cast<VNode *>(Raw & ~Tag);
@@ -678,116 +638,60 @@ private:
   static CNode *toC(std::uintptr_t Raw) {
     return reinterpret_cast<CNode *>(Raw);
   }
-  static std::uintptr_t rawV(VNode *N) {
-    return reinterpret_cast<std::uintptr_t>(N);
-  }
-  static std::uintptr_t rawK(KNode *N) {
-    return reinterpret_cast<std::uintptr_t>(N);
-  }
-  static std::uintptr_t rawC(CNode *N) {
+  template <typename Rec> static std::uintptr_t raw(Node<Rec> *N) {
     return reinterpret_cast<std::uintptr_t>(N);
   }
 
   /// Tag-stripped raw node word -> its list link prefix (key or dummy).
   static LinkPart *linkOf(std::uintptr_t Raw) {
-    return reinterpret_cast<LinkPart *>((Raw & ~Tag) + linkOffset());
+    static_assert(offsetof(KNode, R) == offsetof(DNode, R),
+                  "key and dummy nodes must share the link offset");
+    return reinterpret_cast<LinkPart *>((Raw & ~Tag) + offsetof(KNode, R));
   }
 
-  /// First byte after the record — where a codec's trailing payload
-  /// lives (`create_extended` / oversized `operator new` sized it).
-  template <typename Node> static void *trailingOf(Node *N) {
-    return reinterpret_cast<char *>(N) + sizeof(Node);
+  /// First byte after the node — where a codec's trailing payload lives.
+  template <typename Rec> static void *trailingOf(Node<Rec> *N) {
+    return reinterpret_cast<char *>(N) + sizeof(Node<Rec>);
   }
 
-  /// Intrusive-mode deleter shared by all three node shapes. Nodes are
-  /// allocated with raw `operator new` (records may carry trailing
-  /// payload bytes), so this frees the same way — valid only because
-  /// nothing in any node needs a destructor.
+  /// The deleter for every node shape: nodes come from raw `operator
+  /// new` (records may carry trailing payload bytes), so this frees the
+  /// same way — valid only because nothing in any node needs a
+  /// destructor.
   static void deleteNode(void *Hdr, void * /*Ctx*/) {
-    static_assert(std::is_trivially_destructible_v<IVersionNode> &&
-                      std::is_trivially_destructible_v<IKeyNode> &&
-                      std::is_trivially_destructible_v<IDummyNode>,
-                  "intrusive nodes (incl. the scheme header) must be "
-                  "trivially destructible for the raw-free deleter");
+    static_assert(std::is_trivially_destructible_v<VNode> &&
+                      std::is_trivially_destructible_v<KNode> &&
+                      std::is_trivially_destructible_v<DNode> &&
+                      std::is_trivially_destructible_v<CNode>,
+                  "nodes (incl. the scheme header) must be trivially "
+                  "destructible for the raw-free deleter");
     ::operator delete(Hdr);
+  }
+
+  /// Allocates a node with \p Extra trailing payload bytes and registers
+  /// it with the scheme (birth era, allocation count).
+  template <typename Rec, typename... A>
+  static Node<Rec> *makeNode(guard_type &G, std::size_t Extra, A &&...Args) {
+    auto *N = new (::operator new(sizeof(Node<Rec>) + Extra))
+        Node<Rec>(std::forward<A>(Args)...);
+    G.init(&N->Hdr);
+    return N;
   }
 
   VNode *makeVersion(guard_type &G, const V *Val, bool Tomb,
                      std::uintptr_t Old, std::uintptr_t Commit = 0) {
-    const std::size_t Extra = Val ? Codec<V>::trailingBytes(*Val) : 0;
-    VNode *N;
-    if constexpr (IntrusiveMode) {
-      static_assert(offsetof(IVersionNode, P) == 0 &&
-                        offsetof(IKeyNode, P) == 0 &&
-                        offsetof(IDummyNode, P) == 0 &&
-                        offsetof(ICommitNode, P) == 0,
-                    "scheme header must sit at the start of the node");
-      N = new (::operator new(sizeof(IVersionNode) + Extra))
-          IVersionNode(Tomb, Old, Commit);
-      G.init(&N->P.Hdr);
-    } else {
-      N = G.template create_extended<VersionRec>(Extra, Tomb, Old, Commit);
-    }
+    VNode *N = makeNode<VersionRec>(
+        G, Val ? Codec<V>::trailingBytes(*Val) : 0, Tomb, Old, Commit);
     if (Val)
-      Codec<V>::encode(vr(N).Val, trailingOf(N), *Val);
+      Codec<V>::encode(N->R.Val, trailingOf(N), *Val);
     return N;
   }
 
   KNode *makeKey(guard_type &G, const K &Key, std::uint64_t So,
                  std::uintptr_t Head) {
-    const std::size_t Extra = Codec<K>::trailingBytes(Key);
-    KNode *N;
-    if constexpr (IntrusiveMode) {
-      N = new (::operator new(sizeof(IKeyNode) + Extra)) IKeyNode(So, Head);
-      G.init(&N->P.Hdr);
-    } else {
-      N = G.template create_extended<KeyRec>(Extra, So, Head);
-    }
-    Codec<K>::encode(kr(N).Key, trailingOf(N), Key);
+    KNode *N = makeNode<KeyRec>(G, Codec<K>::trailingBytes(Key), So, Head);
+    Codec<K>::encode(N->R.Key, trailingOf(N), Key);
     return N;
-  }
-
-  CNode *makeCommit(guard_type &G) {
-    CNode *N;
-    if constexpr (IntrusiveMode) {
-      N = new (::operator new(sizeof(ICommitNode))) ICommitNode();
-      G.init(&N->P.Hdr);
-    } else {
-      N = G.template create<CommitRec>();
-    }
-    return N;
-  }
-
-  void retireCommit(guard_type &G, CNode *N) {
-    if constexpr (IntrusiveMode)
-      G.retire(&N->P.Hdr);
-    else
-      G.retire(N);
-  }
-
-  void retireVersion(guard_type &G, VNode *N) {
-    if constexpr (IntrusiveMode)
-      G.retire(&N->P.Hdr);
-    else
-      G.retire(N);
-  }
-  void retireKey(guard_type &G, KNode *N) {
-    if constexpr (IntrusiveMode)
-      G.retire(&N->P.Hdr);
-    else
-      G.retire(N);
-  }
-  void discardVersion(guard_type &G, VNode *N) {
-    if constexpr (IntrusiveMode)
-      G.discard(&N->P.Hdr);
-    else
-      G.discard(N);
-  }
-  void discardKey(guard_type &G, KNode *N) {
-    if constexpr (IntrusiveMode)
-      G.discard(&N->P.Hdr);
-    else
-      G.discard(N);
   }
 
   //===------------------------------------------------------------------===//
@@ -810,30 +714,19 @@ private:
   int compareTie(std::uintptr_t Raw, const Probe &P) const {
     if (!P.Key)
       return 0;
-    return Codec<K>::compare(kr(toK(Raw)).Key, *P.Key);
+    return Codec<K>::compare(toK(Raw)->R.Key, *P.Key);
   }
 
   /// Allocates and registers one bucket dummy.
   std::uintptr_t makeDummy(guard_type &G, std::uint64_t So) {
-    DNode *N;
-    if constexpr (IntrusiveMode) {
-      N = new (::operator new(sizeof(IDummyNode))) IDummyNode(So);
-      G.init(&N->P.Hdr);
-    } else {
-      N = G.template create<DummyRec>(So);
-    }
     Dummies.fetch_add(1, std::memory_order_relaxed);
-    return reinterpret_cast<std::uintptr_t>(N);
+    return raw(makeNode<DummyRec>(G, 0, So));
   }
 
   /// Frees a dummy that lost the materialization race (never published).
   void discardDummy(guard_type &G, std::uintptr_t Raw) {
     Dummies.fetch_sub(1, std::memory_order_relaxed);
-    auto *N = reinterpret_cast<DNode *>(Raw & ~Tag);
-    if constexpr (IntrusiveMode)
-      G.discard(&N->P.Hdr);
-    else
-      G.discard(N);
+    G.discard(&reinterpret_cast<DNode *>(Raw & ~Tag)->Hdr);
   }
 
   /// Retires an unlinked key node and its version chain. Only the single
@@ -844,17 +737,17 @@ private:
   void retireUnlinked(guard_type &G, std::uintptr_t Raw) {
     KNode *KN = toK(Raw);
     const std::uintptr_t VW =
-        kr(KN).VHead.load(std::memory_order_acquire) & ~Tag;
+        KN->R.VHead.load(std::memory_order_acquire) & ~Tag;
     if (VNode *HeadV = toV(VW)) {
       std::uintptr_t Taken =
-          vr(HeadV).Older.exchange(0, std::memory_order_seq_cst);
+          HeadV->R.Older.exchange(0, std::memory_order_seq_cst);
       while (VNode *X = toV(Taken)) {
-        Taken = vr(X).Older.exchange(0, std::memory_order_seq_cst);
-        retireVersion(G, X);
+        Taken = X->R.Older.exchange(0, std::memory_order_seq_cst);
+        G.retire(&X->Hdr);
       }
-      retireVersion(G, HeadV);
+      G.retire(&HeadV->Hdr);
     }
-    retireKey(G, KN);
+    G.retire(&KN->Hdr);
   }
 
   friend class ShardIndex<Store>;
@@ -873,7 +766,7 @@ private:
   /// guard's era reservation over its birth era (HE/IBR/Hyaline-S), so
   /// the node outlives the resolve no matter who trims it.
   void protectSelf(guard_type &G, VNode *N) {
-    std::atomic<std::uintptr_t> Self{rawV(N)};
+    std::atomic<std::uintptr_t> Self{raw(N)};
     (void)G.protect_link(Self, VSlotSelf);
   }
 
@@ -894,22 +787,22 @@ private:
   /// proves the retire — if it happens at all — happens after the
   /// protection is visible to reclamation.
   std::uint64_t stampOf(guard_type &G, VNode *VN) {
-    const std::uint64_t S = vr(VN).Stamp.load(std::memory_order_seq_cst);
+    const std::uint64_t S = VN->R.Stamp.load(std::memory_order_seq_cst);
     if (S != SnapshotRegistry::Pending)
       return S; // settled or Aborted: immutable from here on
-    const std::uintptr_t CW = G.protect_link(vr(VN).Commit, VSlotC);
+    const std::uintptr_t CW = G.protect_link(VN->R.Commit, VSlotC);
     if (!CW)
-      return Registry.resolve(vr(VN).Stamp); // solo write: help-stamp it
-    const std::uint64_t S2 = vr(VN).Stamp.load(std::memory_order_seq_cst);
+      return Registry.resolve(VN->R.Stamp); // solo write: help-stamp it
+    const std::uint64_t S2 = VN->R.Stamp.load(std::memory_order_seq_cst);
     if (S2 != SnapshotRegistry::Pending)
       return S2; // settled/aborted while we protected the record
-    const std::uint64_t CS = Registry.resolveCommit(cr(toC(CW)).Stamp);
+    const std::uint64_t CS = Registry.resolveCommit(toC(CW)->R.Stamp);
     if (CS == SnapshotRegistry::Unpublished)
       return SnapshotRegistry::Pending; // not yet committed: do not cache
     // Aborted or settled: cache into the version (first CAS wins; every
     // helper caches the same value, so a lost race is benign).
     std::uint64_t Exp = SnapshotRegistry::Pending;
-    vr(VN).Stamp.compare_exchange_strong(Exp, CS, std::memory_order_seq_cst,
+    VN->R.Stamp.compare_exchange_strong(Exp, CS, std::memory_order_seq_cst,
                                         std::memory_order_seq_cst);
     return CS;
   }
@@ -923,14 +816,14 @@ private:
   /// settles. The stamp re-check after protecting the record is the
   /// same lifetime argument as in `stampOf`.
   void killUnpublished(guard_type &G, VNode *VN) {
-    const std::uintptr_t CW = G.protect_link(vr(VN).Commit, VSlotC);
+    const std::uintptr_t CW = G.protect_link(VN->R.Commit, VSlotC);
     if (!CW)
       return;
-    if (vr(VN).Stamp.load(std::memory_order_seq_cst) !=
+    if (VN->R.Stamp.load(std::memory_order_seq_cst) !=
         SnapshotRegistry::Pending)
       return;
     std::uint64_t Exp = SnapshotRegistry::Unpublished;
-    cr(toC(CW)).Stamp.compare_exchange_strong(Exp, SnapshotRegistry::Aborted,
+    toC(CW)->R.Stamp.compare_exchange_strong(Exp, SnapshotRegistry::Aborted,
                                               std::memory_order_seq_cst,
                                               std::memory_order_seq_cst);
   }
@@ -950,19 +843,19 @@ private:
     // Immutable for an aborted head: aborted versions are never a trim
     // boundary (never settled), so nothing exchanges this link until the
     // unpublish CAS below removes the node from the chain.
-    const std::uintptr_t Old = vr(HeadV).Older.load(std::memory_order_seq_cst);
+    const std::uintptr_t Old = HeadV->R.Older.load(std::memory_order_seq_cst);
     std::uintptr_t Expected = Hd;
     if (Old) {
-      if (kr(KN).VHead.compare_exchange_strong(Expected, Old,
+      if (KN->R.VHead.compare_exchange_strong(Expected, Old,
                                                std::memory_order_seq_cst,
                                                std::memory_order_seq_cst))
-        retireVersion(G, HeadV);
+        G.retire(&HeadV->Hdr);
       return;
     }
-    if (kr(KN).VHead.compare_exchange_strong(Expected, Hd | Tag,
+    if (KN->R.VHead.compare_exchange_strong(Expected, Hd | Tag,
                                              std::memory_order_seq_cst,
                                              std::memory_order_seq_cst))
-      Index->helpUnlink(G, S, rawK(KN), H, P);
+      Index->helpUnlink(G, S, raw(KN), H, P);
   }
 
   /// Settles \p KN's chain head so an append may go above it (invariant
@@ -975,9 +868,9 @@ private:
                           std::uint64_t H, const Probe &P,
                           std::uintptr_t &HdOut, std::uint64_t &StampOut) {
     for (;;) {
-      const std::uintptr_t Hd = G.protect_link(kr(KN).VHead, VSlotA);
+      const std::uintptr_t Hd = G.protect_link(KN->R.VHead, VSlotA);
       if (Hd & Tag) {
-        Index->helpUnlink(G, S, rawK(KN), H, P);
+        Index->helpUnlink(G, S, raw(KN), H, P);
         return false;
       }
       VNode *HeadV = toV(Hd);
@@ -1011,11 +904,11 @@ private:
   /// decode.
   struct HeadView {
     VNode *N;
-    bool live() const { return N && !vr(N).Tombstone; }
+    bool live() const { return N && !N->R.Tombstone; }
     std::optional<V> value() const {
       if (!live())
         return std::nullopt;
-      return Codec<V>::decode(vr(N).Val);
+      return Codec<V>::decode(N->R.Val);
     }
   };
 
@@ -1116,27 +1009,27 @@ private:
       const Folded F = Fn(HeadView{toV(Hd)});
       if (!F.Write)
         return Publish{};
-      VNode *FreshV = makeVersion(G, F.Val, !F.Val, Hd, C ? rawC(C) : 0);
+      VNode *FreshV = makeVersion(G, F.Val, !F.Val, Hd, C ? raw(C) : 0);
       protectSelf(G, FreshV);
-      KNode *FreshK = KN ? nullptr : makeKey(G, Key, P.SoKey, rawV(FreshV));
+      KNode *FreshK = KN ? nullptr : makeKey(G, Key, P.SoKey, raw(FreshV));
       std::uintptr_t Expected = Hd;
       const bool Linked =
-          KN ? kr(KN).VHead.compare_exchange_strong(Expected, rawV(FreshV),
+          KN ? KN->R.VHead.compare_exchange_strong(Expected, raw(FreshV),
                                                     std::memory_order_seq_cst,
                                                     std::memory_order_seq_cst)
-             : Index->insertAt(G, S, Pos, rawK(FreshK));
+             : Index->insertAt(G, S, Pos, raw(FreshK));
       if (!Linked) {
         // Lost the race: the fold may be stale — re-find and re-fold.
-        discardVersion(G, FreshV);
+        G.discard(&FreshV->Hdr);
         if (FreshK)
-          discardKey(G, FreshK);
+          G.discard(&FreshK->Hdr);
         continue;
       }
       if (C)
         return Publish{false, true};
       // Publish-then-stamp: the version entered the structure above; only
       // now does it draw its clock value (helped by any racing reader).
-      const std::uint64_t T = Registry.resolve(vr(FreshV).Stamp);
+      const std::uint64_t T = Registry.resolve(FreshV->R.Stamp);
       if (Read)
         Read->reset();
       if (KN)
@@ -1175,14 +1068,14 @@ private:
         return std::nullopt;
       return R.Appended ? R.Stamp : ReadStamp;
     }
-    CNode *C = makeCommit(G);
+    CNode *C = makeNode<CommitRec>(G, 0);
     std::vector<bool> Published(N, false);
     bool Doomed = false;
     for (std::size_t I = 0; I < N && !Doomed; ++I) {
       // A racing writer may have killed the record already; stop
       // publishing born-dead versions once that is visible (the open CAS
       // below then fails).
-      if (cr(C).Stamp.load(std::memory_order_seq_cst) ==
+      if (C->R.Stamp.load(std::memory_order_seq_cst) ==
           SnapshotRegistry::Aborted)
         break;
       auto Gr = At(I);
@@ -1194,13 +1087,13 @@ private:
     // lost CAS means the record is already dead.
     std::uint64_t Exp = SnapshotRegistry::Unpublished;
     const bool Committed =
-        cr(C).Stamp.compare_exchange_strong(
+        C->R.Stamp.compare_exchange_strong(
             Exp, Doomed ? SnapshotRegistry::Aborted : SnapshotRegistry::Pending,
             std::memory_order_seq_cst, std::memory_order_seq_cst) &&
         !Doomed;
     std::uint64_t T = 0;
     if (Committed) {
-      T = Registry.resolveCommit(cr(C).Stamp); // helpers CAS benignly
+      T = Registry.resolveCommit(C->R.Stamp); // helpers CAS benignly
       if (Read)
         Read->reset();
     }
@@ -1213,7 +1106,7 @@ private:
       else
         abortPublished(G, Gr.Key, Gr.Hash, C);
     }
-    retireCommit(G, C);
+    G.retire(&C->Hdr);
     if (!Committed)
       return std::nullopt;
     return T;
@@ -1258,12 +1151,12 @@ private:
       if (!Pos.Found)
         return; // key unlinked: our version was unpublished first
       KNode *KN = toK(Pos.CurrRaw);
-      const std::uintptr_t Hd = G.protect_link(kr(KN).VHead, VSlotA);
+      const std::uintptr_t Hd = G.protect_link(KN->R.VHead, VSlotA);
       if (Hd & Tag)
         return; // dead-marked (possibly by our version's unpublisher)
       VNode *HeadV = toV(Hd);
       if (!HeadV ||
-          vr(HeadV).Commit.load(std::memory_order_seq_cst) != rawC(C))
+          HeadV->R.Commit.load(std::memory_order_seq_cst) != raw(C))
         return; // our version is no longer the head: already handled
       const std::uint64_t St = stampOf(G, HeadV);
       if (St != SnapshotRegistry::Aborted)
@@ -1283,7 +1176,7 @@ private:
   template <typename Entry>
   std::optional<std::uint64_t> commitTxn(thread_id Tid, SnapshotHandle &Read,
                                          const std::vector<Entry> &Set) {
-    auto G = Dom->enter(Tid);
+    auto G = Dom.enter(Tid);
     [[maybe_unused]] const std::uint64_t ReadStamp = Read.version();
     thread_local telemetry::Sampler Smp;
     const std::uint64_t T0 = Smp.tick(TelemetryStride) ? telemetry::nowNs() : 0;
@@ -1324,7 +1217,7 @@ private:
   void applyAsyncBatch(thread_id Tid, Req *const *Batch, std::size_t N) {
     if (!N)
       return;
-    auto G = Dom->enter(Tid); // ONE guard for the whole batch
+    auto G = Dom.enter(Tid); // ONE guard for the whole batch
     SubmitBatchLen.record(N);
     std::vector<std::size_t> Starts; // group I is [Starts[I], Starts[I+1])
     Starts.reserve(N + 1);
@@ -1354,7 +1247,7 @@ private:
   /// the key and unlinks it from its shard list.
   void trimChain(guard_type &G, KNode *KN, std::size_t S, std::uint64_t H,
                  const Probe &P) {
-    const std::uintptr_t Hd = G.protect_link(kr(KN).VHead, VSlotA);
+    const std::uintptr_t Hd = G.protect_link(KN->R.VHead, VSlotA);
     if (Hd & Tag)
       return;
     VNode *Cur = toV(Hd);
@@ -1388,9 +1281,9 @@ private:
       // still what every reader sees. `!settled` also keeps Aborted out
       // of the boundary, though one can only be at the head.
       while (!SnapshotRegistry::settled(CurStamp) || CurStamp > Floor) {
-        const std::uintptr_t Nxt = G.protect_link(vr(Cur).Older, B);
+        const std::uintptr_t Nxt = G.protect_link(Cur->R.Older, B);
         if (CurStamp == SnapshotRegistry::Pending &&
-            vr(Cur).Stamp.load(std::memory_order_seq_cst) ==
+            Cur->R.Stamp.load(std::memory_order_seq_cst) ==
                 SnapshotRegistry::Aborted)
           return; // the txn died under us: Nxt may be a stale link into
                   // an unpublished-and-retired node's suffix — bail, a
@@ -1421,27 +1314,27 @@ private:
       Floor = Fresh; // an older snapshot surfaced: descend further
     }
     std::uintptr_t Taken =
-        vr(Cur).Older.exchange(0, std::memory_order_seq_cst);
+        Cur->R.Older.exchange(0, std::memory_order_seq_cst);
     while (VNode *X = toV(Taken)) {
-      Taken = vr(X).Older.exchange(0, std::memory_order_seq_cst);
-      retireVersion(G, X);
+      Taken = X->R.Older.exchange(0, std::memory_order_seq_cst);
+      G.retire(&X->Hdr);
       ++Walk.N;
     }
     // Key removal: only when the chain head itself is the boundary, it
     // is a tombstone with a settled stamp no live (or future) snapshot
     // can miss, and it now has no older versions.
-    if (rawV(Cur) != (Hd & ~Tag) || !vr(Cur).Tombstone)
+    if (raw(Cur) != (Hd & ~Tag) || !Cur->R.Tombstone)
       return;
     std::uintptr_t Expected = Hd;
-    if (kr(KN).VHead.compare_exchange_strong(Expected, Hd | Tag,
+    if (KN->R.VHead.compare_exchange_strong(Expected, Hd | Tag,
                                              std::memory_order_seq_cst,
                                              std::memory_order_seq_cst))
-      Index->helpUnlink(G, S, rawK(KN), H, P);
+      Index->helpUnlink(G, S, raw(KN), H, P);
   }
 
   /// Both `get`s: find \p Key, read its chain at \p At, decode.
   std::optional<V> getAt(thread_id Tid, const K &Key, std::uint64_t At) {
-    auto G = Dom->enter(Tid);
+    auto G = Dom.enter(Tid);
     const std::uint64_t H = Codec<K>::hash(Key);
     const Probe P{itemSoKey(H), &Key};
     const typename Index_t::Position Pos =
@@ -1451,7 +1344,7 @@ private:
     VNode *VN = readAt(G, toK(Pos.CurrRaw), At);
     if (!VN)
       return std::nullopt;
-    return Codec<V>::decode(vr(VN).Val);
+    return Codec<V>::decode(VN->R.Val);
   }
 
   /// The snapshot read: newest version of \p KN with stamp <= \p At,
@@ -1469,7 +1362,7 @@ private:
   /// version-chain operation on this guard.
   VNode *readAt(guard_type &G, KNode *KN, std::uint64_t At) {
     for (;;) {
-      const std::uintptr_t Hd = G.protect_link(kr(KN).VHead, VSlotA);
+      const std::uintptr_t Hd = G.protect_link(KN->R.VHead, VSlotA);
       if (Hd & Tag)
         return nullptr; // removed: every live snapshot saw the tombstone
       VNode *Cur = toV(Hd);
@@ -1482,13 +1375,13 @@ private:
           break;
         }
         if (St <= At) { // settled at or below the cut (Pending is +inf)
-          if (vr(Cur).Tombstone)
+          if (Cur->R.Tombstone)
             return nullptr;
           return Cur;
         }
-        const std::uintptr_t Nxt = G.protect_link(vr(Cur).Older, B);
+        const std::uintptr_t Nxt = G.protect_link(Cur->R.Older, B);
         if (St == SnapshotRegistry::Pending &&
-            vr(Cur).Stamp.load(std::memory_order_seq_cst) ==
+            Cur->R.Stamp.load(std::memory_order_seq_cst) ==
                 SnapshotRegistry::Aborted) {
           Restart = true; // killed under us: Nxt may be stale
           break;
@@ -1508,16 +1401,16 @@ private:
   void scanFiltered(thread_id Tid, std::uint64_t At, Filter &&Keep,
                     F &&Fn) {
     for (std::size_t S = 0; S < Opt.Shards; ++S) {
-      auto G = Dom->enter(Tid);
+      auto G = Dom.enter(Tid);
       scanShardList(G, Index->root(S),
                     [this](std::uintptr_t R) { return linkOf(R); },
                     [&](std::uintptr_t R) {
                       KNode *KN = toK(R);
-                      key_view KeyV = Codec<K>::view(kr(KN).Key);
+                      key_view KeyV = Codec<K>::view(KN->R.Key);
                       if (!Keep(KeyV))
                         return;
                       if (VNode *VN = readAt(G, KN, At))
-                        Fn(KeyV, Codec<V>::view(vr(VN).Val));
+                        Fn(KeyV, Codec<V>::view(VN->R.Val));
                     });
     }
   }
@@ -1546,7 +1439,7 @@ private:
   Options Opt;
   SnapshotRegistry Registry;
   const unsigned ShardBits;
-  std::optional<lfsmr::domain<Scheme>> Dom;
+  lfsmr::domain<Scheme> Dom;
   std::unique_ptr<Index_t> Index;
   std::atomic<std::int64_t> Dummies{0};
 

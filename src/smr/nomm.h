@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// "No MM": runs the data structure without any memory reclamation, leaking
-/// every retired node. The paper uses this as the general throughput
-/// baseline (Section 6): no scheme can recycle memory faster than not
-/// recycling it at all, although reclamation schemes can occasionally beat
-/// it by reusing warm cache lines.
+/// "No MM": runs the data structure without any memory reclamation: no
+/// retired node is freed while the scheme runs. The paper uses this as the
+/// general throughput baseline (Section 6): no scheme can recycle memory
+/// faster than not recycling it at all, although reclamation schemes can
+/// occasionally beat it by reusing warm cache lines. Retired nodes stay
+/// reachable from per-thread lists and are freed when the scheme is
+/// destroyed, so a finished run leaks nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,13 +19,17 @@
 #define LFSMR_SMR_NOMM_H
 
 #include "smr/smr.h"
+#include "support/align.h"
 #include "support/mem_counter.h"
 
 #include <atomic>
+#include <cassert>
+#include <memory>
+#include <vector>
 
 namespace lfsmr::smr {
 
-/// The leaky baseline: retire is a no-op.
+/// The no-reclamation baseline: retire only records the node.
 class NoMM {
 public:
   /// Header embedded in every node. Empty; kept as a named type so node
@@ -36,8 +42,19 @@ public:
     ThreadId Tid;
   };
 
-  NoMM(const Config &, Deleter Free, void *FreeCtx)
-      : Free(Free), FreeCtx(FreeCtx) {}
+  NoMM(const Config &C, Deleter Free, void *FreeCtx)
+      : Free(Free), FreeCtx(FreeCtx), MaxThreads(C.MaxThreads),
+        Threads(new CachePadded<std::vector<NodeHeader *>>[C.MaxThreads]) {}
+
+  /// Frees every node retired over the scheme's lifetime.
+  ~NoMM() {
+    for (unsigned I = 0; I < MaxThreads; ++I)
+      for (NodeHeader *Node : *Threads[I])
+        Free(Node, FreeCtx);
+  }
+
+  NoMM(const NoMM &) = delete;
+  NoMM &operator=(const NoMM &) = delete;
 
   /// Frees a node that was never published (even the leaky baseline frees
   /// speculative copies; they are not part of the reclamation problem).
@@ -67,9 +84,11 @@ public:
   /// Counts the allocation; NoMM stamps nothing.
   void initNode(Guard &, NodeHeader *) { Counter.onAlloc(); }
 
-  /// Deliberately leaks \p Node (counted so Figure 12 can report it).
-  void retire(Guard &, NodeHeader *Node) {
-    (void)Node;
+  /// Never frees \p Node while running (counted so Figure 12 can report
+  /// it); keeps it on the calling thread's list for the destructor.
+  void retire(Guard &G, NodeHeader *Node) {
+    assert(G.Tid < MaxThreads && "thread id out of range");
+    Threads[G.Tid]->push_back(Node);
     Counter.onRetire();
   }
 
@@ -79,6 +98,9 @@ public:
 private:
   const Deleter Free;
   void *const FreeCtx;
+  const unsigned MaxThreads;
+  /// Per-thread retired nodes, indexed by `Guard::Tid`.
+  std::unique_ptr<CachePadded<std::vector<NodeHeader *>>[]> Threads;
   MemCounter Counter;
 };
 

@@ -12,7 +12,7 @@
 /// growth, snapshot-consistent scans, and CI-sized concurrent checks
 /// (snapshot repeatability under churn, resize churn, disjoint-writer
 /// accounting). The store suite is typed over scheme × payload configs:
-/// all nine schemes — HP through the store's intrusive node mode — each
+/// all nine reclaiming schemes on the store's one node layout, each
 /// with `uint64_t` and `std::string` keys/values, plus struct-payload
 /// and prefix-scan coverage on representative schemes. Heavier soak
 /// lives in test_stress.cpp; the stalled-guard memory bound in
@@ -31,6 +31,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -270,6 +271,17 @@ TYPED_TEST(KvStore, SequentialSemantics) {
   EXPECT_FALSE(Db.get(0, K(10)).has_value());
   EXPECT_TRUE(Db.put(0, K(10), V(102))) << "put over a tombstone is insert";
   EXPECT_EQ(*Db.get(0, K(10)), V(102));
+}
+
+TYPED_TEST(KvStore, DomainIsIntrusiveUnderEveryScheme) {
+  // Every node is the scheme header followed by its record, so the
+  // store's domain runs in intrusive mode and refuses transparent calls.
+  typename TestFixture::Store Db(kvTestOptions());
+  EXPECT_FALSE(Db.domain().transparent());
+  auto G = Db.domain().enter(0);
+  EXPECT_THROW((void)G.template create<uint64_t>(1), std::logic_error);
+  EXPECT_EQ(Db.stats().allocated, Db.dummy_nodes())
+      << "the refused create counted nothing";
 }
 
 TYPED_TEST(KvStore, SnapshotIsolationAcrossWrites) {

@@ -266,3 +266,31 @@ TYPED_TEST(SmrContract, AccountingInvariant) {
 }
 
 } // namespace
+
+namespace {
+
+/// NoMM never reclaims while running, yet the retired nodes stay owned:
+/// its destructor frees every one, whichever thread id retired it.
+TEST(NoMMTeardown, FreesEveryRetiredNodeAtDestruction) {
+  using S = smr::NoMM;
+  std::atomic<int64_t> Freed{0};
+  smr::Config C;
+  C.MaxThreads = 4;
+  {
+    S Scheme(C, countingDeleter<S>, &Freed);
+    for (unsigned Tid = 0; Tid < C.MaxThreads; ++Tid) {
+      auto G = Scheme.enter(Tid);
+      for (int I = 0; I < 100; ++I) {
+        auto *N = new TestNode<S>();
+        Scheme.initNode(G, &N->Hdr);
+        Scheme.retire(G, &N->Hdr);
+      }
+      Scheme.leave(G);
+    }
+    EXPECT_EQ(Freed.load(), 0) << "NoMM must not free while running";
+    EXPECT_EQ(Scheme.memCounter().retired(), 400);
+  }
+  EXPECT_EQ(Freed.load(), 400);
+}
+
+} // namespace
