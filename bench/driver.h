@@ -225,6 +225,9 @@ struct RunResult {
   std::optional<telemetry::store_stats> Stats;
   /// Share of commit attempts that aborted, in percent (txn panels only).
   std::optional<double> AbortPct;
+  /// Heap bytes per key the store's prefill took (u64 kv-read only;
+  /// empty off glibc).
+  std::optional<double> HeapBytesPerKey;
 };
 
 /// Runs \p Fn on \p Threads workers for roughly \p Secs. Each worker is
@@ -334,6 +337,8 @@ inline void addRepeat(report::DataPoint &Pt, const RunResult &Rr) {
   }
   if (Rr.AbortPct)
     Pt.AbortPct.add(*Rr.AbortPct);
+  if (Rr.HeapBytesPerKey)
+    Pt.HeapBytesPerKey.add(*Rr.HeapBytesPerKey);
   Pt.TotalOps += Rr.Ops;
   Pt.WallSec += Rr.Elapsed;
   Pt.Stats = Rr.Stats;

@@ -23,6 +23,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 using namespace lfsmr;
 using namespace lfsmr::bench;
@@ -65,13 +70,31 @@ kv::Options pointOptions(unsigned Threads, uint64_t KeyRange) {
   return KO;
 }
 
-/// A u64 store prefilled with keys [0, \p Prefill) bound to 2K.
+/// Heap bytes in use across every malloc arena (glibc's
+/// `mallinfo2().uordblks`), or nullopt off glibc.
+std::optional<double> heapInUse() {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  return static_cast<double>(mallinfo2().uordblks);
+#else
+  return std::nullopt;
+#endif
+}
+
+/// A u64 store prefilled with keys [0, \p Prefill) bound to 2K. With
+/// \p BytesPerKey set, it receives the heap bytes the (single-threaded)
+/// fill took per key: nodes at their malloc chunk sizes, dummies
+/// included. It stays empty off glibc.
 template <typename S>
-std::unique_ptr<kv::Store<S>> prefilledStore(kv::Options KO,
-                                             uint64_t Prefill) {
+std::unique_ptr<kv::Store<S>>
+prefilledStore(kv::Options KO, uint64_t Prefill,
+               std::optional<double> *BytesPerKey = nullptr) {
   auto Db = std::make_unique<kv::Store<S>>(std::move(KO));
+  const std::optional<double> Before =
+      BytesPerKey ? heapInUse() : std::nullopt;
   for (uint64_t K = 0; K < Prefill; ++K)
     Db->put(0, K, K * 2);
+  if (Before && Prefill)
+    *BytesPerKey = (*heapInUse() - *Before) / static_cast<double>(Prefill);
   return Db;
 }
 
@@ -309,16 +332,22 @@ template <typename S> struct KvSuiteOp {
         {"kv-snapshot", "snapshot", KvMix::Snapshot},
         {"kv-scan", "scan", KvMix::Scan},
     };
+    // kv-read also reports the prefill's heap bytes per key.
     for (const PanelDef &P : Panels)
       Panel(P.Panel, P.Mix, [&](unsigned T, unsigned R) {
-        auto Db = prefilledStore<S>(pointOptions(T, O.KeyRange), O.Prefill);
-        return storeRun(*Db, T, O.Secs,
-                        [&](unsigned Tid, telemetry::Histogram &,
-                            std::atomic<bool> &Stop) {
-                          return kvWorker(*Db, P.M, Tid, T,
-                                          workerSeed(O, R, Tid), O.KeyRange,
-                                          Stop);
-                        });
+        std::optional<double> BytesPerKey;
+        auto Db = prefilledStore<S>(
+            pointOptions(T, O.KeyRange), O.Prefill,
+            P.M == KvMix::Read ? &BytesPerKey : nullptr);
+        RunResult Rr = storeRun(*Db, T, O.Secs,
+                                [&](unsigned Tid, telemetry::Histogram &,
+                                    std::atomic<bool> &Stop) {
+                                  return kvWorker(*Db, P.M, Tid, T,
+                                                  workerSeed(O, R, Tid),
+                                                  O.KeyRange, Stop);
+                                });
+        Rr.HeapBytesPerKey = BytesPerKey;
+        return Rr;
       });
 
     // kv-resize: deliberately tiny tables, insert-heavy striped keys —

@@ -46,7 +46,7 @@
 ///                           in a grow-only directory)
 ///                │
 ///           key node ── version chain (newest first)
-///                        [stamp | value | tombstone] → older …
+///                        [stamp | older | commit·tomb | value] → …
 ///
 ///  - Each shard keeps one sorted lock-free list of key nodes plus
 ///    per-bucket dummy sentinels; growing the bucket array never moves a
@@ -103,9 +103,10 @@
 /// allocation. Records are trivially destructible by construction, so
 /// one raw-free deleter serves every node shape, and the store's domain
 /// runs in intrusive mode under all nine schemes — `guard::create` on
-/// `domain()` throws. With a 24 B header (Hyaline) a `uint64_t` key
-/// node is 56 B and a version 64 B; a transparent block would add 40 B
-/// to each.
+/// `domain()` throws. A version's tombstone flag rides in bit 0 of its
+/// write-once commit word, so with a 24 B header (Hyaline) a `uint64_t`
+/// key node and a version are 56 B each (64 B glibc chunks); a
+/// transparent block would add 40 B to each.
 ///
 /// Protection-slot discipline (HP/HE): the index walk rotates slots 0–2
 /// exactly like `ds::ListOps`; version-chain walks rotate slots 3–4,
@@ -524,6 +525,13 @@ private:
   /// by the shard index).
   static constexpr std::uintptr_t Tag = 1;
 
+  /// Low bit of a version's `Commit` word marks a tombstone. Commit
+  /// records are nodes from `::operator new`, so bit 0 of their address
+  /// is always free; every reader of the record pointer masks it off.
+  /// HP's hazard slots strip low tag bits, so `protect_link` on the
+  /// tagged word still pins the record.
+  static constexpr std::uintptr_t TombBit = 1;
+
   /// Protection slots for version-chain walks (the index walk owns 0–2).
   static constexpr unsigned VSlotA = 3, VSlotB = 4;
 
@@ -541,22 +549,29 @@ private:
   static constexpr unsigned TelemetryStride = 64;
 
   /// One version: stamp (Pending until resolved), the link to the next
-  /// older version, the commit-record word, and the codec-shaped payload
+  /// older version, the commit word, and the codec-shaped payload
   /// (variable-size payloads ride in the record's trailing suffix).
   /// Immutable once stamped, except `Older`, which trimmers `exchange`
-  /// to take ownership of the suffix. `Commit` is 0 for solo writes and
-  /// the owning `CommitRec` for transactional versions; it is written
-  /// once before publication and never after, so its only hazard is the
-  /// record's own lifetime (see `stampOf`).
+  /// to take ownership of the suffix. `Commit` holds the owning
+  /// `CommitRec` for transactional versions (0 for solo writes) with
+  /// `TombBit` set on tombstones; it is written once before publication
+  /// and never after, so its only hazard is the record's own lifetime
+  /// (see `stampOf`).
   struct VersionRec {
     std::atomic<std::uint64_t> Stamp{SnapshotRegistry::Pending};
     std::atomic<std::uintptr_t> Older;
     std::atomic<std::uintptr_t> Commit;
-    bool Tombstone;
     typename Codec<V>::storage_type Val; // last: trailing bytes follow
 
     VersionRec(bool Tomb, std::uintptr_t Old, std::uintptr_t C = 0)
-        : Older(Old), Commit(C), Tombstone(Tomb) {}
+        : Older(Old), Commit(C | (Tomb ? TombBit : 0)) {}
+
+    /// Relaxed suffices: the word's only store precedes the publishing
+    /// CAS, and every reader reached the node through an acquire
+    /// `protect_link`.
+    bool tombstone() const {
+      return Commit.load(std::memory_order_relaxed) & TombBit;
+    }
   };
 
   /// One transaction commit record: the shared stamp word every version
@@ -625,9 +640,11 @@ private:
   static_assert(sizeof(typename Scheme::NodeHeader) != 24 ||
                     !std::is_same_v<K, std::uint64_t> ||
                     !std::is_same_v<V, std::uint64_t> ||
-                    (sizeof(VNode) == 64 && sizeof(KNode) == 56 &&
+                    (sizeof(VNode) == 56 && sizeof(KNode) == 56 &&
                      sizeof(DNode) == 40),
-                "24 B header + uint64_t K/V: version 64, key 56, dummy 40");
+                "24 B header + uint64_t K/V: version 56, key 56, dummy 40");
+  static_assert(alignof(CNode) > TombBit,
+                "a commit record's address must leave TombBit free");
 
   static VNode *toV(std::uintptr_t Raw) {
     return reinterpret_cast<VNode *>(Raw & ~Tag);
@@ -790,7 +807,7 @@ private:
     const std::uint64_t S = VN->R.Stamp.load(std::memory_order_seq_cst);
     if (S != SnapshotRegistry::Pending)
       return S; // settled or Aborted: immutable from here on
-    const std::uintptr_t CW = G.protect_link(VN->R.Commit, VSlotC);
+    const std::uintptr_t CW = G.protect_link(VN->R.Commit, VSlotC) & ~TombBit;
     if (!CW)
       return Registry.resolve(VN->R.Stamp); // solo write: help-stamp it
     const std::uint64_t S2 = VN->R.Stamp.load(std::memory_order_seq_cst);
@@ -816,7 +833,7 @@ private:
   /// settles. The stamp re-check after protecting the record is the
   /// same lifetime argument as in `stampOf`.
   void killUnpublished(guard_type &G, VNode *VN) {
-    const std::uintptr_t CW = G.protect_link(VN->R.Commit, VSlotC);
+    const std::uintptr_t CW = G.protect_link(VN->R.Commit, VSlotC) & ~TombBit;
     if (!CW)
       return;
     if (VN->R.Stamp.load(std::memory_order_seq_cst) !=
@@ -904,7 +921,7 @@ private:
   /// decode.
   struct HeadView {
     VNode *N;
-    bool live() const { return N && !N->R.Tombstone; }
+    bool live() const { return N && !N->R.tombstone(); }
     std::optional<V> value() const {
       if (!live())
         return std::nullopt;
@@ -1155,8 +1172,8 @@ private:
       if (Hd & Tag)
         return; // dead-marked (possibly by our version's unpublisher)
       VNode *HeadV = toV(Hd);
-      if (!HeadV ||
-          HeadV->R.Commit.load(std::memory_order_seq_cst) != raw(C))
+      if (!HeadV || (HeadV->R.Commit.load(std::memory_order_seq_cst) &
+                     ~TombBit) != raw(C))
         return; // our version is no longer the head: already handled
       const std::uint64_t St = stampOf(G, HeadV);
       if (St != SnapshotRegistry::Aborted)
@@ -1323,7 +1340,7 @@ private:
     // Key removal: only when the chain head itself is the boundary, it
     // is a tombstone with a settled stamp no live (or future) snapshot
     // can miss, and it now has no older versions.
-    if (raw(Cur) != (Hd & ~Tag) || !Cur->R.Tombstone)
+    if (raw(Cur) != (Hd & ~Tag) || !Cur->R.tombstone())
       return;
     std::uintptr_t Expected = Hd;
     if (KN->R.VHead.compare_exchange_strong(Expected, Hd | Tag,
@@ -1375,7 +1392,7 @@ private:
           break;
         }
         if (St <= At) { // settled at or below the cut (Pending is +inf)
-          if (Cur->R.Tombstone)
+          if (Cur->R.tombstone())
             return nullptr;
           return Cur;
         }

@@ -281,6 +281,8 @@ std::string Report::renderJson(double WallSec) const {
     }
     if (P.AbortPct.count())
       writeStats(W, "abort_pct", P.AbortPct);
+    if (P.HeapBytesPerKey.count())
+      writeStats(W, "heap_bytes_per_key", P.HeapBytesPerKey);
     if (P.ZipfTheta >= 0)
       W.key("zipf_theta").value(P.ZipfTheta);
     if (P.Stats) {

@@ -90,6 +90,11 @@ struct DataPoint {
   /// share of commit attempts that aborted on conflict. Empty for
   /// suites without an abort notion; emitted only when present.
   RunStats AbortPct;
+  /// Optional heap footprint per key (u64 kv-read panels): per repeat,
+  /// the glibc in-use heap bytes the single-threaded prefill took,
+  /// divided by the key count. Empty off glibc; emitted only when
+  /// present, JSON-only.
+  RunStats HeapBytesPerKey;
   /// Optional workload skew knob (kv-serve panels): the zipfian theta the
   /// point ran under. Negative means "no skew dimension"; JSON emits
   /// `zipf_theta` and csv/human print it only when >= 0.

@@ -12,10 +12,12 @@
 /// ever observes a partial batch), first-writer-wins conflict aborts,
 /// kill-based writer liveness (a solo write never waits on an in-flight
 /// commit), trim safety with a stalled snapshot holding a pre-commit
-/// stamp, `compare_and_set`/`merge`, and CI-sized concurrent
-/// bank-transfer atomicity checks. Typed over all nine schemes with
-/// `uint64_t` and `std::string` payloads, like test_kv.cpp; labeled
-/// `unit` so the asan/tsan presets run everything here.
+/// stamp, `compare_and_set`/`merge`, the abort sweep's unpublish of
+/// published tombstones, and CI-sized concurrent checks (bank-transfer
+/// atomicity, transactional erases against solo writers). Typed over
+/// all nine schemes with `uint64_t` and `std::string` payloads, like
+/// test_kv.cpp; labeled `unit` so the asan/tsan presets run everything
+/// here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -313,6 +315,38 @@ TYPED_TEST(KvTxn, SoloWritersKillInFlightCommitsNotViceVersa) {
   }
 }
 
+TYPED_TEST(KvTxn, AbortedEraseIsUnpublished) {
+  // A conflicted commit unpublishes every version it already published,
+  // tombstones included: the abort sweep recognises its versions by the
+  // commit record in their `Commit` word, which a tombstone carries
+  // tagged. Key C's group conflicts (a solo put lands on it after the
+  // read stamp), and looping C over every key puts that group at every
+  // position of the commit order, so some erase group is always
+  // published before the commit aborts.
+  constexpr uint64_t Keys = 8;
+  using Value = typename TestFixture::Value;
+  typename TestFixture::Store Db(txnTestOptions());
+  const auto K = [](uint64_t X) { return TestFixture::key(X); };
+  const auto V = [](uint64_t X) { return TestFixture::val(X); };
+  for (uint64_t X = 1; X <= Keys; ++X)
+    Db.put(0, K(X), V(X));
+  for (uint64_t C = 1; C <= Keys; ++C) {
+    auto T = Db.begin_transaction();
+    for (uint64_t X = 1; X <= Keys; ++X)
+      if (X != C)
+        T.erase(K(X));
+    T.put(K(C), V(100 + C));
+    Db.put(0, K(C), V(C)); // conflicts: the head moves past the read stamp
+    EXPECT_FALSE(T.commit(0)) << "C=" << C;
+    Db.compact(0);
+    for (uint64_t X = 1; X <= Keys; ++X) {
+      EXPECT_EQ(Db.get(0, K(X)), std::optional<Value>(V(X)))
+          << "C=" << C << " key " << X;
+      EXPECT_EQ(Db.version_count(0, K(X)), 1u) << "C=" << C << " key " << X;
+    }
+  }
+}
+
 TYPED_TEST(KvTxn, CompareAndSet) {
   typename TestFixture::Store Db(txnTestOptions());
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
@@ -572,6 +606,92 @@ TYPED_TEST(KvTxn, ConcurrentTxnsVsSoloWritersStayConsistent) {
 
   // Drain: after quiescence + compaction the accounting must balance.
   Db.compact(0);
+  const memory_stats MS = Db.stats();
+  EXPECT_GE(MS.allocated, MS.retired);
+  EXPECT_GE(MS.retired, MS.freed);
+}
+
+TYPED_TEST(KvTxn, ConcurrentTxnErasesVsSoloWritersStayConsistent) {
+  // Transactions erase and re-put keys of a hot range while solo
+  // writers put and erase the same range, so writers settling a head
+  // kill and resolve transactional tombstones whose `Commit` word
+  // carries the tombstone bit, and abort sweeps unpublish them.
+  // Integrity: every value read carries its own key's tag, snapshot
+  // reads repeat, and at quiescence each chain compacts to at most one
+  // version.
+  constexpr unsigned Txns = 3, Solos = 2, Readers = 1;
+  constexpr uint64_t KeyRange = 16;
+  typename TestFixture::Store Db(txnTestOptions(Txns + Solos + Readers));
+  const auto K = [](uint64_t X) { return TestFixture::key(X); };
+  const auto V = [](uint64_t X) { return TestFixture::val(X); };
+  for (uint64_t X = 0; X < KeyRange; ++X)
+    Db.put(0, K(X), V(X * 1000));
+
+  std::atomic<bool> Stop{false};
+  std::atomic<int> Bad{0};
+  std::vector<std::thread> Ts;
+  for (unsigned W = 0; W < Txns; ++W)
+    Ts.emplace_back([&, W] {
+      Xoshiro256 Rng(streamSeed(800 + W));
+      for (int I = 0; I < 600; ++I) {
+        auto T = Db.begin_transaction();
+        const uint64_t Base = Rng.nextBounded(KeyRange);
+        for (uint64_t J = 0; J < 4; ++J) {
+          const uint64_t X = (Base + J) % KeyRange;
+          if (Rng.nextBounded(2))
+            T.erase(K(X));
+          else
+            T.put(K(X), V(X * 1000 + Rng.nextBounded(1000)));
+        }
+        (void)T.commit(W); // aborts are expected under contention
+      }
+    });
+  for (unsigned W = 0; W < Solos; ++W)
+    Ts.emplace_back([&, W] {
+      const unsigned Tid = Txns + W;
+      Xoshiro256 Rng(streamSeed(900 + W));
+      for (int I = 0; I < 1200; ++I) {
+        const uint64_t X = Rng.nextBounded(KeyRange);
+        if (Rng.nextBounded(100) < 40)
+          Db.erase(Tid, K(X));
+        else
+          Db.put(Tid, K(X), V(X * 1000 + Rng.nextBounded(1000)));
+      }
+    });
+  for (unsigned R = 0; R < Readers; ++R)
+    Ts.emplace_back([&, R] {
+      const unsigned Tid = Txns + Solos + R;
+      Xoshiro256 Rng(streamSeed(1000 + R));
+      while (!Stop.load(std::memory_order_relaxed)) {
+        kv::snapshot Snap = Db.open_snapshot();
+        for (int J = 0; J < 16; ++J) {
+          const uint64_t X = Rng.nextBounded(KeyRange);
+          const auto A = Db.get(Tid, K(X), Snap);
+          if (A != Db.get(Tid, K(X), Snap))
+            ++Bad; // snapshot reads stay repeatable under txn erases
+          if (A && TestFixture::stampOf(*A) / 1000 != X)
+            ++Bad;
+          const auto L = Db.get(Tid, K(X));
+          if (L && TestFixture::stampOf(*L) / 1000 != X)
+            ++Bad;
+        }
+      }
+    });
+  for (unsigned W = 0; W < Txns + Solos; ++W)
+    Ts[W].join();
+  Stop.store(true);
+  for (unsigned R = 0; R < Readers; ++R)
+    Ts[Txns + Solos + R].join();
+  EXPECT_EQ(Bad.load(), 0);
+
+  Db.compact(0);
+  for (uint64_t X = 0; X < KeyRange; ++X) {
+    const auto L = Db.get(0, K(X));
+    if (L) {
+      EXPECT_EQ(TestFixture::stampOf(*L) / 1000, X);
+    }
+    EXPECT_EQ(Db.version_count(0, K(X)), L ? 1u : 0u) << "key " << X;
+  }
   const memory_stats MS = Db.stats();
   EXPECT_GE(MS.allocated, MS.retired);
   EXPECT_GE(MS.retired, MS.freed);

@@ -352,6 +352,8 @@ std::string renderReport(report::Format F) {
     Pt.LatP99Ns.add(900.0);
     Pt.AbortPct.add(12.5); // kv-txn panels: abort rate rides along
     Pt.ZipfTheta = 0.99;   // kv-serve panels: key-skew dimension
+    // u64 kv-read panels: the prefill's heap bytes per key.
+    Pt.HeapBytesPerKey.add(136.25);
     Rep.addPoint(Pt);
 
     report::QualRow Row;
@@ -432,6 +434,18 @@ TEST(ReportJson, ZipfThetaEmittedOnlyWhenPresent) {
     ++Count;
   EXPECT_EQ(Count, 1u);
   EXPECT_NE(Doc.find("0.99"), std::string::npos);
+}
+
+TEST(ReportJson, HeapBytesPerKeyEmittedOnlyWhenPresent) {
+  const std::string Doc = renderReport(report::Format::Json);
+  // Only the second point carries a heap footprint (u64 kv-read panels).
+  std::size_t Count = 0;
+  for (std::size_t At = Doc.find("\"heap_bytes_per_key\"");
+       At != std::string::npos;
+       At = Doc.find("\"heap_bytes_per_key\"", At + 1))
+    ++Count;
+  EXPECT_EQ(Count, 1u);
+  EXPECT_NE(Doc.find("136.25"), std::string::npos);
 }
 
 TEST(ReportJson, StatsRoundTrip) {
