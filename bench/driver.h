@@ -25,21 +25,22 @@
 
 #include "core/hyaline.h"
 #include "core/hyaline1.h"
+#include "devtools/barrier.h"
+#include "devtools/cli.h"
+#include "devtools/report.h"
 #include "smr/ebr.h"
 #include "smr/he.h"
 #include "smr/hp.h"
 #include "smr/ibr.h"
 #include "smr/nomm.h"
 #include "smr/scheme_list.h"
-#include "support/barrier.h"
-#include "support/cli.h"
-#include "support/report.h"
 #include "support/telemetry.h"
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -137,33 +138,24 @@ inline void checkSchemes(const std::vector<std::string> &Requested) {
   }
 }
 
-/// Exits 2 unless \p V >= 1. Returns \p V for inline use.
-inline int64_t requireAtLeastOne(int64_t V, const char *Flag) {
-  if (V < 1) {
-    std::fprintf(stderr, "error: --%s must be >= 1\n", Flag);
-    std::exit(2);
-  }
-  return V;
-}
+/// The largest count a flag narrowed to `unsigned` may carry (--repeats,
+/// --writers, --slots, --minbatch).
+constexpr int64_t MaxUnsigned = std::numeric_limits<unsigned>::max();
 
-/// Exits 2 unless \p Threads is non-empty with every entry >= 1.
-inline void checkThreadList(const std::vector<int64_t> &Threads) {
+/// The largest `--threads` entry: the kv-serve oversub panel runs 4x a
+/// swept count, and that product must still fit an `unsigned`.
+constexpr int64_t MaxThreadCount = MaxUnsigned / 4;
+
+/// Reads `--threads` with \p Default as the fallback. Exits 2 unless the
+/// list is non-empty with every entry in [1, MaxThreadCount].
+inline std::vector<int64_t> threadList(const CommandLine &Cmd,
+                                       std::vector<int64_t> Default) {
+  std::vector<int64_t> Threads =
+      Cmd.getIntList("threads", Default, 1, MaxThreadCount);
   if (Threads.empty()) {
     std::fprintf(stderr, "error: --threads must list at least one count\n");
     std::exit(2);
   }
-  for (const int64_t T : Threads)
-    if (T < 1) {
-      std::fprintf(stderr, "error: --threads entries must be >= 1\n");
-      std::exit(2);
-    }
-}
-
-/// Reads `--threads` with \p Default as the fallback and validates it.
-inline std::vector<int64_t> threadList(const CommandLine &Cmd,
-                                       std::vector<int64_t> Default) {
-  std::vector<int64_t> Threads = Cmd.getIntList("threads", Default);
-  checkThreadList(Threads);
   return Threads;
 }
 
@@ -181,9 +173,8 @@ inline SweepOptions parseSweep(const CommandLine &Cmd) {
   O.Threads = threadList(Cmd, DefaultThreads);
   O.Secs = Cmd.getDouble("secs", Full ? 10.0 : 0.25);
   O.Repeats = static_cast<unsigned>(
-      requireAtLeastOne(Cmd.getInt("repeats", Full ? 5 : 1), "repeats"));
-  O.KeyRange = static_cast<uint64_t>(
-      requireAtLeastOne(Cmd.getInt("keyrange", 100000), "keyrange"));
+      Cmd.getInt("repeats", Full ? 5 : 1, 1, MaxUnsigned));
+  O.KeyRange = static_cast<uint64_t>(Cmd.getInt("keyrange", 100000, 1));
   const int64_t Prefill = Cmd.getInt("prefill", 50000);
   if (Prefill < 0 || static_cast<uint64_t>(Prefill) > O.KeyRange) {
     // The prefill draws distinct keys from [0, KeyRange), so it cannot

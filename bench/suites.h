@@ -25,7 +25,7 @@
 ///   all         every suite above, one report
 ///
 /// Every suite writes through the structured report layer
-/// (support/report.h), so one invocation yields one JSON/CSV/human
+/// (devtools/report.h), so one invocation yields one JSON/CSV/human
 /// document carrying run metadata. The suites live by family in
 /// suites_paper.cpp and suites_kv.cpp, all on the one timed run and
 /// point loop of driver.h; this header's registry is in suites.cpp.
@@ -35,8 +35,8 @@
 #ifndef LFSMR_BENCH_SUITES_H
 #define LFSMR_BENCH_SUITES_H
 
-#include "support/cli.h"
-#include "support/report.h"
+#include "devtools/cli.h"
+#include "devtools/report.h"
 
 #include <cstdio>
 #include <string>

@@ -16,10 +16,10 @@
 
 #include "driver.h"
 
+#include "devtools/random.h"
+#include "devtools/workload.h"
 #include "lfsmr/kv.h"
 #include "lfsmr/kv_async.h"
-#include "support/random.h"
-#include "support/workload.h"
 
 #include <algorithm>
 #include <memory>

@@ -16,12 +16,12 @@
 
 #include "driver.h"
 
+#include "devtools/random.h"
 #include "ds/bonsai_tree.h"
 #include "ds/hm_list.h"
 #include "ds/michael_hashmap.h"
 #include "ds/nm_tree.h"
 #include "smr/reclaimer_traits.h"
-#include "support/random.h"
 
 #include <algorithm>
 #include <new>
@@ -211,15 +211,14 @@ void lfsmr::bench::runAblationSuite(const CommandLine &Cmd,
     O.Schemes = {"hyaline", "hyalines"};
   const bool Full = Cmd.has("full");
   const std::vector<int64_t> Slots = Cmd.getIntList(
-      "slots", Full ? std::vector<int64_t>{1, 2, 4, 8, 16}
-                    : std::vector<int64_t>{2, 8});
+      "slots",
+      Full ? std::vector<int64_t>{1, 2, 4, 8, 16} : std::vector<int64_t>{2, 8},
+      1, MaxUnsigned);
   const std::vector<int64_t> Batches = Cmd.getIntList(
-      "minbatch", Full ? std::vector<int64_t>{8, 32, 64, 128, 256}
-                       : std::vector<int64_t>{16, 64});
-  for (const int64_t V : Slots)
-    requireAtLeastOne(V, "slots");
-  for (const int64_t V : Batches)
-    requireAtLeastOne(V, "minbatch");
+      "minbatch",
+      Full ? std::vector<int64_t>{8, 32, 64, 128, 256}
+           : std::vector<int64_t>{16, 64},
+      1, MaxUnsigned);
 
   for (const std::string &Scheme : O.Schemes)
     for (const int64_t SlotsK : Slots)
@@ -393,7 +392,7 @@ void lfsmr::bench::runEnterLeaveSuite(const CommandLine &Cmd,
                                          1, static_cast<int64_t>(HW ? HW : 4)});
   O.Secs = Cmd.getDouble("secs", Full ? 2.0 : 0.1);
   O.Repeats = static_cast<unsigned>(
-      requireAtLeastOne(Cmd.getInt("repeats", Full ? 5 : 1), "repeats"));
+      Cmd.getInt("repeats", Full ? 5 : 1, 1, MaxUnsigned));
   O.Schemes = expandSchemes(Cmd.getStringList("schemes", paperSchemes()));
   checkSchemes(O.Schemes);
   for (const std::string &Scheme : O.Schemes)
@@ -498,12 +497,12 @@ template <typename S> struct StallOp {
 void lfsmr::bench::runStallSuite(const CommandLine &Cmd, report::Report &Rep) {
   StallOptions O;
   const bool Full = Cmd.has("full");
-  O.TotalOps =
-      requireAtLeastOne(Cmd.getInt("ops", Full ? 2000000 : 200000), "ops");
-  O.Writers = static_cast<unsigned>(
-      requireAtLeastOne(Cmd.getInt("writers", 4), "writers"));
-  O.SamplePeriod = requireAtLeastOne(
-      Cmd.getInt("sample", std::max<int64_t>(O.TotalOps / 10, 1)), "sample");
+  O.TotalOps = Cmd.getInt("ops", Full ? 2000000 : 200000, 1);
+  // The reader takes one id past the writers' (MaxThreads = Writers + 1).
+  O.Writers =
+      static_cast<unsigned>(Cmd.getInt("writers", 4, 1, MaxUnsigned - 1));
+  O.SamplePeriod =
+      Cmd.getInt("sample", std::max<int64_t>(O.TotalOps / 10, 1), 1);
   O.Seed = static_cast<uint64_t>(Cmd.getInt("seed", 0x5eed));
   // NoMM never reclaims, so a stalled-reader series says nothing new.
   O.Schemes = expandSchemes(Cmd.getStringList(

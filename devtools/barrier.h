@@ -1,4 +1,4 @@
-//===- support/barrier.h - Spinning start barrier ----------------*- C++ -*-===//
+//===- devtools/barrier.h - Spinning start barrier --------------*- C++ -*-===//
 //
 // Part of the lfsmr project (Hyaline reproduction, PLDI 2021).
 //
@@ -19,8 +19,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef LFSMR_SUPPORT_BARRIER_H
-#define LFSMR_SUPPORT_BARRIER_H
+#ifndef LFSMR_DEVTOOLS_BARRIER_H
+#define LFSMR_DEVTOOLS_BARRIER_H
 
 #include <atomic>
 #include <cassert>
@@ -82,4 +82,4 @@ private:
 
 } // namespace lfsmr
 
-#endif // LFSMR_SUPPORT_BARRIER_H
+#endif // LFSMR_DEVTOOLS_BARRIER_H

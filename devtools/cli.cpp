@@ -1,11 +1,12 @@
-//===- support/cli.cpp - Tiny command-line flag parser --------------------===//
+//===- devtools/cli.cpp - Tiny command-line flag parser -------------------===//
 //
 // Part of the lfsmr project (Hyaline reproduction, PLDI 2021).
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/cli.h"
+#include "devtools/cli.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -54,18 +55,36 @@ std::string CommandLine::getString(const std::string &Name,
   return F && F->HasValue ? F->Value : Default;
 }
 
-int64_t CommandLine::getInt(const std::string &Name, int64_t Default) const {
-  const Flag *F = find(Name);
-  if (!F || !F->HasValue)
-    return Default;
+/// Parses \p Text as a decimal integer in [Min, Max], or exits 2 naming
+/// flag --\p Name. strtoll saturates out-of-range input and reports it
+/// only through errno, so ERANGE is checked before the bounds.
+static int64_t parseInt(const std::string &Name, const std::string &Text,
+                        int64_t Min, int64_t Max) {
   char *End = nullptr;
-  const long long V = std::strtoll(F->Value.c_str(), &End, 10);
-  if (End == F->Value.c_str() || *End != '\0') {
+  errno = 0;
+  const long long V = std::strtoll(Text.c_str(), &End, 10);
+  if (End == Text.c_str() || *End != '\0') {
     std::fprintf(stderr, "error: flag --%s expects an integer, got '%s'\n",
-                 Name.c_str(), F->Value.c_str());
+                 Name.c_str(), Text.c_str());
+    std::exit(2);
+  }
+  if (errno == ERANGE || V < Min || V > Max) {
+    std::fprintf(stderr,
+                 "error: flag --%s expects an integer in [%lld, %lld], "
+                 "got '%s'\n",
+                 Name.c_str(), static_cast<long long>(Min),
+                 static_cast<long long>(Max), Text.c_str());
     std::exit(2);
   }
   return V;
+}
+
+int64_t CommandLine::getInt(const std::string &Name, int64_t Default,
+                            int64_t Min, int64_t Max) const {
+  const Flag *F = find(Name);
+  if (!F || !F->HasValue)
+    return Default;
+  return parseInt(Name, F->Value, Min, Max);
 }
 
 double CommandLine::getDouble(const std::string &Name, double Default) const {
@@ -101,23 +120,14 @@ static std::vector<std::string> splitList(const std::string &Value) {
 
 std::vector<int64_t>
 CommandLine::getIntList(const std::string &Name,
-                        const std::vector<int64_t> &Default) const {
+                        const std::vector<int64_t> &Default, int64_t Min,
+                        int64_t Max) const {
   const Flag *F = find(Name);
   if (!F || !F->HasValue)
     return Default;
   std::vector<int64_t> Out;
-  for (const std::string &Item : splitList(F->Value)) {
-    char *End = nullptr;
-    const long long V = std::strtoll(Item.c_str(), &End, 10);
-    if (End == Item.c_str() || *End != '\0') {
-      std::fprintf(stderr,
-                   "error: flag --%s expects a comma-separated integer "
-                   "list, got '%s'\n",
-                   Name.c_str(), F->Value.c_str());
-      std::exit(2);
-    }
-    Out.push_back(V);
-  }
+  for (const std::string &Item : splitList(F->Value))
+    Out.push_back(parseInt(Name, Item, Min, Max));
   return Out;
 }
 

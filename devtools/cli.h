@@ -1,4 +1,4 @@
-//===- support/cli.h - Tiny command-line flag parser ------------*- C++ -*-===//
+//===- devtools/cli.h - Tiny command-line flag parser -----------*- C++ -*-===//
 //
 // Part of the lfsmr project (Hyaline reproduction, PLDI 2021).
 //
@@ -12,8 +12,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef LFSMR_SUPPORT_CLI_H
-#define LFSMR_SUPPORT_CLI_H
+#ifndef LFSMR_DEVTOOLS_CLI_H
+#define LFSMR_DEVTOOLS_CLI_H
 
 #include <cstdint>
 #include <string>
@@ -36,17 +36,23 @@ public:
                         const std::string &Default) const;
 
   /// Returns the integer value of --Name, or Default if absent.
-  /// Exits with an error message on a malformed number.
-  int64_t getInt(const std::string &Name, int64_t Default) const;
+  /// Exits 2 with an error message on a malformed number, and on one
+  /// outside [Min, Max] or outside int64_t, so a caller that narrows the
+  /// value (a thread count to `unsigned`) can bound it instead of
+  /// letting it wrap.
+  int64_t getInt(const std::string &Name, int64_t Default,
+                 int64_t Min = INT64_MIN, int64_t Max = INT64_MAX) const;
 
   /// Returns the floating-point value of --Name, or Default if absent.
   double getDouble(const std::string &Name, double Default) const;
 
   /// Returns a comma-separated integer list (e.g. --threads 1,2,4),
-  /// or Default if absent. Exits with an error message on a malformed
-  /// element.
+  /// or Default if absent. Exits 2 with an error message on an element
+  /// that getInt would reject.
   std::vector<int64_t> getIntList(const std::string &Name,
-                                  const std::vector<int64_t> &Default) const;
+                                  const std::vector<int64_t> &Default,
+                                  int64_t Min = INT64_MIN,
+                                  int64_t Max = INT64_MAX) const;
 
   /// Returns a comma-separated string list (e.g. --schemes epoch,hp),
   /// or Default if absent. Empty elements are dropped.
@@ -83,4 +89,4 @@ private:
 
 } // namespace lfsmr
 
-#endif // LFSMR_SUPPORT_CLI_H
+#endif // LFSMR_DEVTOOLS_CLI_H

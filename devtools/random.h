@@ -1,4 +1,4 @@
-//===- support/random.h - Deterministic fast PRNGs --------------*- C++ -*-===//
+//===- devtools/random.h - Deterministic fast PRNGs -------------*- C++ -*-===//
 //
 // Part of the lfsmr project (Hyaline reproduction, PLDI 2021).
 //
@@ -12,8 +12,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef LFSMR_SUPPORT_RANDOM_H
-#define LFSMR_SUPPORT_RANDOM_H
+#ifndef LFSMR_DEVTOOLS_RANDOM_H
+#define LFSMR_DEVTOOLS_RANDOM_H
 
 #include <cstdint>
 #include <cstdio>
@@ -120,4 +120,4 @@ inline uint64_t streamSeed(uint64_t Stream) {
 
 } // namespace lfsmr
 
-#endif // LFSMR_SUPPORT_RANDOM_H
+#endif // LFSMR_DEVTOOLS_RANDOM_H

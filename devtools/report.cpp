@@ -1,12 +1,12 @@
-//===- support/report.cpp - Benchmark telemetry reports -------------------===//
+//===- devtools/report.cpp - Benchmark telemetry reports ------------------===//
 //
 // Part of the lfsmr project (Hyaline reproduction, PLDI 2021).
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/report.h"
+#include "devtools/report.h"
 
-#include "support/build_info.h"
+#include "devtools/build_info.h"
 #include "support/json.h"
 #include "support/telemetry.h"
 

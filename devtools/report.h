@@ -1,4 +1,4 @@
-//===- support/report.h - Benchmark telemetry reports -----------*- C++ -*-===//
+//===- devtools/report.h - Benchmark telemetry reports ----------*- C++ -*-===//
 //
 // Part of the lfsmr project (Hyaline reproduction, PLDI 2021).
 //
@@ -27,11 +27,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef LFSMR_SUPPORT_REPORT_H
-#define LFSMR_SUPPORT_REPORT_H
+#ifndef LFSMR_DEVTOOLS_REPORT_H
+#define LFSMR_DEVTOOLS_REPORT_H
 
+#include "devtools/stats.h"
 #include "lfsmr/telemetry.h"
-#include "support/stats.h"
 
 #include <chrono>
 #include <cstdint>
@@ -176,4 +176,4 @@ private:
 
 } // namespace lfsmr::report
 
-#endif // LFSMR_SUPPORT_REPORT_H
+#endif // LFSMR_DEVTOOLS_REPORT_H

@@ -1,4 +1,4 @@
-//===- support/stats.h - Streaming statistics -------------------*- C++ -*-===//
+//===- devtools/stats.h - Streaming statistics ------------------*- C++ -*-===//
 //
 // Part of the lfsmr project (Hyaline reproduction, PLDI 2021).
 //
@@ -12,8 +12,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef LFSMR_SUPPORT_STATS_H
-#define LFSMR_SUPPORT_STATS_H
+#ifndef LFSMR_DEVTOOLS_STATS_H
+#define LFSMR_DEVTOOLS_STATS_H
 
 #include <algorithm>
 #include <cmath>
@@ -85,4 +85,4 @@ private:
 
 } // namespace lfsmr
 
-#endif // LFSMR_SUPPORT_STATS_H
+#endif // LFSMR_DEVTOOLS_STATS_H

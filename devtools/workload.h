@@ -1,4 +1,4 @@
-//===- support/workload.h - Serving-realism workload generators -*- C++ -*-===//
+//===- devtools/workload.h - Serving-realism workload generators *- C++ -*-===//
 //
 // Part of the lfsmr project (Hyaline reproduction, PLDI 2021).
 //
@@ -29,10 +29,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef LFSMR_SUPPORT_WORKLOAD_H
-#define LFSMR_SUPPORT_WORKLOAD_H
+#ifndef LFSMR_DEVTOOLS_WORKLOAD_H
+#define LFSMR_DEVTOOLS_WORKLOAD_H
 
-#include "support/random.h"
+#include "devtools/random.h"
 
 #include <atomic>
 #include <cassert>
@@ -363,4 +363,4 @@ private:
 
 } // namespace lfsmr::workload
 
-#endif // LFSMR_SUPPORT_WORKLOAD_H
+#endif // LFSMR_DEVTOOLS_WORKLOAD_H

@@ -155,11 +155,10 @@ void anyDomainRoundTrip() {
     check(Dom.stats().retired == 2, Name.c_str());
   }
   // Destroying each domain reclaims everything still pending, so the
-  // custom deleter must have run exactly once per scheme that frees
-  // memory (every scheme except the deliberately leaking "nomm").
-  check(CustomDeletes ==
-            (int)lfsmr::any_domain::scheme_names().size() - 1,
-        "custom deleter ran once per reclaiming scheme");
+  // custom deleter must have run exactly once per scheme ("nomm" never
+  // frees while it runs, but frees its retired nodes at teardown).
+  check(CustomDeletes == (int)lfsmr::any_domain::scheme_names().size(),
+        "custom deleter ran once per scheme");
 }
 
 /// The versioned KV store from the installed package: snapshot

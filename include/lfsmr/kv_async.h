@@ -31,13 +31,8 @@
 ///   // Fire-and-forget: drop the future; the applier frees the record.
 ///   sub.put(tid, 45, 9);
 ///   sub.flush(tid);              // drain everything now (optional —
-///                                // the destructor drains too)
-///
-///   // Dedicated applier thread for pure fire-and-forget traffic:
-///   lfsmr::kv::async_options o;
-///   o.DedicatedApplier = true;
-///   o.ApplierTid = 7;            // reserve a scheme thread id for it
-///   lfsmr::kv::submitter<lfsmr::schemes::hyaline_s> bg(db, o);
+///                                // the destructor drains too, under
+///                                // thread id 0)
 /// \endcode
 ///
 /// Guarantees (see `kv/submit.h` for the mechanics):
@@ -70,8 +65,7 @@ namespace lfsmr::kv {
 
 /// Construction-time knobs for `submitter`: per-shard ring capacity
 /// (bounds memory and backpressure; rounded up to a power of two),
-/// the optional dedicated-applier mode and its reserved thread id, the
-/// waiters' help budget before parking (`WaitSpins`), and the
+/// the waiters' help budget before parking (`WaitSpins`), and the
 /// batch-deepening combine patience (`CombineDelay`).
 /// `submitter::options()` returns the values actually applied.
 using async_options = AsyncOptions;
@@ -79,7 +73,8 @@ using async_options = AsyncOptions;
 /// Async write front end over one `kv::store`: `put` / `erase` /
 /// `compare_and_set` / `merge` return a `kv::future` instead of
 /// applying inline. Construct after the store, destroy before it (the
-/// destructor drains every ring). Each concurrently submitting or
+/// destructor drains every ring under thread id 0, so client threads
+/// must have quiesced). Each concurrently submitting or
 /// waiting thread needs its own scheme `thread_id`, same as the store.
 template <typename Scheme, typename K = std::uint64_t,
           typename V = std::uint64_t>

@@ -27,10 +27,10 @@
 ///    applies it under ONE guard acquisition and — for multi-key
 ///    batches — ONE commit record resolved with ONE clock tick (the
 ///    transaction machinery), so snapshot reads and scans observe the
-///    batch all-or-nothing. There is no mandatory combiner thread:
-///    waiting clients self-serve (`Future::get` keeps trying the lock),
-///    and `AsyncOptions::DedicatedApplier` adds a background drainer for
-///    pure fire-and-forget traffic.
+///    batch all-or-nothing. There is no combiner thread: waiting
+///    clients self-serve (`Future::get` keeps trying the lock), and
+///    fire-and-forget ops nobody waits for are drained by the next
+///    waiter, an explicit `flush`, or the destructor.
 ///  - **Completion** is one release-RMW per record on the completion
 ///    word. The word is the atomsnap single-word control-block idiom:
 ///    state bits and the op result share one atomic, so a waiter
@@ -61,7 +61,7 @@
 /// waiting thread needs its own `thread_id` (combining enters the
 /// store's domain under the caller's id). Destroy the submitter after
 /// its client threads quiesce and before the store; destruction drains
-/// every ring so fire-and-forget ops are never lost.
+/// every ring under thread id 0 so fire-and-forget ops are never lost.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,18 +95,6 @@ struct AsyncOptions {
   /// ring makes submits fall back to synchronous application, so this
   /// bounds both memory and completion backlog.
   std::size_t RingCapacity = 1024;
-
-  /// Spawn a background applier thread that keeps draining every
-  /// shard's ring. Off by default: flat combining alone completes every
-  /// op someone waits for, and the destructor drains stragglers. Turn
-  /// on for fire-and-forget-heavy traffic that wants bounded completion
-  /// latency without any client ever waiting.
-  bool DedicatedApplier = false;
-
-  /// The scheme `thread_id` the dedicated applier (and the destructor's
-  /// final drain) occupies. Reserve it: client threads must use
-  /// different ids.
-  thread_id ApplierTid = 0;
 
   /// Help rounds a pending `Future::get` yield-spins through before it
   /// parks on the shard's batch epoch (spin-then-park). Low values bias
@@ -358,22 +346,15 @@ public:
       for (std::size_t I = 0; I < Opt.RingCapacity; ++I)
         Rings[S].Slots[I].Seq.store(I, std::memory_order_relaxed);
     }
-    if (Opt.DedicatedApplier)
-      Applier = std::thread([this] { applierLoop(); });
   }
 
   Submitter(const Submitter &) = delete;
   Submitter &operator=(const Submitter &) = delete;
 
-  /// Stops the dedicated applier (if any) and drains every ring, so
-  /// detached (fire-and-forget) ops are applied, completed, and freed.
-  /// Client threads must have quiesced.
-  ~Submitter() {
-    Stop.store(true, std::memory_order_release);
-    if (Applier.joinable())
-      Applier.join();
-    flush(Opt.ApplierTid);
-  }
+  /// Drains every ring under thread id 0, so detached (fire-and-forget)
+  /// ops are applied, completed, and freed. Client threads must have
+  /// quiesced.
+  ~Submitter() { flush(0); }
 
   /// Async `store::put`: inserts or replaces the binding for \p Key.
   /// The future's result is true when the key had no live binding at
@@ -514,9 +495,9 @@ private:
       Db->applyAsyncBatch(Tid, One, std::size_t{1});
       completeBatch(One, 1);
     }
-    // Deliberately no combining here: waiters combine (Future::get) and
-    // the dedicated applier drains, so submissions pile into batches
-    // instead of each submitter draining its own op as a batch of one.
+    // Deliberately no combining here: waiters combine (Future::get), so
+    // submissions pile into batches instead of each submitter draining
+    // its own op as a batch of one.
     return future(R, this, S);
   }
 
@@ -589,31 +570,11 @@ private:
     }
   }
 
-  /// The dedicated applier: sweep every shard, drain what is visible,
-  /// yield when a full sweep found nothing.
-  void applierLoop() {
-    while (!Stop.load(std::memory_order_acquire)) {
-      bool Any = false;
-      for (std::size_t S = 0; S < NumShards; ++S) {
-        ShardRing &R = Rings[S];
-        if (R.Head.load(std::memory_order_relaxed) !=
-            R.Tail.load(std::memory_order_acquire)) {
-          helpShard(Opt.ApplierTid, S);
-          Any = true;
-        }
-      }
-      if (!Any)
-        std::this_thread::yield();
-    }
-  }
-
   store_type *Db;
   AsyncOptions Opt;
   std::size_t Mask;
   std::size_t NumShards;
   std::unique_ptr<ShardRing[]> Rings;
-  std::atomic<bool> Stop{false};
-  std::thread Applier;
 };
 
 } // namespace lfsmr::kv

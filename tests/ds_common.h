@@ -15,9 +15,9 @@
 #ifndef LFSMR_TESTS_DS_COMMON_H
 #define LFSMR_TESTS_DS_COMMON_H
 
+#include "devtools/random.h"
 #include "scheme_fixtures.h"
 #include "smr/smr.h"
-#include "support/random.h"
 
 #include "gtest/gtest.h"
 

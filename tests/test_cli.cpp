@@ -6,19 +6,21 @@
 ///
 /// \file
 /// Focused coverage of the flag parser the benchmark orchestrator relies
-/// on: every flag form, list parsing, and — the regression the ISSUE
-/// called out — unknown-flag detection, so a typo like `--treads 8` is
-/// rejected instead of silently running the default sweep.
+/// on: every flag form, list parsing, unknown-flag detection (so a typo
+/// like `--treads 8` is rejected instead of silently running the default
+/// sweep), and range checks (so an out-of-range count is rejected instead
+/// of wrapping when a tool narrows it to `unsigned`).
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/cli.h"
+#include "devtools/cli.h"
 
 #include "gtest/gtest.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -188,6 +190,61 @@ TEST(CliUnknown, DeduplicatesRepeats) {
 TEST(CliUnknown, PositionalsAreNotFlags) {
   auto C = parse({"hashmap", "stray"});
   EXPECT_TRUE(C.unknownFlags({}).empty());
+}
+
+//===----------------------------------------------------------------------===
+// Range checks: a value that does not fit is a usage error (exit 2),
+// never a saturated or wrapped count. The parser exits before any caller
+// sees the value, so none of these cases starts a thread.
+
+constexpr int64_t UnsignedMax = std::numeric_limits<unsigned>::max();
+
+TEST(CliRange, IntOutsideInt64IsRejected) {
+  auto Above = parse({"--seed=9223372036854775808"});
+  EXPECT_EXIT(Above.getInt("seed", 0), ::testing::ExitedWithCode(2),
+              "flag --seed expects an integer in");
+  auto Below = parse({"--seed=-9223372036854775809"});
+  EXPECT_EXIT(Below.getInt("seed", 0), ::testing::ExitedWithCode(2),
+              "flag --seed expects an integer in");
+}
+
+TEST(CliRange, IntListElementPastInt64IsRejected) {
+  auto C = parse({"--threads", "2,99999999999999999999"});
+  EXPECT_EXIT(C.getIntList("threads", {}), ::testing::ExitedWithCode(2),
+              "flag --threads expects an integer in");
+}
+
+TEST(CliRange, NegativeCountIsRejected) {
+  // lfsmr-stat narrows --threads to unsigned: -1 would ask for
+  // 4294967295 workers.
+  auto C = parse({"--threads=-1"});
+  EXPECT_EXIT(C.getInt("threads", 4, 1, UnsignedMax - 1),
+              ::testing::ExitedWithCode(2),
+              "flag --threads expects an integer in");
+}
+
+TEST(CliRange, ListEntryOutsideBoundsIsRejected) {
+  auto Negative = parse({"--threads=2,-4"});
+  EXPECT_EXIT(Negative.getIntList("threads", {}, 1, UnsignedMax),
+              ::testing::ExitedWithCode(2),
+              "flag --threads expects an integer in");
+  // lfsmr-bench narrows entries to unsigned: 4294967297 would run 1
+  // thread.
+  auto PastMax = parse({"--threads", "4294967297"});
+  EXPECT_EXIT(PastMax.getIntList("threads", {}, 1, UnsignedMax),
+              ::testing::ExitedWithCode(2),
+              "flag --threads expects an integer in");
+}
+
+TEST(CliRange, BoundsAreInclusive) {
+  auto C = parse({"--threads=1,4294967295", "--seed=-9223372036854775808",
+                  "--keys=1"});
+  const std::vector<int64_t> L = C.getIntList("threads", {}, 1, UnsignedMax);
+  ASSERT_EQ(L.size(), 2u);
+  EXPECT_EQ(L[0], 1);
+  EXPECT_EQ(L[1], UnsignedMax);
+  EXPECT_EQ(C.getInt("seed", 0), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(C.getInt("keys", 4096, 1), 1);
 }
 
 } // namespace

@@ -20,10 +20,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "devtools/random.h"
+#include "devtools/workload.h"
 #include "lfsmr/kv.h"
 #include "scheme_fixtures.h"
-#include "support/random.h"
-#include "support/workload.h"
 
 #include "gtest/gtest.h"
 

@@ -11,26 +11,25 @@
 /// concurrent submitters, batch atomicity against concurrent snapshot
 /// reads (no reader ever observes a partial batch), ring-full sync
 /// fallback, combiner crash-robustness (no combiner thread anywhere —
-/// submitters serve themselves), the dedicated-applier mode,
-/// fire-and-forget lifetime (dropped futures neither leak nor lose
-/// their op; the destructor drains), the closed-loop `CompletionWindow`
-/// pacing helper, and the async telemetry counters. Typed over all nine
+/// submitters serve themselves), fire-and-forget lifetime (dropped
+/// futures neither leak nor lose their op; the destructor drains), the
+/// closed-loop `CompletionWindow` pacing helper, and the async
+/// telemetry counters. Typed over all nine
 /// schemes with `uint64_t` and `std::string` payloads, like
 /// test_kv_txn.cpp; labeled `unit` so the asan/tsan presets run
 /// everything here.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "devtools/random.h"
+#include "devtools/workload.h"
 #include "lfsmr/kv.h"
 #include "lfsmr/kv_async.h"
 #include "scheme_fixtures.h"
-#include "support/random.h"
-#include "support/workload.h"
 
 #include "gtest/gtest.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -372,38 +371,6 @@ TYPED_TEST(KvAsync, ExplicitFlushAppliesEverythingSubmitted) {
     EXPECT_TRUE(F.ready()) << "flush returned with ops incomplete";
   for (typename TestFixture::Future &F : Futures)
     F.get(0);
-}
-
-//===----------------------------------------------------------------------===//
-// Dedicated applier mode
-//===----------------------------------------------------------------------===//
-
-TYPED_TEST(KvAsync, DedicatedApplierCompletesOpsNobodyWaitsOn) {
-  constexpr unsigned Clients = 2;
-  typename TestFixture::Store Db(asyncTestOptions(Clients + 1));
-  kv::AsyncOptions AO;
-  AO.DedicatedApplier = true;
-  AO.ApplierTid = Clients; // reserved id after the client range
-  typename TestFixture::Submitter Sub(Db, AO);
-
-  std::vector<typename TestFixture::Future> Futures;
-  for (uint64_t I = 0; I < 24; ++I)
-    Futures.push_back(
-        Sub.put(I % Clients, TestFixture::key(I), TestFixture::val(I)));
-  // Nobody combines on the client side: completion must arrive from the
-  // applier thread alone.
-  const auto Deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  for (typename TestFixture::Future &F : Futures) {
-    while (!F.ready()) {
-      ASSERT_LT(std::chrono::steady_clock::now(), Deadline)
-          << "dedicated applier never completed the op";
-      std::this_thread::yield();
-    }
-    F.get(0); // already done: consumes without combining
-  }
-  for (uint64_t I = 0; I < 24; ++I)
-    EXPECT_TRUE(Db.get(0, TestFixture::key(I)).has_value());
 }
 
 //===----------------------------------------------------------------------===//

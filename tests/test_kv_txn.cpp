@@ -21,9 +21,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "devtools/random.h"
 #include "lfsmr/kv.h"
 #include "scheme_fixtures.h"
-#include "support/random.h"
 
 #include "gtest/gtest.h"
 

@@ -15,9 +15,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "devtools/report.h"
+#include "devtools/stats.h"
 #include "support/json.h"
-#include "support/report.h"
-#include "support/stats.h"
 
 #include "gtest/gtest.h"
 

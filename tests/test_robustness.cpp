@@ -17,10 +17,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "devtools/random.h"
+#include "devtools/workload.h"
 #include "lfsmr/kv.h"
 #include "scheme_fixtures.h"
-#include "support/random.h"
-#include "support/workload.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -34,7 +34,7 @@ namespace {
 
 // The stall scenarios are deterministic, but logging the suite seed at
 // binary start keeps the reproduction recipe uniform across all stress and
-// robustness binaries (LFSMR_TEST_SEED, see support/random.h).
+// robustness binaries (LFSMR_TEST_SEED, see devtools/random.h).
 [[maybe_unused]] const uint64_t LoggedSeed = testSeed();
 
 constexpr int ChurnOps = 50000;

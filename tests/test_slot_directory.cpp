@@ -14,7 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/slot_directory.h"
-#include "support/random.h"
+#include "devtools/random.h"
 
 #include "gtest/gtest.h"
 

@@ -13,8 +13,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "devtools/random.h"
 #include "scheme_fixtures.h"
-#include "support/random.h"
 
 #include <thread>
 #include <vector>

@@ -4,13 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "devtools/barrier.h"
+#include "devtools/cli.h"
+#include "devtools/random.h"
+#include "devtools/stats.h"
+#include "devtools/workload.h"
 #include "support/align.h"
-#include "support/barrier.h"
-#include "support/cli.h"
 #include "support/mem_counter.h"
-#include "support/random.h"
-#include "support/stats.h"
-#include "support/workload.h"
 
 #include "gtest/gtest.h"
 

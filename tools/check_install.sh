@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Verifies the install/export packaging end to end:
-#   1. builds the library alone and installs it into a scratch prefix;
+#   1. builds the library alone and installs it into a scratch prefix,
+#      which must hold no bench/test tooling (impl/harness, devtools);
 #   2. configures the standalone consumer (examples/find_package_consumer)
 #      against that prefix via find_package(lfsmr CONFIG);
 #   3. builds and runs the consumer's behavioural smoke test;
@@ -19,7 +20,7 @@ echo "== 1. build + install the library into $PREFIX"
 cmake -B "$BUILD/lib" -S . \
   -DCMAKE_BUILD_TYPE=Release \
   -DLFSMR_BUILD_TESTS=OFF -DLFSMR_BUILD_BENCH=OFF \
-  -DLFSMR_BUILD_EXAMPLES=OFF \
+  -DLFSMR_BUILD_EXAMPLES=OFF -DLFSMR_BUILD_TOOLS=OFF \
   -DCMAKE_INSTALL_PREFIX="$PREFIX"
 cmake --build "$BUILD/lib" -j"$JOBS"
 cmake --install "$BUILD/lib"
@@ -42,6 +43,19 @@ test -f "$PREFIX/lib/cmake/lfsmr/lfsmrConfigVersion.cmake"
 # The benchmark driver lives in bench/ and is not part of the library.
 if [ -e "$PREFIX/include/lfsmr/impl/harness" ]; then
   echo "ERROR: benchmark-only headers installed under impl/harness" >&2
+  exit 1
+fi
+# Bench and test tooling lives in the non-installed lfsmr_devtools target
+# (devtools/): none of its headers may be installed, and none of its
+# objects may be archived into the library.
+for H in report.h cli.h stats.h workload.h barrier.h random.h build_info.h; do
+  if [ -n "$(find "$PREFIX/include/lfsmr/impl" -name "$H" -print -quit)" ]; then
+    echo "ERROR: dev-tool header $H installed under impl/" >&2
+    exit 1
+  fi
+done
+if ar t "$PREFIX/lib/liblfsmr.a" | grep -Eq '^(report|cli)[.]'; then
+  echo "ERROR: liblfsmr.a archives a report or cli object" >&2
   exit 1
 fi
 

@@ -29,14 +29,15 @@
 #include <lfsmr/schemes.h>
 #include <lfsmr/telemetry.h>
 
+#include "devtools/cli.h"
 #include "smr/scheme_list.h"
-#include "support/cli.h"
 
 #include <atomic>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -273,15 +274,16 @@ int main(int argc, char **argv) {
 
   ToolOptions Opt;
   Opt.Secs = CL.getDouble("secs", 0.5);
-  Opt.Threads = static_cast<unsigned>(CL.getInt("threads", 4));
-  Opt.Keys = static_cast<std::uint64_t>(CL.getInt("keys", 4096));
+  // Workers take ids [0, Threads) and the store reserves one more, so
+  // Threads + 1 must still fit the `unsigned` MaxThreads.
+  Opt.Threads = static_cast<unsigned>(
+      CL.getInt("threads", 4, 1, std::numeric_limits<unsigned>::max() - 1));
+  Opt.Keys = static_cast<std::uint64_t>(CL.getInt("keys", 4096, 1));
   Opt.Format = CL.getString("format", "human");
   Opt.Check = CL.has("check");
   Opt.Trace = CL.has("trace");
   const std::string SchemeArg = CL.getString("scheme", "all");
   if (Opt.Format != "human" && Opt.Format != "json" && Opt.Format != "prom")
-    return usage(CL.program().c_str());
-  if (!Opt.Threads || !Opt.Keys)
     return usage(CL.program().c_str());
 
   int Failures = 0;
