@@ -202,7 +202,7 @@ template <typename Scheme> void kvRoundTrip(const char *Name) {
     Db.erase(0, K);
   Db.compact(0);
   const lfsmr::memory_stats MS = Db.stats();
-  check(MS.allocated - MS.retired == Db.dummy_nodes(), Name);
+  check(MS.allocated == MS.retired, Name);
   check(Db.live_snapshots() == 0, "kv: all snapshots released");
 }
 

@@ -85,10 +85,12 @@
 ///    cleanly if a buffered key advanced past the transaction's read
 ///    stamp. `compare_and_set`/`merge` are the buffer-free single-key
 ///    fast path (see `kv/txn.h` for the protocol).
-///  - **All nine schemes, one node layout.** Every key, version, commit
-///    record and bucket dummy is the scheme's header followed by its
-///    record, so `store<Scheme, K, V>` runs the same code for every
-///    alias in `lfsmr/schemes.h`, HP included. `store::domain()` is
+///  - **All nine schemes, one node layout.** Every key, version and
+///    commit record is the scheme's header followed by its record
+///    (bucket sentinels are not nodes: they live inline in the bucket
+///    directory, never allocated and never retired), so
+///    `store<Scheme, K, V>` runs the same code for every alias in
+///    `lfsmr/schemes.h`, HP included. `store::domain()` is
 ///    therefore an intrusive-mode domain under every scheme:
 ///    `guard::create` on it throws `std::logic_error`.
 ///

@@ -15,7 +15,7 @@
 /// a scan walks it once, front to back, under one guard:
 ///
 ///  - *Growth moves nothing.* Doubling a shard's bucket directory only
-///    ever inserts dummy sentinels; key nodes never relocate and the
+///    ever links bucket sentinels; key nodes never relocate and the
 ///    list order never changes. A scan that raced any number of resizes
 ///    still sees each key node at most once and misses none that it must
 ///    report.
@@ -72,8 +72,8 @@ struct PrefixFilter {
   }
 };
 
-/// Walks one shard list from its root dummy, emitting every *live item*
-/// node (dummies and marked nodes are skipped). \p LinkOf maps a raw
+/// Walks one shard list from its root sentinel, emitting every *live
+/// item* node (sentinels and marked nodes are skipped). \p LinkOf maps a raw
 /// node word to its `LinkPart` (the store's layout knowledge); \p Emit
 /// receives the tag-stripped raw node. Rotates protection slots 0–2, so
 /// \p Emit may use slots 3+ for version-chain reads. Runs under the

@@ -17,32 +17,39 @@
 ///
 ///  - Each shard keeps ONE sorted lock-free list of nodes, ordered by
 ///    the *split-order key* `reverse_bits(hash) | 1` for items and
-///    `reverse_bits(bucket)` for per-bucket **dummy** sentinels (item
-///    keys are odd, dummy keys even, so they never collide). With
+///    `reverse_bits(bucket)` for per-bucket **sentinels** (item keys are
+///    odd, sentinel keys even, so they never collide). With
 ///    power-of-two bucket counts and low-bit bucket selection, doubling
 ///    the bucket array splits every chain *in place*: the nodes of new
 ///    bucket `b + K` form a contiguous suffix of old bucket `b`'s chain,
 ///    already in order. Growth therefore never relinks an item — it only
-///    inserts a new dummy at the split point.
-///  - The bucket array is a `core::SlotDirectory` (the paper's §4.3
-///    grow-only directory): doubling appends one array, existing buckets
-///    never move, readers need no coordination, and nothing is ever
-///    copied or retired mid-flight.
+///    links a new sentinel at the split point.
+///  - The bucket array is a `core::SlotDirectory<Bucket>` (the paper's
+///    §4.3 grow-only directory): doubling appends one array, existing
+///    buckets never move, readers need no coordination, and nothing is
+///    ever copied or retired mid-flight. Because buckets never move and
+///    never die, each bucket's sentinel lives *inline* in its directory
+///    slot — no allocation, no scheme header, no pointer to chase. It is
+///    addressed by the raw word `Policy::rawOf(&Bucket.L)`, which no
+///    scheme's `protect` dereferences and no path ever retires.
 ///
 /// Cooperation: growth is *load-factor-triggered* (a writer that pushes
 /// a shard past `MaxLoadFactor` items per bucket doubles the directory)
 /// and *migration is incremental* — a new bucket is materialized the
-/// first time a writer needs it, by inserting its dummy under that
+/// first time a writer needs it, by linking its sentinel under that
 /// writer's guard (recursing to the parent bucket, so the work is
-/// O(log growth) amortized and spread over all writers). Readers that
-/// meet an uninitialized bucket simply start from the nearest
-/// initialized ancestor — a longer walk, never a block and never an
-/// allocation on the read path.
+/// O(log growth) amortized and spread over all writers). A bucket moves
+/// Unborn → Claimed → Linked: exactly one writer wins the claim CAS, and
+/// only it fills in and links the sentinel, then publishes Linked.
+/// Readers, and writers that lose the claim, start from the nearest
+/// Linked ancestor — a longer walk, never a block and never an
+/// allocation. A claimer stalled mid-link therefore only lengthens other
+/// threads' walks.
 ///
 /// The index is policy-based: the store supplies the node layout
 /// (`LinkPart` prefix accessors), key matching/ordering for
-/// hash-collision ties, dummy-node allocation, and the retire hook for
-/// unlinked items (which must also retire the item's version chain).
+/// hash-collision ties, and the retire hook for unlinked items (which
+/// must also retire the item's version chain).
 /// Protection discipline matches `ds::ListOps::find`: slots 0–2 rotate
 /// along the walk, marked nodes are unlinked in passing, and the unlink
 /// winner owns the retire.
@@ -85,11 +92,13 @@ constexpr std::uint64_t itemSoKey(std::uint64_t H) {
   return bitReverse64(H) | 1;
 }
 
-/// Split-order key of bucket \p B's dummy sentinel (even).
-constexpr std::uint64_t dummySoKey(std::uint64_t B) { return bitReverse64(B); }
+/// Split-order key of bucket \p B's sentinel (even).
+constexpr std::uint64_t sentinelSoKey(std::uint64_t B) {
+  return bitReverse64(B);
+}
 
 /// Parent of bucket \p B (> 0) in the split hierarchy: \p B with its top
-/// set bit cleared. Bucket 0 is the root and always initialized.
+/// set bit cleared. Bucket 0 is the root and always Linked.
 constexpr std::size_t parentBucket(std::size_t B) {
   return B & ~(std::size_t{1} << floorLog2(B));
 }
@@ -98,11 +107,12 @@ static_assert(parentBucket(1) == 0 && parentBucket(5) == 1 &&
               parentBucket(12) == 4);
 
 /// Common prefix of every node linked into a shard list (items and
-/// dummies alike): the split-order key and the chain link. The low bit
-/// of `Next` is Michael's logical-deletion mark (items only — dummies
-/// are never marked or removed).
+/// bucket sentinels alike): the split-order key and the chain link. The
+/// low bit of `Next` is Michael's logical-deletion mark (items only —
+/// sentinels are never marked or removed).
 struct LinkPart {
-  /// Split-order position (immutable; odd = item, even = dummy).
+  /// Split-order position (immutable once linked; odd = item, even =
+  /// sentinel).
   std::uint64_t SoKey;
   /// Successor in the shard list; low bit = removal mark.
   std::atomic<std::uintptr_t> Next{0};
@@ -110,16 +120,29 @@ struct LinkPart {
   explicit LinkPart(std::uint64_t So) : SoKey(So) {}
 };
 
+/// One bucket of a shard's directory: its inline sentinel and the
+/// materialization state. Only the thread that wins Unborn → Claimed
+/// writes `L`'s key and links it; Linked is release-stored after the
+/// link CAS, so an acquire load of Linked makes `L` a valid walk head.
+struct Bucket {
+  enum : std::uint8_t { Unborn, Claimed, Linked };
+
+  LinkPart L{0};
+  std::atomic<std::uint8_t> State{Unborn};
+};
+
+static_assert(sizeof(Bucket) <= 24, "a bucket is its sentinel plus a byte");
+
 /// The per-shard split-ordered index over a node layout described by
 /// \p Policy. The policy (the store) provides:
 ///
 /// \code
 ///   using guard_type = ...;               // lfsmr::guard<Scheme>
 ///   struct Probe { uint64_t SoKey; ... }; // a key lookup probe
+///   static Probe sentinelProbe(uint64_t SoKey); // a sentinel's probe
 ///   LinkPart  *linkOf(uintptr_t Raw);     // tag-stripped node -> prefix
+///   uintptr_t  rawOf(LinkPart *);         // inverse of linkOf
 ///   int  compareTie(uintptr_t Raw, const Probe &); // same-SoKey order
-///   uintptr_t  makeDummy(guard_type &, uint64_t SoKey); // alloc+init
-///   void discardDummy(guard_type &, uintptr_t);  // lost the insert race
 ///   void retireUnlinked(guard_type &, uintptr_t); // unlinked marked item
 /// \endcode
 ///
@@ -147,23 +170,24 @@ public:
     bool Found;
   };
 
-  /// One shard: the grow-only bucket directory (each slot holds a dummy
-  /// node pointer, 0 = not yet materialized) and the item count driving
-  /// the load-factor trigger. The struct is line-aligned so shards never
-  /// share lines with each other, and `Items` — RMW'd by every insert
-  /// and erase — is padded onto its own line so the counter traffic
-  /// does not invalidate the directory words every find reads.
+  /// One shard: the grow-only bucket directory (each slot holds its
+  /// bucket's inline sentinel; bucket 0 is born Linked) and the item
+  /// count driving the load-factor trigger. The struct is line-aligned
+  /// so shards never share lines with each other, and `Items` — RMW'd by
+  /// every insert and erase — is padded onto its own line so the counter
+  /// traffic does not invalidate the directory words every find reads.
   struct alignas(CacheLineSize) Shard {
-    core::SlotDirectory<std::atomic<std::uintptr_t>> Buckets;
+    core::SlotDirectory<Bucket> Buckets;
     CachePadded<std::atomic<std::int64_t>> Items{std::int64_t{0}};
 
-    explicit Shard(std::size_t MinBuckets) : Buckets(MinBuckets) {}
+    explicit Shard(std::size_t MinBuckets) : Buckets(MinBuckets) {
+      Buckets.slot(0).State.store(Bucket::Linked, std::memory_order_relaxed);
+    }
   };
 
   /// \p MinBuckets is each shard's initial bucket count (power of two);
   /// \p MaxLoadFactor is the items-per-bucket growth trigger (0 = never
-  /// grow). The root dummies are created lazily by `attachRoot` because
-  /// allocation needs a guard, which needs the store's domain.
+  /// grow).
   ShardIndex(Policy &P, std::size_t NumShards, std::size_t MinBuckets,
              std::size_t MaxLoadFactor)
       : Pol(P), NumShards(NumShards), LoadFactor(MaxLoadFactor) {
@@ -181,23 +205,18 @@ public:
   ShardIndex(const ShardIndex &) = delete;
   ShardIndex &operator=(const ShardIndex &) = delete;
 
-  /// Installs shard \p S's bucket-0 dummy (store construction only;
-  /// single-threaded).
-  void attachRoot(guard_type &G, std::size_t S) {
-    Shards_[S].Buckets.slot(0).store(Pol.makeDummy(G, dummySoKey(0)),
-                                     std::memory_order_release);
-  }
-
-  /// Shard \p S's state (scan layer + destructor walk the list from the
-  /// root dummy; tests read Items).
+  /// Shard \p S's state (tests read bucket states and force claims).
   Shard &shard(std::size_t S) { return Shards_[S]; }
   /// Number of shards.
   std::size_t shards() const { return NumShards; }
 
-  /// Raw pointer to shard \p S's root dummy (head of the whole list).
+  /// Raw word of shard \p S's root sentinel (head of the whole list).
   std::uintptr_t root(std::size_t S) {
-    return Shards_[S].Buckets.slot(0).load(std::memory_order_acquire);
+    return Pol.rawOf(&Shards_[S].Buckets.slot(0).L);
   }
+
+  /// Tag-stripped raw node word -> its link prefix (the policy's layout).
+  LinkPart *linkOf(std::uintptr_t Raw) const { return Pol.linkOf(Raw); }
 
   /// Current bucket count of shard \p S (monotone; for stats/tests).
   std::size_t buckets(std::size_t S) const {
@@ -216,8 +235,8 @@ public:
   std::uint64_t resizeCount() const { return Resizes.total(); }
 
   /// Michael's find over shard \p S for \p P, starting from the deepest
-  /// materialized bucket for \p Hash. Writers (\p InitBuckets) insert
-  /// missing dummies on the way; readers fall back to an ancestor
+  /// materialized bucket for \p Hash. Writers (\p InitBuckets) link
+  /// missing sentinels on the way; readers fall back to an ancestor
   /// bucket. Physically unlinks marked items in passing (the CAS winner
   /// retires them through the policy). Rotates protection slots 0–2.
   Position find(guard_type &G, std::size_t S, std::uint64_t Hash,
@@ -277,66 +296,55 @@ private:
     }
   }
 
-  /// Reader path: the deepest *already materialized* bucket for \p B —
+  /// Reader path: the deepest Linked bucket on \p B's ancestor chain —
   /// never allocates, never blocks.
   std::uintptr_t bucketReady(Shard &Sh, std::size_t B) {
     for (;;) {
-      const std::uintptr_t D =
-          Sh.Buckets.slot(B).load(std::memory_order_acquire);
-      if (D)
-        return D;
-      assert(B != 0 && "bucket 0 is materialized at construction");
+      Bucket &Bk = Sh.Buckets.slot(B);
+      if (Bk.State.load(std::memory_order_acquire) == Bucket::Linked)
+        return Pol.rawOf(&Bk.L);
+      assert(B != 0 && "bucket 0 is born Linked");
       B = parentBucket(B);
     }
   }
 
   /// Writer path: materializes bucket \p B (and, transitively, its
-  /// ancestors) by inserting its dummy at the split point of the parent
-  /// chain. Racing initializers are reconciled through the list itself:
-  /// the loser finds the winner's dummy at the same split-order key,
-  /// discards its own, and adopts the winner's.
+  /// ancestors) by linking its sentinel at the split point of the parent
+  /// chain. Only the winner of the Unborn → Claimed CAS links; everyone
+  /// else starts from the nearest Linked ancestor, so a stalled claimer
+  /// never blocks anyone.
   std::uintptr_t bucketInit(guard_type &G, Shard &Sh, std::size_t B) {
-    std::atomic<std::uintptr_t> &Slot = Sh.Buckets.slot(B);
-    std::uintptr_t D = Slot.load(std::memory_order_acquire);
-    if (D)
-      return D;
+    Bucket &Bk = Sh.Buckets.slot(B);
+    std::uint8_t St = Bk.State.load(std::memory_order_acquire);
+    if (St == Bucket::Linked)
+      return Pol.rawOf(&Bk.L);
     const std::uintptr_t Parent = bucketInit(G, Sh, parentBucket(B));
-    const std::uint64_t So = dummySoKey(B);
-    std::uintptr_t Fresh = 0;
-    const Probe P = Policy::dummyProbe(So);
+    if (St != Bucket::Unborn ||
+        !Bk.State.compare_exchange_strong(St, Bucket::Claimed,
+                                          std::memory_order_acquire,
+                                          std::memory_order_acquire))
+      return bucketReady(Sh, B);
+    Bk.L.SoKey = sentinelSoKey(B);
+    const Probe P = Policy::sentinelProbe(Bk.L.SoKey);
+    const std::uintptr_t Self = Pol.rawOf(&Bk.L);
     for (;;) {
-      Position Pos = walk(G, Sh, Parent, P);
-      if (Pos.Found) {
-        // A racer (or an earlier partial init) already linked the dummy.
-        D = Pos.CurrRaw & ~Tag;
-        break;
-      }
-      if (!Fresh)
-        Fresh = Pol.makeDummy(G, So);
-      Pol.linkOf(Fresh)->Next.store(Pos.CurrRaw, std::memory_order_relaxed);
+      const Position Pos = walk(G, Sh, Parent, P);
+      assert(!Pos.Found && "only the claimer links a bucket's sentinel");
+      Bk.L.Next.store(Pos.CurrRaw, std::memory_order_relaxed);
       std::uintptr_t Expected = Pos.CurrRaw;
-      if (Pos.PrevLink->compare_exchange_strong(Expected, Fresh,
+      if (Pos.PrevLink->compare_exchange_strong(Expected, Self,
                                                 std::memory_order_seq_cst,
-                                                std::memory_order_acquire)) {
-        D = Fresh;
-        Fresh = 0;
+                                                std::memory_order_acquire))
         break;
-      }
     }
-    if (Fresh)
-      Pol.discardDummy(G, Fresh);
-    // First writer to get here publishes; later ones agree (the dummy at
-    // one split-order key is unique once linked, and never removed).
-    std::uintptr_t Null = 0;
-    Slot.compare_exchange_strong(Null, D, std::memory_order_acq_rel,
-                                 std::memory_order_acquire);
-    return Slot.load(std::memory_order_acquire);
+    Bk.State.store(Bucket::Linked, std::memory_order_release);
+    return Self;
   }
 
-  /// The Michael walk from \p HeadNode (a dummy, never removable) to the
-  /// first node at or after \p P. `PrevLink` always points into a node
-  /// that cannot be freed while this guard holds it protected — the head
-  /// dummy is immortal, and every later Prev is protected by the slot
+  /// The Michael walk from \p HeadNode (a sentinel, never removable) to
+  /// the first node at or after \p P. `PrevLink` always points into a
+  /// node that cannot be freed while this guard holds it protected — the
+  /// head sentinel lives in the directory, and every later Prev is protected by the slot
   /// rotation exactly as in `ds::ListOps::find`. The unlink winner of a
   /// marked item both retires it (through the policy) and decrements the
   /// shard's item count.

@@ -42,15 +42,18 @@
 ///
 /// Shape:
 ///
-///   store ── shard[0..S) ── split-ordered list (buckets = dummy nodes
-///                           in a grow-only directory)
+///   store ── shard[0..S) ── split-ordered list (bucket sentinels live
+///                           inline in a grow-only directory)
 ///                │
 ///           key node ── version chain (newest first)
 ///                        [stamp | older | commit·tomb | value] → …
 ///
 ///  - Each shard keeps one sorted lock-free list of key nodes plus
-///    per-bucket dummy sentinels; growing the bucket array never moves a
-///    node (see `kv/shard_index.h` for the protocol and its rationale).
+///    per-bucket sentinels. A sentinel is a `LinkPart` inside its
+///    directory slot, not a heap node: it has no scheme header, is never
+///    retired, and costs no allocation. Growing the bucket array never
+///    moves a node (see `kv/shard_index.h` for the protocol and its
+///    rationale).
 ///  - Each key node owns a version chain: every `put`/`erase` CAS-appends
 ///    a fresh `[stamp | value]` node at the head. Stamps are drawn from
 ///    the store's `SnapshotRegistry` clock *after* publication
@@ -98,7 +101,7 @@
 ///         record retires.
 ///
 /// One node layout for every scheme: each node is the scheme's header
-/// followed by one record (version, key, commit record or bucket dummy),
+/// followed by one record (version, key or commit record),
 /// its codec payload running on into trailing bytes of the same
 /// allocation. Records are trivially destructible by construction, so
 /// one raw-free deleter serves every node shape, and the store's domain
@@ -208,12 +211,9 @@ public:
         Dom(Opt.Reclaim, &Store::deleteNode, nullptr) {
     Index.reset(
         new Index_t(*this, Opt.Shards, Opt.BucketsPerShard, Opt.MaxLoadFactor));
-    auto G = Dom.enter(0);
-    for (std::size_t S = 0; S < Opt.Shards; ++S)
-      Index->attachRoot(G, S);
   }
 
-  /// Drains every key, version, and dummy node. Concurrent access must
+  /// Drains every key and version node. Concurrent access must
   /// have ceased and every snapshot handle must have been destroyed or
   /// `reset()` — a handle merely left unused still releases into the
   /// store-owned registry when it is eventually destroyed, which would
@@ -236,8 +236,6 @@ public:
             G.discard(&VN->Hdr);
           }
           G.discard(&KN->Hdr);
-        } else {
-          discardDummy(G, Raw & ~Tag);
         }
         Raw = Next & ~Tag;
       }
@@ -468,13 +466,6 @@ public:
   /// quiescence; logically-dead keys count until physically unlinked).
   std::int64_t shard_keys(std::size_t S) const { return Index->items(S); }
 
-  /// Live dummy (bucket sentinel) nodes across all shards — the gap
-  /// between `stats().allocated` and `stats().retired` at quiescence for
-  /// an emptied store. Exact at quiescence.
-  std::int64_t dummy_nodes() const {
-    return Dummies.load(std::memory_order_relaxed);
-  }
-
   /// Length of \p Key's version chain (0 when absent). Test /
   /// introspection hook; O(chain), racy under concurrent writes.
   std::size_t version_count(thread_id Tid, const K &Key) {
@@ -509,6 +500,10 @@ public:
   /// The reclamation domain backing the store. Intrusive mode under every
   /// scheme: `guard::create` on it throws `std::logic_error`.
   lfsmr::domain<Scheme> &domain() { return Dom; }
+
+  /// The shard index: per-shard bucket directories and split-ordered
+  /// lists (introspection and tests; racy under concurrent writes).
+  ShardIndex<Store> &index() { return *Index; }
 
   /// The underlying scheme instance (for counters and tests).
   Scheme &smr() { return Dom.scheme(); }
@@ -596,16 +591,8 @@ private:
     KeyRec(std::uint64_t So, std::uintptr_t Head) : L(So), VHead(Head) {}
   };
 
-  /// One bucket sentinel: just the link prefix. Never marked, never
-  /// retired while the store lives.
-  struct DummyRec {
-    LinkPart L;
-
-    explicit DummyRec(std::uint64_t So) : L(So) {}
-  };
-
-  static_assert(offsetof(KeyRec, L) == 0 && offsetof(DummyRec, L) == 0,
-                "the link prefix must head every list-resident record");
+  static_assert(offsetof(KeyRec, L) == 0,
+                "the link prefix must head the key record");
 
   /// A node: the scheme header first, then one record. The header sits
   /// at the node's address, which is what every scheme's deleter frees
@@ -621,7 +608,6 @@ private:
 
   using VNode = Node<VersionRec>;
   using KNode = Node<KeyRec>;
-  using DNode = Node<DummyRec>;
   using CNode = Node<CommitRec>;
 
   /// True when `Node<Rec>` is its scheme header followed directly by its
@@ -634,15 +620,13 @@ private:
            sizeof(Node<Rec>) == At + sizeof(Rec);
   }
   static_assert(headerThenRecord<VersionRec>() && headerThenRecord<KeyRec>() &&
-                    headerThenRecord<DummyRec>() &&
                     headerThenRecord<CommitRec>(),
                 "a node is its scheme header followed by its record");
   static_assert(sizeof(typename Scheme::NodeHeader) != 24 ||
                     !std::is_same_v<K, std::uint64_t> ||
                     !std::is_same_v<V, std::uint64_t> ||
-                    (sizeof(VNode) == 56 && sizeof(KNode) == 56 &&
-                     sizeof(DNode) == 40),
-                "24 B header + uint64_t K/V: version 56, key 56, dummy 40");
+                    (sizeof(VNode) == 56 && sizeof(KNode) == 56),
+                "24 B header + uint64_t K/V: version 56, key 56");
   static_assert(alignof(CNode) > TombBit,
                 "a commit record's address must leave TombBit free");
 
@@ -659,11 +643,17 @@ private:
     return reinterpret_cast<std::uintptr_t>(N);
   }
 
-  /// Tag-stripped raw node word -> its list link prefix (key or dummy).
+  /// Tag-stripped raw node word -> its list link prefix. A bucket
+  /// sentinel's raw word is its inline `LinkPart` minus the key node's
+  /// link offset (`rawOf`), so one add serves keys and sentinels alike;
+  /// nothing dereferences a sentinel's word as a node.
   static LinkPart *linkOf(std::uintptr_t Raw) {
-    static_assert(offsetof(KNode, R) == offsetof(DNode, R),
-                  "key and dummy nodes must share the link offset");
     return reinterpret_cast<LinkPart *>((Raw & ~Tag) + offsetof(KNode, R));
+  }
+
+  /// Inverse of `linkOf`: the raw word that addresses \p L in the list.
+  static std::uintptr_t rawOf(LinkPart *L) {
+    return reinterpret_cast<std::uintptr_t>(L) - offsetof(KNode, R);
   }
 
   /// First byte after the node — where a codec's trailing payload lives.
@@ -678,7 +668,6 @@ private:
   static void deleteNode(void *Hdr, void * /*Ctx*/) {
     static_assert(std::is_trivially_destructible_v<VNode> &&
                       std::is_trivially_destructible_v<KNode> &&
-                      std::is_trivially_destructible_v<DNode> &&
                       std::is_trivially_destructible_v<CNode>,
                   "nodes (incl. the scheme header) must be trivially "
                   "destructible for the raw-free deleter");
@@ -716,34 +705,23 @@ private:
   //===------------------------------------------------------------------===//
 
   /// A key lookup probe: the split-order position plus the user key for
-  /// hash-collision tie-breaks (`Key == nullptr` marks a dummy probe).
+  /// hash-collision tie-breaks (`Key == nullptr` marks a sentinel probe).
   struct Probe {
     std::uint64_t SoKey;
     const K *Key;
   };
 
-  /// The probe locating bucket-dummy \p So (no user key).
-  static Probe dummyProbe(std::uint64_t So) { return Probe{So, nullptr}; }
+  /// The probe locating the bucket sentinel at \p So (no user key).
+  static Probe sentinelProbe(std::uint64_t So) { return Probe{So, nullptr}; }
 
-  /// Same-split-order-key order: dummy probes match the (unique) dummy;
-  /// item probes compare key payloads (two hashes differing only in the
-  /// top bit share a split-order key, so ties do not imply equal keys).
+  /// Same-split-order-key order: sentinel probes match the (unique)
+  /// sentinel; item probes compare key payloads (two hashes differing
+  /// only in the top bit share a split-order key, so ties do not imply
+  /// equal keys).
   int compareTie(std::uintptr_t Raw, const Probe &P) const {
     if (!P.Key)
       return 0;
     return Codec<K>::compare(toK(Raw)->R.Key, *P.Key);
-  }
-
-  /// Allocates and registers one bucket dummy.
-  std::uintptr_t makeDummy(guard_type &G, std::uint64_t So) {
-    Dummies.fetch_add(1, std::memory_order_relaxed);
-    return raw(makeNode<DummyRec>(G, 0, So));
-  }
-
-  /// Frees a dummy that lost the materialization race (never published).
-  void discardDummy(guard_type &G, std::uintptr_t Raw) {
-    Dummies.fetch_sub(1, std::memory_order_relaxed);
-    G.discard(&reinterpret_cast<DNode *>(Raw & ~Tag)->Hdr);
   }
 
   /// Retires an unlinked key node and its version chain. Only the single
@@ -1458,7 +1436,6 @@ private:
   const unsigned ShardBits;
   lfsmr::domain<Scheme> Dom;
   std::unique_ptr<Index_t> Index;
-  std::atomic<std::int64_t> Dummies{0};
 
   /// Telemetry (empty with `LFSMR_TELEMETRY=OFF`): sampled open-snapshot
   /// latency, trim walk lengths, sampled txn commit latency, exact txn

@@ -248,18 +248,6 @@ template <typename S> void trimReclaimsWithoutLeaving() {
   EXPECT_EQ(Freed.load(), 6);
 }
 
-TEST(HyalineCore, SlotResolution) { slotResolution<Hyaline>(); }
-TEST(HyalineCore, TwoSlotHandshake) { twoSlotHandshake<Hyaline>(); }
-TEST(HyalineCore, ReaderEnteringAfterRetireDoesNotPin) {
-  readerEnteringAfterRetireDoesNotPin<Hyaline>();
-}
-TEST(HyalineCore, StackedBatchesFreedInOrder) {
-  stackedBatchesFreedInOrder<Hyaline>();
-}
-TEST(HyalineCore, TrimReclaimsWithoutLeaving) {
-  trimReclaimsWithoutLeaving<Hyaline>();
-}
-
 template <typename S> class MultiListCore : public ::testing::Test {};
 using MultiListSchemes = ::testing::Types<Hyaline, HyalinePacked, HyalineS>;
 TYPED_TEST_SUITE(MultiListCore, MultiListSchemes, SchemeNames);
@@ -328,14 +316,6 @@ template <typename S> void trimAdvancesHandle() {
   Scheme.leave(Reader);
   EXPECT_EQ(Freed.load(), 6);
 }
-
-TEST(Hyaline1Core, HandshakeAndInsertCounting) {
-  handshakeAndInsertCounting<Hyaline1>();
-}
-TEST(Hyaline1Core, RetireWithNoActiveSlotsFreesImmediately) {
-  retireWithNoActiveSlotsFreesImmediately<Hyaline1>();
-}
-TEST(Hyaline1Core, TrimAdvancesHandle) { trimAdvancesHandle<Hyaline1>(); }
 
 template <typename S> class SingleListCore : public ::testing::Test {};
 using SingleListSchemes = ::testing::Types<Hyaline1, Hyaline1S>;

@@ -9,7 +9,8 @@
 /// (including share-count saturation), options normalization, sequential
 /// store semantics (snapshot isolation of reads, version-trim and
 /// key-removal correctness, accounting), cooperative per-shard bucket
-/// growth, snapshot-consistent scans, and CI-sized concurrent checks
+/// growth and its bucket-claim protocol (a stalled claimer, racing
+/// claimers), snapshot-consistent scans, and CI-sized concurrent checks
 /// (snapshot repeatability under churn, resize churn, disjoint-writer
 /// accounting). The store suite is typed over scheme × payload configs:
 /// all nine reclaiming schemes on the store's one node layout, each
@@ -20,6 +21,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "devtools/barrier.h"
 #include "devtools/random.h"
 #include "devtools/workload.h"
 #include "lfsmr/kv.h"
@@ -228,6 +230,61 @@ TEST(KvOptions, ZeroValuesClampToOne) {
   EXPECT_EQ(*Db.get(0, 1), 2u);
 }
 
+/// A one-shard store that starts at \p Buckets buckets and doubles past
+/// one key per bucket, so bucket materialization runs on every few puts.
+kv::Options kvClaimOptions(std::size_t Buckets, unsigned MaxThreads = 8) {
+  kv::Options O = kvTestOptions(MaxThreads);
+  O.Shards = 1;
+  O.BucketsPerShard = Buckets;
+  O.MaxLoadFactor = 1;
+  return O;
+}
+
+/// Materialization state of bucket \p B of shard \p S.
+template <typename StoreT>
+int bucketState(StoreT &Db, std::size_t S, std::size_t B) {
+  return Db.index().shard(S).Buckets.slot(B).State.load();
+}
+
+/// Walks every shard list of the quiescent store \p Db and checks the
+/// split-ordered shape: split-order keys strictly increase, and the
+/// sentinels in the list are exactly the Linked buckets' inline ones,
+/// each once, at its own key. Returns the number of item nodes seen.
+template <typename StoreT> std::int64_t checkShardLists(StoreT &Db) {
+  auto &Ix = Db.index();
+  std::int64_t Items = 0;
+  for (std::size_t S = 0; S < Ix.shards(); ++S) {
+    std::vector<const kv::LinkPart *> Sentinels;
+    std::optional<uint64_t> Prev;
+    for (std::uintptr_t Raw = Ix.root(S); Raw;) {
+      const kv::LinkPart *L = Ix.linkOf(Raw);
+      EXPECT_TRUE(!Prev || *Prev < L->SoKey)
+          << "shard " << S << " out of order at " << L->SoKey;
+      Prev = L->SoKey;
+      if (L->SoKey & 1)
+        ++Items;
+      else
+        Sentinels.push_back(L);
+      Raw = L->Next.load() & ~std::uintptr_t{1};
+    }
+    std::sort(Sentinels.begin(), Sentinels.end());
+    std::size_t Linked = 0;
+    for (std::size_t B = 0; B < Ix.buckets(S); ++B) {
+      kv::Bucket &Bk = Ix.shard(S).Buckets.slot(B);
+      if (Bk.State.load() != kv::Bucket::Linked)
+        continue;
+      ++Linked;
+      EXPECT_EQ(Bk.L.SoKey, kv::sentinelSoKey(B)) << "bucket " << B;
+      const auto [Lo, Hi] =
+          std::equal_range(Sentinels.begin(), Sentinels.end(), &Bk.L);
+      EXPECT_EQ(Hi - Lo, 1) << "bucket " << B << "'s sentinel in shard " << S;
+    }
+    EXPECT_EQ(Sentinels.size(), Linked)
+        << "shard " << S << " lists a sentinel no Linked bucket owns";
+  }
+  return Items;
+}
+
 //===----------------------------------------------------------------------===//
 // Store semantics, typed over scheme × payload configurations
 //===----------------------------------------------------------------------===//
@@ -280,7 +337,7 @@ TYPED_TEST(KvStore, DomainIsIntrusiveUnderEveryScheme) {
   EXPECT_FALSE(Db.domain().transparent());
   auto G = Db.domain().enter(0);
   EXPECT_THROW((void)G.template create<uint64_t>(1), std::logic_error);
-  EXPECT_EQ(Db.stats().allocated, Db.dummy_nodes())
+  EXPECT_EQ(Db.stats().allocated, 0)
       << "the refused create counted nothing";
 }
 
@@ -356,8 +413,8 @@ TYPED_TEST(KvStore, VersionChainsTrimToOneWithoutSnapshots) {
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   Db.put(0, K(7), V(0));
-  // Baseline after the first put: the key node, its first version, and
-  // any bucket dummies the insert materialized are all allocated now.
+  // Baseline after the first put: the key node and its first version
+  // are allocated now.
   const memory_stats Before = Db.stats();
   for (uint64_t I = 1; I < 100; ++I)
     Db.put(0, K(7), V(I));
@@ -405,10 +462,10 @@ TYPED_TEST(KvStore, EraseRemovesKeyNodeAndBalancesAccounting) {
     EXPECT_FALSE(Db.get(0, K(I)).has_value());
   Db.compact(0);
   const memory_stats MS = Db.stats();
-  EXPECT_EQ(MS.allocated - MS.retired, Db.dummy_nodes())
+  EXPECT_EQ(MS.allocated, MS.retired)
       << "an emptied store must have retired every node it allocated "
-         "(tombstones, trimmed versions, unlinked key nodes) except the "
-         "immortal bucket dummies";
+         "(tombstones, trimmed versions, unlinked key nodes); bucket "
+         "sentinels live in the directory and are never allocated";
 }
 
 TYPED_TEST(KvStore, CompactTrimsAfterSnapshotRelease) {
@@ -429,7 +486,7 @@ TYPED_TEST(KvStore, CompactTrimsAfterSnapshotRelease) {
   // No writer touches the keys again; compact alone must trim and unlink.
   Db.compact(0);
   const memory_stats MS = Db.stats();
-  EXPECT_EQ(MS.allocated - MS.retired, Db.dummy_nodes());
+  EXPECT_EQ(MS.allocated, MS.retired);
 }
 
 TYPED_TEST(KvStore, ScanSeesExactlyTheSnapshotCut) {
@@ -519,6 +576,56 @@ TYPED_TEST(KvStore, ScanStaysConsistentAcrossResize) {
     EXPECT_EQ(Seen[I], I);
   EXPECT_EQ(BadValue.load(), 0);
   Snap.reset();
+}
+
+TYPED_TEST(KvStore, StalledBucketClaimOnlyLengthensWalks) {
+  // Bucket 1 is claimed and never linked, as by a writer preempted right
+  // after winning the claim. Its keys and those of every bucket below
+  // it (all odd buckets) must still work through bucket 0.
+  typename TestFixture::Store Db(kvClaimOptions(2));
+  const auto K = [](uint64_t X) { return TestFixture::key(X); };
+  const auto V = [](uint64_t X) { return TestFixture::val(X); };
+  ASSERT_EQ(bucketState(Db, 0, 1), kv::Bucket::Unborn);
+  Db.index().shard(0).Buckets.slot(1).State.store(kv::Bucket::Claimed);
+
+  constexpr uint64_t N = 256;
+  uint64_t Stalled = 0;
+  for (uint64_t I = 0; I < N; ++I) {
+    ASSERT_TRUE(Db.put(0, K(I), V(I))) << "key " << I;
+    Stalled += kv::Codec<typename TestFixture::Key>::hash(K(I)) & 1;
+  }
+  ASSERT_GT(Stalled, N / 4) << "the stalled subtree must hold keys";
+  ASSERT_GT(Db.buckets(0), 2u) << "growth never triggered";
+  EXPECT_EQ(bucketState(Db, 0, 1), kv::Bucket::Claimed);
+  bool ChildLinked = false;
+  for (std::size_t B = 3; B < Db.buckets(0); B += 2)
+    ChildLinked |= bucketState(Db, 0, B) == kv::Bucket::Linked;
+  EXPECT_TRUE(ChildLinked) << "buckets below the stalled one still link";
+
+  for (uint64_t I = 0; I < N; ++I) {
+    ASSERT_TRUE(Db.get(0, K(I)).has_value()) << "lost key " << I;
+    EXPECT_EQ(*Db.get(0, K(I)), V(I));
+  }
+  uint64_t Live = N;
+  for (uint64_t I = 0; I < N; I += 3, --Live)
+    ASSERT_TRUE(Db.erase(0, K(I))) << "key " << I;
+  for (uint64_t I = 0; I < N; ++I)
+    EXPECT_EQ(Db.get(0, K(I)).has_value(), I % 3 != 0) << "key " << I;
+
+  kv::snapshot Snap = Db.open_snapshot();
+  uint64_t Seen = 0;
+  Db.scan(0, Snap, [&](typename TestFixture::Store::key_view KeyV,
+                       typename TestFixture::Store::value_view ValV) {
+    const uint64_t X = Payload<typename TestFixture::Key>::stamp(
+        typename TestFixture::Key(KeyV));
+    EXPECT_NE(X % 3, 0u) << "scan saw erased key " << X;
+    EXPECT_EQ(TestFixture::stampOf(typename TestFixture::Value(ValV)), X);
+    ++Seen;
+  });
+  EXPECT_EQ(Seen, Live);
+  Snap.reset();
+  Db.compact(0);
+  EXPECT_EQ(checkShardLists(Db), static_cast<std::int64_t>(Live));
 }
 
 TYPED_TEST(KvStore, ManySnapshotsForceSlotGrowthAndStayCoherent) {
@@ -629,7 +736,36 @@ TYPED_TEST(KvStore, ConcurrentDisjointWritersBalance) {
   EXPECT_EQ(Failures.load(), 0);
   Db.compact(0);
   const memory_stats MS = Db.stats();
-  EXPECT_EQ(MS.allocated - MS.retired, Db.dummy_nodes());
+  EXPECT_EQ(MS.allocated, MS.retired);
+}
+
+TYPED_TEST(KvStore, RacingClaimersLinkEachSentinelOnce) {
+  // Every thread puts the same keys in the same order into a store that
+  // starts at one bucket, so each doubling's new buckets are claimed by
+  // racing writers. Exactly one claimer may link each sentinel.
+  constexpr unsigned Threads = 4;
+  constexpr uint64_t N = 512;
+  typename TestFixture::Store Db(kvClaimOptions(1, Threads));
+  SpinBarrier Start(Threads);
+  std::atomic<uint64_t> Inserts{0};
+  std::vector<std::thread> Ts;
+  for (unsigned T = 0; T < Threads; ++T)
+    Ts.emplace_back([&, T] {
+      Start.arriveAndWait();
+      for (uint64_t I = 0; I < N; ++I)
+        if (Db.put(T, TestFixture::key(I), TestFixture::val(I)))
+          Inserts.fetch_add(1, std::memory_order_relaxed);
+    });
+  for (auto &T : Ts)
+    T.join();
+  EXPECT_EQ(Inserts.load(), N) << "each key is inserted exactly once";
+  EXPECT_GE(Db.buckets(0), N / 2);
+  for (std::size_t B = 0; B < Db.buckets(0); ++B)
+    EXPECT_NE(bucketState(Db, 0, B), kv::Bucket::Claimed)
+        << "bucket " << B << " left claimed after every claimer returned";
+  EXPECT_EQ(checkShardLists(Db), static_cast<std::int64_t>(N));
+  for (uint64_t I = 0; I < N; ++I)
+    EXPECT_EQ(Db.get(0, TestFixture::key(I)), TestFixture::val(I));
 }
 
 TYPED_TEST(KvStore, ConcurrentSnapshotOpenersShareAndGrowSlots) {

@@ -183,8 +183,8 @@ TYPED_TEST(Stress, KvSnapshotChurnSoak) {
     Db.erase(0, K);
   Db.compact(0);
   const memory_stats MS = Db.stats();
-  // Bucket dummies are the only nodes that live as long as the store.
-  EXPECT_EQ(MS.allocated - MS.retired, Db.dummy_nodes());
+  // Bucket sentinels live in the directory, so every node was retired.
+  EXPECT_EQ(MS.allocated, MS.retired);
   EXPECT_GE(MS.retired, MS.freed);
 }
 
