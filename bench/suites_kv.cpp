@@ -82,9 +82,10 @@ std::optional<double> heapInUse() {
 
 /// A u64 store prefilled with keys [0, \p Prefill) bound to 2K. With
 /// \p BytesPerKey set, it receives the heap bytes the (single-threaded)
-/// fill took per key: nodes at their malloc chunk sizes, plus the
-/// bucket-directory arrays growth appended (bucket sentinels live inline
-/// there). It stays empty off glibc.
+/// fill took per key: the node pool's chunks (ASan builds: nodes at
+/// their malloc chunk sizes), plus the bucket-directory arrays growth
+/// appended (bucket sentinels live inline there). It stays empty off
+/// glibc.
 template <typename S>
 std::unique_ptr<kv::Store<S>>
 prefilledStore(kv::Options KO, uint64_t Prefill,

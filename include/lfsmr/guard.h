@@ -115,6 +115,11 @@ public:
   /// True while the operation is open.
   bool active() const { return s != nullptr; }
 
+  /// The thread id this guard entered as. Every scheme's native guard
+  /// records it (`Scheme::Guard::Tid`), so code running under an open
+  /// operation can index per-thread state without a `thread_local`.
+  thread_id tid() const { return g.Tid; }
+
   //===--------------------------------------------------------------------===
   // Protected reads
   //===--------------------------------------------------------------------===

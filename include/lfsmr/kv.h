@@ -93,6 +93,13 @@
 ///    `lfsmr/schemes.h`, HP included. `store::domain()` is
 ///    therefore an intrusive-mode domain under every scheme:
 ///    `guard::create` on it throws `std::logic_error`.
+///  - **A store-owned node pool.** With fixed-size keys and values
+///    every node is a slot of the store's pool (`kv/node_pool.h`): the
+///    domain's deleter returns each reclaimed slot to a shared stack
+///    that every writer allocates from, whichever thread freed it. The
+///    pool's chunks are released when the store is destroyed
+///    (`stats().node_bytes` reports them). Byte-string payloads and
+///    AddressSanitizer builds take nodes from `::operator new` instead.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -128,6 +128,12 @@ struct store_stats : domain_stats {
   /// Async submits that found their shard's ring full and applied the
   /// op synchronously instead (backpressure events).
   std::uint64_t sync_fallbacks = 0;
+  /// Bytes of node-pool chunks the store holds: live nodes, freed slots
+  /// awaiting reuse, and not-yet-carved slot space. 0 when the store
+  /// takes its nodes from `::operator new` (byte-string payloads,
+  /// AddressSanitizer builds). Grows once per chunk, never per op, and
+  /// stays live with telemetry disabled.
+  std::uint64_t node_bytes = 0;
   /// Sampled latency of `open_snapshot()` in nanoseconds.
   histogram_summary snapshot_open_ns;
   /// Version-chain nodes visited per trim walk (boundary descent plus

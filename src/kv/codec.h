@@ -18,6 +18,10 @@
 ///     the record — one oversized `operator new` per node, behind the
 ///     scheme header — so a version is always exactly one node to
 ///     protect, retire, and free. `trailingBytes(v)` sizes that suffix.
+///     A codec whose `FixedSize` member is true promises that suffix is
+///     always empty, so its records can come from the store's fixed-size
+///     node pool (`kv/node_pool.h`); a codec without the member is
+///     treated as variable size.
 ///  3. **How is a value written/read?** `encode` places the payload into
 ///     the storage (+ trailing suffix); `decode` materializes an owned
 ///     `T`; `view` returns a borrowed view valid while the record is
@@ -117,6 +121,9 @@ template <typename T, typename Enable = void> struct Codec {
   /// Borrowed-read type handed to scan visitors.
   using view_type = const T &;
 
+  /// Every record has the same size (no trailing bytes).
+  static constexpr bool FixedSize = true;
+
   /// Trailing bytes needed beyond the record itself (none: inline).
   static std::size_t trailingBytes(const T &) { return 0; }
 
@@ -211,6 +218,11 @@ template <> struct Codec<std::string> {
 template <typename T>
 inline constexpr bool IsBytesCodec =
     std::is_same_v<typename Codec<T>::storage_type, BytesStorage>;
+
+/// True when \p T's codec declares `FixedSize` (no trailing bytes, ever).
+template <typename T>
+inline constexpr bool IsFixedSizeCodec =
+    requires { requires Codec<T>::FixedSize; };
 
 } // namespace lfsmr::kv
 

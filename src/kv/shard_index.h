@@ -285,9 +285,11 @@ public:
 private:
   /// Doubles \p Sh's bucket directory when \p Items exceeds the load
   /// factor. Lock-free (`SlotDirectory::grow` is CAS-based and racing
-  /// growers are benign); the new buckets materialize lazily.
+  /// growers are benign); the new buckets materialize lazily. The count
+  /// can read negative for a moment (a fresh key unlinked before its
+  /// inserter's `fetch_add`), and a negative count never grows.
   void maybeGrow(Shard &Sh, std::int64_t Items) {
-    if (!LoadFactor)
+    if (!LoadFactor || Items <= 0)
       return;
     const std::size_t K = Sh.Buckets.capacity();
     if (static_cast<std::size_t>(Items) > LoadFactor * K) {

@@ -104,12 +104,25 @@
 /// followed by one record (version, key or commit record),
 /// its codec payload running on into trailing bytes of the same
 /// allocation. Records are trivially destructible by construction, so
-/// one raw-free deleter serves every node shape, and the store's domain
-/// runs in intrusive mode under all nine schemes — `guard::create` on
-/// `domain()` throws. A version's tombstone flag rides in bit 0 of its
+/// one raw-storage deleter serves every node shape, and the store's
+/// domain runs in intrusive mode under all nine schemes — `guard::create`
+/// on `domain()` throws. A version's tombstone flag rides in bit 0 of its
 /// write-once commit word, so with a 24 B header (Hyaline) a `uint64_t`
-/// key node and a version are 56 B each (64 B glibc chunks); a
-/// transparent block would add 40 B to each.
+/// key node and a version are 56 B each; a transparent block would add
+/// 40 B to each.
+///
+/// Node memory: when both codecs are fixed size, every node is one slot
+/// of the store-owned `NodePool` (`kv/node_pool.h`), sized for the
+/// largest of the three node shapes. `makeNode` takes a slot from the
+/// allocating thread's cache (`guard::tid()`), and the domain's deleter —
+/// registered with the pool as its context — pushes the slot onto the
+/// pool's shared return stack, whichever thread reclamation frees it on.
+/// So a slot Hyaline frees on any thread is reused by every writer,
+/// where glibc would hand it back to the allocating thread's arena only.
+/// Byte-string payloads (the node size varies per value) and
+/// AddressSanitizer builds (whose quarantine must see every free) keep
+/// `::operator new`. The pool is declared before the domain, so every
+/// free of the domain's teardown lands in a live pool.
 ///
 /// Protection-slot discipline (HP/HE): the index walk rotates slots 0–2
 /// exactly like `ds::ListOps`; version-chain walks rotate slots 3–4,
@@ -124,6 +137,7 @@
 #define LFSMR_KV_STORE_H
 
 #include "kv/codec.h"
+#include "kv/node_pool.h"
 #include "kv/scan.h"
 #include "kv/shard_index.h"
 #include "kv/snapshot_registry.h"
@@ -133,6 +147,7 @@
 #include "support/telemetry.h"
 #include "support/trace.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -202,13 +217,16 @@ public:
   /// The RAII guard all operations run under.
   using guard_type = lfsmr::guard<Scheme>;
 
-  /// Builds the store: the shard index, the snapshot registry, and one
-  /// intrusive-mode reclamation domain (every node carries its scheme
-  /// header first).
+  /// Builds the store: the shard index, the snapshot registry, the node
+  /// pool (fixed-size payloads only), and one intrusive-mode reclamation
+  /// domain (every node carries its scheme header first).
   explicit Store(const Options &O = {})
       : Opt(normalize(O)), Registry(Opt.MinSnapshotSlots),
         ShardBits(floorLog2(Opt.Shards)),
-        Dom(Opt.Reclaim, &Store::deleteNode, nullptr) {
+        Pool(Pooled ? std::optional<NodePool>(std::in_place, SlotBytes,
+                                              SlotAlign, Opt.Reclaim.MaxThreads)
+                    : std::nullopt),
+        Dom(Opt.Reclaim, &Store::deleteNode, Pool ? &*Pool : nullptr) {
     Index.reset(
         new Index_t(*this, Opt.Shards, Opt.BucketsPerShard, Opt.MaxLoadFactor));
   }
@@ -439,6 +457,7 @@ public:
     St.slow_acquires = A.SlowAcquires;
     St.fast_rejects = A.FastRejects;
     St.index_resizes = Index->resizeCount();
+    St.node_bytes = Pool ? Pool->bytes() : 0;
     St.txn_commits = TxnCommits.total();
     St.txn_aborts = TxnAborts.total();
     St.async_submits = AsyncSubmits.total();
@@ -520,9 +539,10 @@ private:
   /// by the shard index).
   static constexpr std::uintptr_t Tag = 1;
 
-  /// Low bit of a version's `Commit` word marks a tombstone. Commit
-  /// records are nodes from `::operator new`, so bit 0 of their address
-  /// is always free; every reader of the record pointer masks it off.
+  /// Low bit of a version's `Commit` word marks a tombstone. A commit
+  /// record's node is aligned past it (pool slots and `::operator new`
+  /// blocks alike), so bit 0 of its address is always free; every reader
+  /// of the record pointer masks it off.
   /// HP's hazard slots strip low tag bits, so `protect_link` on the
   /// tagged word still pins the record.
   static constexpr std::uintptr_t TombBit = 1;
@@ -661,25 +681,54 @@ private:
     return reinterpret_cast<char *>(N) + sizeof(Node<Rec>);
   }
 
-  /// The deleter for every node shape: nodes come from raw `operator
-  /// new` (records may carry trailing payload bytes), so this frees the
-  /// same way — valid only because nothing in any node needs a
-  /// destructor.
-  static void deleteNode(void *Hdr, void * /*Ctx*/) {
+  /// Alignment of a pool slot: the strictest node shape's.
+  static constexpr std::size_t SlotAlign =
+      std::max({alignof(VNode), alignof(KNode), alignof(CNode)});
+  /// One pool slot: the largest node shape, rounded up to `SlotAlign`.
+  static constexpr std::size_t SlotBytes =
+      (std::max({sizeof(VNode), sizeof(KNode), sizeof(CNode)}) + SlotAlign -
+       1) & ~(SlotAlign - 1);
+  /// True when nodes come from the store's `NodePool`: both codecs are
+  /// fixed size (one slot size fits every node), no node is over-aligned
+  /// for `::operator new`'s chunks, and the build is not ASan's.
+  static constexpr bool Pooled =
+      IsFixedSizeCodec<K> && IsFixedSizeCodec<V> && !AsanBuild &&
+      SlotAlign <= __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+
+public:
+  /// Bytes of one node-pool slot, or 0 when the store takes its nodes
+  /// from `::operator new` (`stats().node_bytes` then reads 0 too).
+  static constexpr std::size_t node_slot_bytes = Pooled ? SlotBytes : 0;
+
+private:
+  /// The deleter for every node shape: it hands the raw storage back to
+  /// the pool (\p Ctx) or to `::operator delete` — valid only because
+  /// nothing in any node needs a destructor.
+  static void deleteNode(void *Hdr, void *Ctx) {
     static_assert(std::is_trivially_destructible_v<VNode> &&
                       std::is_trivially_destructible_v<KNode> &&
                       std::is_trivially_destructible_v<CNode>,
                   "nodes (incl. the scheme header) must be trivially "
-                  "destructible for the raw-free deleter");
-    ::operator delete(Hdr);
+                  "destructible for the raw-storage deleter");
+    if constexpr (Pooled)
+      static_cast<NodePool *>(Ctx)->release(Hdr);
+    else
+      ::operator delete(Hdr);
   }
 
-  /// Allocates a node with \p Extra trailing payload bytes and registers
-  /// it with the scheme (birth era, allocation count).
+  /// Allocates a node with \p Extra trailing payload bytes (always 0 on
+  /// the pool path) and registers it with the scheme (birth era,
+  /// allocation count).
   template <typename Rec, typename... A>
-  static Node<Rec> *makeNode(guard_type &G, std::size_t Extra, A &&...Args) {
-    auto *N = new (::operator new(sizeof(Node<Rec>) + Extra))
-        Node<Rec>(std::forward<A>(Args)...);
+  Node<Rec> *makeNode(guard_type &G, std::size_t Extra, A &&...Args) {
+    void *Mem;
+    if constexpr (Pooled) {
+      assert(Extra == 0 && "fixed-size codecs carry no trailing bytes");
+      Mem = Pool->allocate(G.tid());
+    } else {
+      Mem = ::operator new(sizeof(Node<Rec>) + Extra);
+    }
+    auto *N = new (Mem) Node<Rec>(std::forward<A>(Args)...);
     G.init(&N->Hdr);
     return N;
   }
@@ -1434,6 +1483,9 @@ private:
   Options Opt;
   SnapshotRegistry Registry;
   const unsigned ShardBits;
+  /// Node memory when `Pooled` (absent otherwise). Declared before `Dom`:
+  /// the domain's teardown frees its leftovers into the pool.
+  std::optional<NodePool> Pool;
   lfsmr::domain<Scheme> Dom;
   std::unique_ptr<Index_t> Index;
 

@@ -22,7 +22,9 @@
 /// HP, HE, IBR); for the others it degenerates to a plain acquire load, so
 /// data structures are written once against the strictest contract.
 /// `Idx` names a per-operation protection slot and is consumed only by the
-/// pointer/era-index schemes (HP, HE); all others ignore it.
+/// pointer/era-index schemes (HP, HE); all others ignore it. Every
+/// scheme's `Guard` records the id it entered as in a `Tid` member
+/// (`lfsmr::guard::tid()` reads it).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -212,6 +212,7 @@ void writeStoreFields(json::Writer &W, const store_stats &S) {
   W.key("async_submits").value(S.async_submits);
   W.key("combiner_takeovers").value(S.combiner_takeovers);
   W.key("sync_fallbacks").value(S.sync_fallbacks);
+  W.key("node_bytes").value(S.node_bytes);
   writeHistogram(W, "snapshot_open_ns", S.snapshot_open_ns);
   writeHistogram(W, "trim_walk_len", S.trim_walk_len);
   writeHistogram(W, "txn_commit_ns", S.txn_commit_ns);
@@ -298,6 +299,8 @@ void promStore(PromWriter &P, const store_stats &S) {
   P.family("sync_fallbacks_total",
            "Async submits that hit a full ring and applied synchronously.",
            "counter", static_cast<double>(S.sync_fallbacks));
+  P.family("node_bytes", "Bytes of node-pool chunks the store holds.",
+           "gauge", static_cast<double>(S.node_bytes));
   P.summary("snapshot_open_ns", "Sampled open_snapshot latency (ns).",
             S.snapshot_open_ns);
   P.summary("trim_walk_len", "Version-chain nodes visited per trim walk.",

@@ -9,10 +9,12 @@
 /// (including share-count saturation), options normalization, sequential
 /// store semantics (snapshot isolation of reads, version-trim and
 /// key-removal correctness, accounting), cooperative per-shard bucket
-/// growth and its bucket-claim protocol (a stalled claimer, racing
-/// claimers), snapshot-consistent scans, and CI-sized concurrent checks
-/// (snapshot repeatability under churn, resize churn, disjoint-writer
-/// accounting). The store suite is typed over scheme × payload configs:
+/// growth (never on a transiently negative item count) and its
+/// bucket-claim protocol (a stalled claimer, racing claimers),
+/// snapshot-consistent scans, and CI-sized concurrent checks (snapshot
+/// repeatability under churn, resize churn, disjoint-writer accounting,
+/// node-pool reuse across threads). The store suite is typed over
+/// scheme × payload configs:
 /// all nine reclaiming schemes on the store's one node layout, each
 /// with `uint64_t` and `std::string` keys/values, plus struct-payload
 /// and prefix-scan coverage on representative schemes. Heavier soak
@@ -766,6 +768,56 @@ TYPED_TEST(KvStore, RacingClaimersLinkEachSentinelOnce) {
   EXPECT_EQ(checkShardLists(Db), static_cast<std::int64_t>(N));
   for (uint64_t I = 0; I < N; ++I)
     EXPECT_EQ(Db.get(0, TestFixture::key(I)), TestFixture::val(I));
+}
+
+TYPED_TEST(KvStore, NegativeItemCountNeverGrowsTheDirectory) {
+  // A shard's item count dips below zero for a moment when a fresh key
+  // is unlinked before its inserter's `fetch_add` lands. An insert that
+  // sees such a count must not read it as a huge load and double.
+  typename TestFixture::Store Db(kvClaimOptions(4));
+  Db.index().shard(0).Items->store(-3);
+  for (uint64_t I = 0; I < 3; ++I)
+    ASSERT_TRUE(Db.put(0, TestFixture::key(I), TestFixture::val(I)));
+  EXPECT_EQ(Db.shard_keys(0), 0);
+  EXPECT_EQ(Db.buckets(0), 4u) << "a negative count doubled the directory";
+  for (uint64_t I = 0; I < 3; ++I)
+    EXPECT_EQ(Db.get(0, TestFixture::key(I)), TestFixture::val(I));
+}
+
+TYPED_TEST(KvStore, PoolReusesNodesOtherThreadsFree) {
+  // Tid 0 prefills; tids 1 and 2 then take turns overwriting every key
+  // for several rounds, so most nodes are freed under a thread id other
+  // than the one that allocated them. The pool must hand that memory to
+  // the writers: it holds little beyond the nodes not yet freed, plus
+  // one partly carved chunk per thread id. The turns run on one thread
+  // so reclamation keeps pace (a guard preempted mid-run would pin a
+  // burst of nodes and legitimately raise the peak).
+  using Store = typename TestFixture::Store;
+  constexpr unsigned Writers = 2;
+  constexpr uint64_t N = 4096, Rounds = 8;
+  Store Db(kvTestOptions(Writers + 1));
+  for (uint64_t I = 0; I < N; ++I)
+    Db.put(0, TestFixture::key(I), TestFixture::val(I));
+  for (uint64_t R = 1; R <= Rounds; ++R)
+    for (uint64_t I = 0; I < N; ++I)
+      Db.put(1 + R % Writers, TestFixture::key(I),
+             TestFixture::val(R * N + I));
+  const telemetry::store_stats St = Db.stats();
+  if constexpr (kv::IsFixedSizeCodec<typename TestFixture::Key> &&
+                kv::IsFixedSizeCodec<typename TestFixture::Value> &&
+                !kv::AsanBuild) {
+    EXPECT_GT(Store::node_slot_bytes, 0u) << "fixed-size payloads pool";
+  }
+  if (Store::node_slot_bytes == 0) {
+    EXPECT_EQ(St.node_bytes, 0u);
+    return;
+  }
+  const double Unfreed = static_cast<double>(St.allocated - St.freed);
+  EXPECT_GE(Unfreed, 2.0 * N) << "every key holds a key node and a version";
+  EXPECT_LE(static_cast<double>(St.node_bytes),
+            Unfreed * Store::node_slot_bytes * 1.1 +
+                (Writers + 1) * kv::NodePool::MinChunkBytes)
+      << "allocated " << St.allocated << ", freed " << St.freed;
 }
 
 TYPED_TEST(KvStore, ConcurrentSnapshotOpenersShareAndGrowSlots) {

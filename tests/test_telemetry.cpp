@@ -256,6 +256,7 @@ telemetry::store_stats sampleStats() {
   St.index_resizes = 1;
   St.txn_commits = 5;
   St.txn_aborts = 1;
+  St.node_bytes = 131072;
   St.snapshot_open_ns = {4, 50.0, 40.0, 60.0, 80.0, 90.0};
   return St;
 }
@@ -269,9 +270,11 @@ TEST(TelemetryExport, JsonCarriesEveryField) {
         "\"era\"", "\"version_clock\"", "\"live_snapshots\"",
         "\"snapshot_slots\"", "\"slow_acquires\"", "\"fast_rejects\"",
         "\"index_resizes\"", "\"txn_commits\"", "\"txn_aborts\"",
-        "\"snapshot_open_ns\"", "\"trim_walk_len\"", "\"txn_commit_ns\""})
+        "\"snapshot_open_ns\"", "\"trim_walk_len\"", "\"txn_commit_ns\"",
+        "\"node_bytes\""})
     EXPECT_NE(J.find(Key), std::string::npos) << Key << " missing in " << J;
   EXPECT_NE(J.find("\"version_clock\": 42"), std::string::npos) << J;
+  EXPECT_NE(J.find("\"node_bytes\": 131072"), std::string::npos) << J;
 }
 
 TEST(TelemetryExport, DomainJsonIsSubset) {
@@ -290,6 +293,8 @@ TEST(TelemetryExport, PrometheusExposition) {
       << P;
   EXPECT_NE(P.find("kvtest_retired_total 80"), std::string::npos) << P;
   EXPECT_NE(P.find("kvtest_unreclaimed 10"), std::string::npos) << P;
+  EXPECT_NE(P.find("# TYPE kvtest_node_bytes gauge"), std::string::npos) << P;
+  EXPECT_NE(P.find("kvtest_node_bytes 131072"), std::string::npos) << P;
   // Histogram summaries export as quantile gauges.
   EXPECT_NE(P.find("quantile=\"0.5\""), std::string::npos) << P;
 }

@@ -35,6 +35,7 @@ test -f "$PREFIX/include/lfsmr/impl/support/trace.h"
 test -f "$PREFIX/include/lfsmr/impl/kv/store.h"
 test -f "$PREFIX/include/lfsmr/impl/kv/snapshot_registry.h"
 test -f "$PREFIX/include/lfsmr/impl/kv/codec.h"
+test -f "$PREFIX/include/lfsmr/impl/kv/node_pool.h"
 test -f "$PREFIX/include/lfsmr/impl/kv/shard_index.h"
 test -f "$PREFIX/include/lfsmr/impl/kv/scan.h"
 test -f "$PREFIX/include/lfsmr/impl/kv/txn.h"

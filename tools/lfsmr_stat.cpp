@@ -202,6 +202,7 @@ void printHuman(const char *SchemeName, const telemetry::store_stats &St) {
   std::printf("  allocated %" PRId64 "  retired %" PRId64 "  freed %" PRId64
               "  unreclaimed %" PRId64 "\n",
               St.allocated, St.retired, St.freed, St.unreclaimed);
+  std::printf("  node_bytes %" PRIu64 "\n", St.node_bytes);
   std::printf("  era %" PRIu64 "  version_clock %" PRIu64
               "  live_snapshots %" PRIu64 "  snapshot_slots %" PRIu64 "\n",
               St.era, St.version_clock, St.live_snapshots, St.snapshot_slots);
