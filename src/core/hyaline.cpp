@@ -7,7 +7,6 @@
 #include "core/hyaline.h"
 #include "core/hyaline1.h"
 
-#include "support/trace.h"
 #include <cassert>
 #include <thread>
 
@@ -47,13 +46,7 @@ template <typename Derived, bool Robust>
 void HyalineBase<Derived, Robust>::initNode(Guard &G, NodeHeader *Node)
   requires Robust
 {
-  PerThread &T = *Threads[G.Tid];
-  if (++T.AllocCounter % Clock.Freq == 0) {
-    [[maybe_unused]] const auto NewEra =
-        Clock.AllocEra.fetch_add(1, std::memory_order_acq_rel) + 1;
-    LFSMR_TRACE_EVENT(telemetry::TraceEvent::EraAdvance, NewEra);
-  }
-  Node->setBirthEra(Clock.AllocEra.load(std::memory_order_acquire));
+  Node->setBirthEra(Clock.birth(Threads[G.Tid]->AllocCounter));
   Counter.onAlloc();
 }
 
@@ -172,19 +165,10 @@ uintptr_t MultiList<HeadCodec, Robust>::protect(
     Guard &G, const std::atomic<uintptr_t> &Src)
   requires Robust
 {
+  // Threads share the slot, so a newer era is reserved by CAS-max.
   SlotState &S = slot(G.Slot);
-  uint64_t Access = S.Access.load(std::memory_order_seq_cst);
-  while (true) {
-    // Figure 9, lines 7-11. The pointer must be re-read after every era
-    // update: only a load made while the slot era already matched the
-    // global era is protected.
-    const uintptr_t Value = Src.load(std::memory_order_acquire);
-    const uint64_t Alloc =
-        this->Clock.AllocEra.load(std::memory_order_seq_cst);
-    if (Access == Alloc)
-      return Value;
-    Access = touch(S, Alloc);
-  }
+  return this->Clock.protect(Src, S.Access.load(std::memory_order_seq_cst),
+                             [&S](uint64_t Era) { return touch(S, Era); });
 }
 
 template <typename HeadCodec, bool Robust>

@@ -67,19 +67,9 @@ uintptr_t SingleList<Robust>::protect(Guard &G,
                                       const std::atomic<uintptr_t> &Src)
   requires Robust
 {
-  SlotState &S = *Slots[G.Slot];
-  uint64_t Access = S.Access.load(std::memory_order_relaxed);
-  while (true) {
-    const uintptr_t Value = Src.load(std::memory_order_acquire);
-    const uint64_t Alloc =
-        this->Clock.AllocEra.load(std::memory_order_seq_cst);
-    if (Access == Alloc)
-      return Value;
-    // 1:1 thread-to-slot: a plain store replaces Hyaline-S's CAS-max
-    // (Figure 9, line 20 note). seq_cst orders it before the re-read.
-    S.Access.store(Alloc, std::memory_order_seq_cst);
-    Access = Alloc;
-  }
+  // 1:1 thread-to-slot: a plain store replaces Hyaline-S's CAS-max
+  // (Figure 9, line 20 note).
+  return this->Clock.protect(Src, Slots[G.Slot]->Access);
 }
 
 template <bool Robust> bool SingleList<Robust>::publishBatch(LocalBatch &B) {

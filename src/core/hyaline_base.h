@@ -24,6 +24,7 @@
 #define LFSMR_CORE_HYALINE_BASE_H
 
 #include "core/hyaline_node.h"
+#include "smr/list_reclaimer.h"
 #include "smr/smr.h"
 #include "support/align.h"
 #include "support/mem_counter.h"
@@ -120,7 +121,7 @@ public:
   uint64_t currentEra() const
     requires Robust
   {
-    return Clock.AllocEra.load(std::memory_order_acquire);
+    return Clock.load(std::memory_order_acquire);
   }
 
 protected:
@@ -193,11 +194,7 @@ protected:
       return false;
   }
 
-  /// Figure 9's global allocation-era clock (robust variants only).
-  struct EraClock {
-    unsigned Freq;
-    alignas(CacheLineSize) std::atomic<uint64_t> AllocEra{1};
-  };
+  /// Stands in for the era clock in the non-robust variants.
   struct NoEraClock {
     explicit NoEraClock(unsigned) {}
   };
@@ -213,7 +210,8 @@ protected:
   const std::size_t MinBatch;
   const unsigned MaxThreads;
   std::unique_ptr<CachePadded<PerThread>[]> Threads;
-  [[no_unique_address]] std::conditional_t<Robust, EraClock, NoEraClock>
+  /// Figure 9's global allocation-era clock (robust variants only).
+  [[no_unique_address]] std::conditional_t<Robust, smr::EraClock, NoEraClock>
       Clock;
 };
 

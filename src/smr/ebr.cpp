@@ -6,82 +6,47 @@
 
 #include "smr/ebr.h"
 
-#include "support/trace.h"
+#include <algorithm>
 #include <cassert>
 
 using namespace lfsmr;
 using namespace lfsmr::smr;
 
 EBR::EBR(const Config &C, Deleter Free, void *FreeCtx)
-    : Cfg(C), Free(Free), FreeCtx(FreeCtx),
-      Threads(new CachePadded<PerThread>[C.MaxThreads]) {
-  assert(Free && "EBR requires a deleter");
-}
-
-EBR::~EBR() {
-  // Quiescent teardown: every remaining retired node is safe to free.
-  for (unsigned I = 0; I < Cfg.MaxThreads; ++I) {
-    NodeHeader *Node = Threads[I]->Retired.takeAll();
-    while (Node) {
-      NodeHeader *Next = Node->Next;
-      Free(Node, FreeCtx);
-      Counter.onFree();
-      Node = Next;
-    }
-  }
+    : ListReclaimer(C, Free, FreeCtx), Clock(C.EpochFreq) {
+  for (unsigned I = 0; I < C.MaxThreads; ++I)
+    Threads[I]->Res.store(NoEra, std::memory_order_relaxed);
 }
 
 EBR::Guard EBR::enter(ThreadId Tid) {
   assert(Tid < Cfg.MaxThreads && "thread id out of range");
-  PerThread &T = *Threads[Tid];
-  assert(T.Reservation.load(std::memory_order_relaxed) == Inactive &&
+  std::atomic<uint64_t> &Res = Threads[Tid]->Res;
+  assert(Res.load(std::memory_order_relaxed) == NoEra &&
          "nested enter on the same thread id");
   // seq_cst: the reservation must be visible to concurrent sweeps before
   // this thread reads any data-structure pointer.
-  T.Reservation.store(GlobalEpoch.load(std::memory_order_relaxed),
-                      std::memory_order_seq_cst);
+  Res.store(Clock.load(std::memory_order_relaxed), std::memory_order_seq_cst);
   return Guard{Tid};
 }
 
 void EBR::leave(Guard &G) {
-  Threads[G.Tid]->Reservation.store(Inactive, std::memory_order_release);
+  Threads[G.Tid]->Res.store(NoEra, std::memory_order_release);
 }
 
-uint64_t EBR::minReservation() const {
+void EBR::stamp(ThreadId Tid, NodeHeader *Node) {
+  Node->RetireEpoch = Clock.load(std::memory_order_acquire);
+  // Unconditional (amortized) epoch advance; see ebr.h file comment.
+  Clock.tick(Threads[Tid]->Ticks);
+}
+
+auto EBR::freeable(ThreadId) const {
   // Snapshot-free by construction (paper Section 2): the global state is
   // consulted exactly once per sweep, not once per retired node.
-  uint64_t Min = Inactive;
-  for (unsigned I = 0; I < Cfg.MaxThreads; ++I) {
-    const uint64_t R = Threads[I]->Reservation.load(std::memory_order_acquire);
-    if (R < Min)
-      Min = R;
-  }
-  return Min;
+  uint64_t Min = NoEra;
+  for (unsigned I = 0; I < Cfg.MaxThreads; ++I)
+    Min = std::min(Min, Threads[I]->Res.load(std::memory_order_acquire));
+  return [Min](const NodeHeader *Node) { return Node->RetireEpoch < Min; };
 }
 
-void EBR::sweep(ThreadId Tid) {
-  const uint64_t Min = minReservation();
-  Threads[Tid]->Retired.sweep(
-      [Min](const NodeHeader *Node) { return Node->RetireEpoch < Min; },
-      [this](NodeHeader *Node) {
-        Free(Node, FreeCtx);
-        Counter.onFree();
-      });
-}
-
-void EBR::retire(Guard &G, NodeHeader *Node) {
-  PerThread &T = *Threads[G.Tid];
-  Node->RetireEpoch = GlobalEpoch.load(std::memory_order_acquire);
-  T.Retired.push(Node);
-  Counter.onRetire();
-
-  ++T.RetireCount;
-  // Unconditional (amortized) epoch advance; see ebr.h file comment.
-  if (T.RetireCount % Cfg.EpochFreq == 0) {
-    [[maybe_unused]] const auto NewEra =
-        GlobalEpoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-    LFSMR_TRACE_EVENT(telemetry::TraceEvent::EraAdvance, NewEra);
-  }
-  if (T.Retired.size() >= Cfg.EmptyFreq)
-    sweep(G.Tid);
-}
+template class lfsmr::smr::ListReclaimer<EBR, EpochNode,
+                                         std::atomic<uint64_t>>;

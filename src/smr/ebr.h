@@ -19,39 +19,30 @@
 #ifndef LFSMR_SMR_EBR_H
 #define LFSMR_SMR_EBR_H
 
-#include "smr/retired_list.h"
+#include "smr/list_reclaimer.h"
 #include "smr/smr.h"
-#include "support/align.h"
-#include "support/mem_counter.h"
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
 namespace lfsmr::smr {
 
-/// Epoch-based reclamation (EBR).
-class EBR {
-public:
-  /// Per-node state: the retired-list link and the epoch at retirement.
-  struct NodeHeader {
-    NodeHeader *Next;
-    uint64_t RetireEpoch;
-  };
+/// EBR's per-node state: the retired-list link and the epoch at retirement.
+struct EpochNode {
+  EpochNode *Next;
+  uint64_t RetireEpoch;
+};
 
-  struct Guard {
-    ThreadId Tid;
-  };
+/// Epoch-based reclamation (EBR). Each thread reserves the epoch it
+/// entered at (`NoEra` outside operations).
+class EBR : public ListReclaimer<EBR, EpochNode, std::atomic<uint64_t>> {
+  friend ListReclaimer;
+
+public:
+  using NodeHeader = EpochNode;
 
   /// \p Free is invoked for every reclaimed node with \p FreeCtx.
   EBR(const Config &C, Deleter Free, void *FreeCtx);
-
-  /// Frees every node still held in retired lists. All threads must have
-  /// left before destruction.
-  ~EBR();
-
-  EBR(const EBR &) = delete;
-  EBR &operator=(const EBR &) = delete;
 
   /// Announces the current global epoch as this thread's reservation.
   Guard enter(ThreadId Tid);
@@ -74,53 +65,23 @@ public:
   /// Counts the allocation; EBR stamps nodes only at retire time.
   void initNode(Guard &, NodeHeader *) { Counter.onAlloc(); }
 
-  /// Stamps the node with the current epoch and appends it to the calling
-  /// thread's retired list; periodically advances the epoch and sweeps.
-  void retire(Guard &G, NodeHeader *Node);
-
-  /// Frees a node that was never published into any shared structure
-  /// (e.g. a speculative copy discarded after a failed CAS).
-  void discard(NodeHeader *Node) {
-    Free(Node, FreeCtx);
-    // Counted as an (instant) retire+free so the accounting
-    // invariant "live == allocated - retired" holds for tests.
-    Counter.onRetire();
-    Counter.onFree();
-  }
-
-  /// Accounting for this scheme instance.
-  const MemCounter &memCounter() const { return Counter; }
-
-  /// Current global epoch (exposed for tests).
+  /// Current global epoch (exposed for tests and stats).
   uint64_t currentEpoch() const {
-    return GlobalEpoch.load(std::memory_order_acquire);
+    return Clock.load(std::memory_order_acquire);
   }
 
 private:
-  /// Reservation value meaning "not in a critical section".
-  static constexpr uint64_t Inactive = UINT64_MAX;
+  /// Stamps the current epoch, then advances it every `EpochFreq` retires.
+  void stamp(ThreadId Tid, NodeHeader *Node);
 
-  struct PerThread {
-    std::atomic<uint64_t> Reservation{Inactive};
-    RetiredList<NodeHeader> Retired;
-    uint64_t RetireCount = 0;
-  };
+  /// Nodes retired before the smallest reservation can no longer be
+  /// reached by anyone.
+  auto freeable(ThreadId Tid) const;
 
-  /// Smallest reservation across all threads; retired nodes with
-  /// RetireEpoch < min can no longer be reached by anyone.
-  uint64_t minReservation() const;
-
-  /// Attempts to free nodes from \p Tid's retired list.
-  void sweep(ThreadId Tid);
-
-  const Config Cfg;
-  const Deleter Free;
-  void *const FreeCtx;
-  MemCounter Counter;
-
-  alignas(CacheLineSize) std::atomic<uint64_t> GlobalEpoch{0};
-  std::unique_ptr<CachePadded<PerThread>[]> Threads;
+  EraClock Clock;
 };
+
+extern template class ListReclaimer<EBR, EpochNode, std::atomic<uint64_t>>;
 
 } // namespace lfsmr::smr
 

@@ -6,111 +6,33 @@
 
 #include "smr/he.h"
 
-#include "support/trace.h"
 #include <algorithm>
-#include <cassert>
 
 using namespace lfsmr;
 using namespace lfsmr::smr;
 
-HE::HE(const Config &C, Deleter Free, void *FreeCtx)
-    : Cfg(C), Free(Free), FreeCtx(FreeCtx),
-      Threads(new CachePadded<PerThread>[C.MaxThreads]) {
-  assert(Free && "HE requires a deleter");
-  for (unsigned I = 0; I < Cfg.MaxThreads; ++I) {
-    Threads[I]->Reservations.reset(new std::atomic<uint64_t>[Cfg.NumHazards]);
-    for (unsigned J = 0; J < Cfg.NumHazards; ++J)
-      Threads[I]->Reservations[J].store(NoEra, std::memory_order_relaxed);
-  }
-}
-
-HE::~HE() {
-  for (unsigned I = 0; I < Cfg.MaxThreads; ++I) {
-    NodeHeader *Node = Threads[I]->Retired.takeAll();
-    while (Node) {
-      NodeHeader *Next = Node->Next;
-      Free(Node, FreeCtx);
-      Counter.onFree();
-      Node = Next;
-    }
-  }
-}
-
-HE::Guard HE::enter(ThreadId Tid) {
-  assert(Tid < Cfg.MaxThreads && "thread id out of range");
-  return Guard{Tid, 0};
-}
-
-void HE::leave(Guard &G) {
-  PerThread &T = *Threads[G.Tid];
-  for (unsigned I = 0; I < G.UsedHazards; ++I)
-    T.Reservations[I].store(NoEra, std::memory_order_release);
-  G.UsedHazards = 0;
-}
-
 uintptr_t HE::protect(Guard &G, const std::atomic<uintptr_t> &Src,
                       unsigned Idx) {
-  assert(Idx < Cfg.NumHazards && "era reservation index out of range");
-  PerThread &T = *Threads[G.Tid];
-  if (Idx + 1 > G.UsedHazards)
-    G.UsedHazards = Idx + 1;
-
-  uint64_t Reserved = T.Reservations[Idx].load(std::memory_order_relaxed);
-  while (true) {
-    const uintptr_t Value = Src.load(std::memory_order_acquire);
-    // If the era did not move since our reservation was published, every
-    // node reachable through Value has BirthEra <= Reserved, so it is
-    // covered by the reservation.
-    const uint64_t Era = GlobalEra.load(std::memory_order_seq_cst);
-    if (Era == Reserved)
-      return Value;
-    T.Reservations[Idx].store(Era, std::memory_order_seq_cst);
-    Reserved = Era;
-  }
+  // If the era did not move since the slot's reservation was published,
+  // every node reachable through the value read has BirthEra <= the
+  // reservation, so it is covered.
+  return Clock.protect(Src, slot(G, Idx));
 }
 
 void HE::initNode(Guard &G, NodeHeader *Node) {
-  PerThread &T = *Threads[G.Tid];
-  if (++T.AllocCount % Cfg.EpochFreq == 0) {
-    [[maybe_unused]] const auto NewEra =
-        GlobalEra.fetch_add(1, std::memory_order_acq_rel) + 1;
-    LFSMR_TRACE_EVENT(telemetry::TraceEvent::EraAdvance, NewEra);
-  }
-  Node->BirthEra = GlobalEra.load(std::memory_order_acquire);
+  Node->BirthEra = Clock.birth(Threads[G.Tid]->Ticks);
   Node->RetireEra = NoEra;
   Counter.onAlloc();
 }
 
-void HE::sweep(ThreadId Tid) {
-  PerThread &T = *Threads[Tid];
-  std::vector<uint64_t> &Snap = T.Scratch;
-  Snap.clear();
-  for (unsigned I = 0; I < Cfg.MaxThreads; ++I)
-    for (unsigned J = 0; J < Cfg.NumHazards; ++J) {
-      const uint64_t E =
-          Threads[I]->Reservations[J].load(std::memory_order_seq_cst);
-      if (E != NoEra)
-        Snap.push_back(E);
-    }
-  std::sort(Snap.begin(), Snap.end());
-
-  T.Retired.sweep(
-      [&Snap](const NodeHeader *Node) {
-        // Free unless some reserved era lies within [BirthEra, RetireEra].
-        auto It = std::lower_bound(Snap.begin(), Snap.end(), Node->BirthEra);
-        return It == Snap.end() || *It > Node->RetireEra;
-      },
-      [this](NodeHeader *Node) {
-        Free(Node, FreeCtx);
-        Counter.onFree();
-      });
+auto HE::freeable(ThreadId Tid) {
+  const std::vector<uint64_t> &Snap = sortedReservations(Tid);
+  return [&Snap](const NodeHeader *Node) {
+    auto It = std::lower_bound(Snap.begin(), Snap.end(), Node->BirthEra);
+    return It == Snap.end() || *It > Node->RetireEra;
+  };
 }
 
-void HE::retire(Guard &G, NodeHeader *Node) {
-  PerThread &T = *Threads[G.Tid];
-  Node->RetireEra = GlobalEra.load(std::memory_order_acquire);
-  T.Retired.push(Node);
-  Counter.onRetire();
-  if (T.Retired.size() >= Cfg.EmptyFreq)
-    sweep(G.Tid);
-}
+template class lfsmr::smr::ListReclaimer<HE, EraNode,
+                                         ReservationRow<uint64_t>>;
+template class lfsmr::smr::HazardReclaimer<HE, EraNode, uint64_t, NoEra>;

@@ -19,43 +19,23 @@
 #ifndef LFSMR_SMR_HE_H
 #define LFSMR_SMR_HE_H
 
-#include "smr/retired_list.h"
+#include "smr/list_reclaimer.h"
 #include "smr/smr.h"
-#include "support/align.h"
-#include "support/mem_counter.h"
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 namespace lfsmr::smr {
 
 /// Hazard-era reclamation.
-class HE {
+class HE : public HazardReclaimer<HE, EraNode, uint64_t, NoEra> {
+  friend ListReclaimer;
+
 public:
-  /// Per-node state (paper Table 1: 3 words on 64-bit).
-  struct NodeHeader {
-    NodeHeader *Next;
-    uint64_t BirthEra;
-    uint64_t RetireEra;
-  };
+  using NodeHeader = EraNode;
 
-  struct Guard {
-    ThreadId Tid;
-    unsigned UsedHazards;
-  };
-
-  HE(const Config &C, Deleter Free, void *FreeCtx);
-  ~HE();
-
-  HE(const HE &) = delete;
-  HE &operator=(const HE &) = delete;
-
-  Guard enter(ThreadId Tid);
-
-  /// Clears the era reservations the operation used.
-  void leave(Guard &G);
+  HE(const Config &C, Deleter Free, void *FreeCtx)
+      : HazardReclaimer(C, Free, FreeCtx), Clock(C.EpochFreq) {}
 
   /// Era-reserving protected read into reservation slot \p Idx.
   template <typename T>
@@ -74,51 +54,28 @@ public:
   /// `EpochFreq` allocations.
   void initNode(Guard &G, NodeHeader *Node);
 
-  /// Stamps the retire era, appends to the thread's retired list, sweeps
-  /// once the list is long enough.
-  void retire(Guard &G, NodeHeader *Node);
-
-  /// Frees a node that was never published into any shared structure
-  /// (e.g. a speculative copy discarded after a failed CAS).
-  void discard(NodeHeader *Node) {
-    Free(Node, FreeCtx);
-    // Counted as an (instant) retire+free so the accounting
-    // invariant "live == allocated - retired" holds for tests.
-    Counter.onRetire();
-    Counter.onFree();
-  }
-
-  /// Accounting for this scheme instance.
-  const MemCounter &memCounter() const { return Counter; }
-
-  /// Current era clock (exposed for tests).
+  /// Current era clock (exposed for tests and stats).
   uint64_t currentEra() const {
-    return GlobalEra.load(std::memory_order_acquire);
+    return Clock.load(std::memory_order_acquire);
   }
 
 private:
-  static constexpr uint64_t NoEra = UINT64_MAX;
-
-  struct PerThread {
-    std::unique_ptr<std::atomic<uint64_t>[]> Reservations;
-    RetiredList<NodeHeader> Retired;
-    uint64_t AllocCount = 0;
-    std::vector<uint64_t> Scratch;
-  };
-
   uintptr_t protect(Guard &G, const std::atomic<uintptr_t> &Src,
                     unsigned Idx);
-  void sweep(ThreadId Tid);
 
-  const Config Cfg;
-  const Deleter Free;
-  void *const FreeCtx;
-  MemCounter Counter;
+  void stamp(ThreadId, NodeHeader *Node) {
+    Node->RetireEra = Clock.load(std::memory_order_acquire);
+  }
 
-  /// Starts at 1 so a zero-initialized reservation can never protect.
-  alignas(CacheLineSize) std::atomic<uint64_t> GlobalEra{1};
-  std::unique_ptr<CachePadded<PerThread>[]> Threads;
+  /// A node is unreachable once no reserved era lies within
+  /// [BirthEra, RetireEra].
+  auto freeable(ThreadId Tid);
+
+  EraClock Clock;
 };
+
+extern template class ListReclaimer<HE, EraNode, ReservationRow<uint64_t>>;
+extern template class HazardReclaimer<HE, EraNode, uint64_t, NoEra>;
 
 } // namespace lfsmr::smr
 

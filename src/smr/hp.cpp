@@ -7,59 +7,19 @@
 #include "smr/hp.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace lfsmr;
 using namespace lfsmr::smr;
 
-HP::HP(const Config &C, Deleter Free, void *FreeCtx)
-    : Cfg(C), Free(Free), FreeCtx(FreeCtx),
-      Threads(new CachePadded<PerThread>[C.MaxThreads]) {
-  assert(Free && "HP requires a deleter");
-  for (unsigned I = 0; I < Cfg.MaxThreads; ++I) {
-    Threads[I]->Hazards.reset(new std::atomic<uintptr_t>[Cfg.NumHazards]);
-    for (unsigned J = 0; J < Cfg.NumHazards; ++J)
-      Threads[I]->Hazards[J].store(0, std::memory_order_relaxed);
-  }
-}
-
-HP::~HP() {
-  for (unsigned I = 0; I < Cfg.MaxThreads; ++I) {
-    NodeHeader *Node = Threads[I]->Retired.takeAll();
-    while (Node) {
-      NodeHeader *Next = Node->Next;
-      Free(Node, FreeCtx);
-      Counter.onFree();
-      Node = Next;
-    }
-  }
-}
-
-HP::Guard HP::enter(ThreadId Tid) {
-  assert(Tid < Cfg.MaxThreads && "thread id out of range");
-  return Guard{Tid, 0};
-}
-
-void HP::leave(Guard &G) {
-  PerThread &T = *Threads[G.Tid];
-  for (unsigned I = 0; I < G.UsedHazards; ++I)
-    T.Hazards[I].store(0, std::memory_order_release);
-  G.UsedHazards = 0;
-}
-
 uintptr_t HP::protect(Guard &G, const std::atomic<uintptr_t> &Src,
                       unsigned Idx) {
-  assert(Idx < Cfg.NumHazards && "hazard index out of range");
-  PerThread &T = *Threads[G.Tid];
-  if (Idx + 1 > G.UsedHazards)
-    G.UsedHazards = Idx + 1;
-
+  std::atomic<uintptr_t> &Hazard = slot(G, Idx);
   uintptr_t Value = Src.load(std::memory_order_acquire);
   while (true) {
     // Publish, then re-validate: if the source still holds Value after the
     // hazard store is globally visible, any retirer that unlinks the node
     // afterwards is guaranteed to observe the hazard in its scan.
-    T.Hazards[Idx].store(Value & ~TagMask, std::memory_order_seq_cst);
+    Hazard.store(Value & ~TagMask, std::memory_order_seq_cst);
     const uintptr_t Again = Src.load(std::memory_order_seq_cst);
     if (Again == Value)
       return Value;
@@ -67,33 +27,14 @@ uintptr_t HP::protect(Guard &G, const std::atomic<uintptr_t> &Src,
   }
 }
 
-void HP::sweep(ThreadId Tid) {
-  PerThread &T = *Threads[Tid];
-  std::vector<uintptr_t> &Snap = T.Scratch;
-  Snap.clear();
-  for (unsigned I = 0; I < Cfg.MaxThreads; ++I)
-    for (unsigned J = 0; J < Cfg.NumHazards; ++J) {
-      const uintptr_t H = Threads[I]->Hazards[J].load(std::memory_order_seq_cst);
-      if (H)
-        Snap.push_back(H);
-    }
-  std::sort(Snap.begin(), Snap.end());
-
-  T.Retired.sweep(
-      [&Snap](const NodeHeader *Node) {
-        return !std::binary_search(Snap.begin(), Snap.end(),
-                                   reinterpret_cast<uintptr_t>(Node));
-      },
-      [this](NodeHeader *Node) {
-        Free(Node, FreeCtx);
-        Counter.onFree();
-      });
+auto HP::freeable(ThreadId Tid) {
+  const std::vector<uintptr_t> &Snap = sortedReservations(Tid);
+  return [&Snap](const NodeHeader *Node) {
+    return !std::binary_search(Snap.begin(), Snap.end(),
+                               reinterpret_cast<uintptr_t>(Node));
+  };
 }
 
-void HP::retire(Guard &G, NodeHeader *Node) {
-  PerThread &T = *Threads[G.Tid];
-  T.Retired.push(Node);
-  Counter.onRetire();
-  if (T.Retired.size() >= Cfg.EmptyFreq)
-    sweep(G.Tid);
-}
+template class lfsmr::smr::ListReclaimer<HP, HazardNode,
+                                         ReservationRow<uintptr_t>>;
+template class lfsmr::smr::HazardReclaimer<HP, HazardNode, uintptr_t, 0>;

@@ -20,20 +20,23 @@
 #ifndef LFSMR_SMR_HP_H
 #define LFSMR_SMR_HP_H
 
-#include "smr/retired_list.h"
+#include "smr/list_reclaimer.h"
 #include "smr/smr.h"
-#include "support/align.h"
-#include "support/mem_counter.h"
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 namespace lfsmr::smr {
 
+/// HP's per-node state: just the retired-list link (paper Table 1: 1 word).
+struct HazardNode {
+  HazardNode *Next;
+};
+
 /// Hazard-pointer reclamation.
-class HP {
+class HP : public HazardReclaimer<HP, HazardNode, uintptr_t, 0> {
+  friend ListReclaimer;
+
 public:
   /// HP protects the raw pointer values published by `deref`: sweep
   /// compares retired node addresses against the hazard slots. The
@@ -43,30 +46,10 @@ public:
   /// structurally unsafe here and is rejected via this flag.
   static constexpr bool ProtectsAddresses = true;
 
-  /// Per-node state: just the retired-list link (paper Table 1: 1 word).
-  struct NodeHeader {
-    NodeHeader *Next;
-  };
+  using NodeHeader = HazardNode;
 
-  /// Tracks the highest protection index used so leave() only clears the
-  /// slots this operation touched.
-  struct Guard {
-    ThreadId Tid;
-    unsigned UsedHazards;
-  };
-
-  HP(const Config &C, Deleter Free, void *FreeCtx);
-
-  /// Frees all remaining retired nodes. Requires quiescence.
-  ~HP();
-
-  HP(const HP &) = delete;
-  HP &operator=(const HP &) = delete;
-
-  Guard enter(ThreadId Tid);
-
-  /// Clears every hazard slot the operation used.
-  void leave(Guard &G);
+  HP(const Config &C, Deleter Free, void *FreeCtx)
+      : HazardReclaimer(C, Free, FreeCtx) {}
 
   /// Publish-and-validate protected read into hazard slot \p Idx.
   template <typename T>
@@ -85,47 +68,22 @@ public:
   /// Counts the allocation; HP stamps nothing at allocation time.
   void initNode(Guard &, NodeHeader *) { Counter.onAlloc(); }
 
-  /// Adds \p Node to the calling thread's retired list and, once the list
-  /// is long enough, scans hazards and frees unprotected nodes.
-  void retire(Guard &G, NodeHeader *Node);
-
-  /// Frees a node that was never published into any shared structure
-  /// (e.g. a speculative copy discarded after a failed CAS).
-  void discard(NodeHeader *Node) {
-    Free(Node, FreeCtx);
-    // Counted as an (instant) retire+free so the accounting
-    // invariant "live == allocated - retired" holds for tests.
-    Counter.onRetire();
-    Counter.onFree();
-  }
-
-  /// Accounting for this scheme instance.
-  const MemCounter &memCounter() const { return Counter; }
-
 private:
   /// Low bits of link words that carry data-structure marks, never address.
   static constexpr uintptr_t TagMask = 7;
 
-  struct PerThread {
-    std::unique_ptr<std::atomic<uintptr_t>[]> Hazards;
-    RetiredList<NodeHeader> Retired;
-    std::vector<uintptr_t> Scratch; ///< reusable snapshot buffer
-  };
-
   uintptr_t protect(Guard &G, const std::atomic<uintptr_t> &Src,
                     unsigned Idx);
 
-  /// Snapshot all hazard slots, then free every retired node of \p Tid
-  /// whose address is absent from the snapshot.
-  void sweep(ThreadId Tid);
+  /// HP stamps nothing at retirement either.
+  void stamp(ThreadId, NodeHeader *) {}
 
-  const Config Cfg;
-  const Deleter Free;
-  void *const FreeCtx;
-  MemCounter Counter;
-
-  std::unique_ptr<CachePadded<PerThread>[]> Threads;
+  /// A node is unreachable once no hazard slot holds its address.
+  auto freeable(ThreadId Tid);
 };
+
+extern template class ListReclaimer<HP, HazardNode, ReservationRow<uintptr_t>>;
+extern template class HazardReclaimer<HP, HazardNode, uintptr_t, 0>;
 
 } // namespace lfsmr::smr
 

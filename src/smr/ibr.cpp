@@ -6,101 +6,53 @@
 
 #include "smr/ibr.h"
 
-#include "support/trace.h"
 #include <cassert>
 
 using namespace lfsmr;
 using namespace lfsmr::smr;
 
-IBR::IBR(const Config &C, Deleter Free, void *FreeCtx)
-    : Cfg(C), Free(Free), FreeCtx(FreeCtx),
-      Threads(new CachePadded<PerThread>[C.MaxThreads]) {
-  assert(Free && "IBR requires a deleter");
-}
-
-IBR::~IBR() {
-  for (unsigned I = 0; I < Cfg.MaxThreads; ++I) {
-    NodeHeader *Node = Threads[I]->Retired.takeAll();
-    while (Node) {
-      NodeHeader *Next = Node->Next;
-      Free(Node, FreeCtx);
-      Counter.onFree();
-      Node = Next;
-    }
-  }
-}
-
 IBR::Guard IBR::enter(ThreadId Tid) {
   assert(Tid < Cfg.MaxThreads && "thread id out of range");
-  PerThread &T = *Threads[Tid];
-  const uint64_t Era = GlobalEra.load(std::memory_order_acquire);
-  T.Lower.store(Era, std::memory_order_relaxed);
+  IntervalReservation &R = Threads[Tid]->Res;
+  const uint64_t Era = Clock.load(std::memory_order_acquire);
+  R.Lower.store(Era, std::memory_order_relaxed);
   // seq_cst: the reservation must be visible before any pointer read.
-  T.Upper.store(Era, std::memory_order_seq_cst);
+  R.Upper.store(Era, std::memory_order_seq_cst);
   return Guard{Tid};
 }
 
 void IBR::leave(Guard &G) {
-  PerThread &T = *Threads[G.Tid];
-  T.Upper.store(NoEra, std::memory_order_release);
-  T.Lower.store(NoEra, std::memory_order_release);
+  IntervalReservation &R = Threads[G.Tid]->Res;
+  R.Upper.store(NoEra, std::memory_order_release);
+  R.Lower.store(NoEra, std::memory_order_release);
 }
 
 uintptr_t IBR::protect(Guard &G, const std::atomic<uintptr_t> &Src) {
-  PerThread &T = *Threads[G.Tid];
-  uint64_t Reserved = T.Upper.load(std::memory_order_relaxed);
-  while (true) {
-    const uintptr_t Value = Src.load(std::memory_order_acquire);
-    const uint64_t Era = GlobalEra.load(std::memory_order_seq_cst);
-    if (Era == Reserved)
-      return Value;
-    T.Upper.store(Era, std::memory_order_seq_cst);
-    Reserved = Era;
-  }
+  return Clock.protect(Src, Threads[G.Tid]->Res.Upper);
 }
 
 void IBR::initNode(Guard &G, NodeHeader *Node) {
-  PerThread &T = *Threads[G.Tid];
-  if (++T.AllocCount % Cfg.EpochFreq == 0) {
-    [[maybe_unused]] const auto NewEra =
-        GlobalEra.fetch_add(1, std::memory_order_acq_rel) + 1;
-    LFSMR_TRACE_EVENT(telemetry::TraceEvent::EraAdvance, NewEra);
-  }
-  Node->BirthEra = GlobalEra.load(std::memory_order_acquire);
+  Node->BirthEra = Clock.birth(Threads[G.Tid]->Ticks);
   Node->RetireEra = NoEra;
   Counter.onAlloc();
 }
 
-void IBR::sweep(ThreadId Tid) {
-  PerThread &T = *Threads[Tid];
-  std::vector<Interval> &Snap = T.Scratch;
+auto IBR::freeable(ThreadId Tid) {
+  std::vector<IntervalReservation::Interval> &Snap = Threads[Tid]->Res.Scratch;
   Snap.clear();
   for (unsigned I = 0; I < Cfg.MaxThreads; ++I) {
-    const uint64_t Lo = Threads[I]->Lower.load(std::memory_order_seq_cst);
+    const IntervalReservation &R = Threads[I]->Res;
+    const uint64_t Lo = R.Lower.load(std::memory_order_seq_cst);
     if (Lo == NoEra)
       continue;
-    const uint64_t Hi = Threads[I]->Upper.load(std::memory_order_seq_cst);
-    Snap.push_back(Interval{Lo, Hi});
+    Snap.push_back({Lo, R.Upper.load(std::memory_order_seq_cst)});
   }
-
-  T.Retired.sweep(
-      [&Snap](const NodeHeader *Node) {
-        for (const Interval &R : Snap)
-          if (Node->BirthEra <= R.Upper && Node->RetireEra >= R.Lower)
-            return false; // lifetime intersects a reservation
-        return true;
-      },
-      [this](NodeHeader *Node) {
-        Free(Node, FreeCtx);
-        Counter.onFree();
-      });
+  return [&Snap](const NodeHeader *Node) {
+    for (const IntervalReservation::Interval &R : Snap)
+      if (Node->BirthEra <= R.Upper && Node->RetireEra >= R.Lower)
+        return false; // lifetime intersects a reservation
+    return true;
+  };
 }
 
-void IBR::retire(Guard &G, NodeHeader *Node) {
-  PerThread &T = *Threads[G.Tid];
-  Node->RetireEra = GlobalEra.load(std::memory_order_acquire);
-  T.Retired.push(Node);
-  Counter.onRetire();
-  if (T.Retired.size() >= Cfg.EmptyFreq)
-    sweep(G.Tid);
-}
+template class lfsmr::smr::ListReclaimer<IBR, EraNode, IntervalReservation>;

@@ -20,37 +20,36 @@
 #ifndef LFSMR_SMR_IBR_H
 #define LFSMR_SMR_IBR_H
 
-#include "smr/retired_list.h"
+#include "smr/list_reclaimer.h"
 #include "smr/smr.h"
-#include "support/align.h"
-#include "support/mem_counter.h"
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace lfsmr::smr {
 
+/// IBR's per-thread reservation interval (`NoEra` at both ends outside
+/// operations).
+struct IntervalReservation {
+  struct Interval {
+    uint64_t Lower;
+    uint64_t Upper;
+  };
+  std::atomic<uint64_t> Lower{NoEra};
+  std::atomic<uint64_t> Upper{NoEra};
+  std::vector<Interval> Scratch; ///< the owner's reusable snapshot buffer
+};
+
 /// 2GE interval-based reclamation.
-class IBR {
+class IBR : public ListReclaimer<IBR, EraNode, IntervalReservation> {
+  friend ListReclaimer;
+
 public:
-  /// Per-node state (paper Table 1: 3 words on 64-bit).
-  struct NodeHeader {
-    NodeHeader *Next;
-    uint64_t BirthEra;
-    uint64_t RetireEra;
-  };
+  using NodeHeader = EraNode;
 
-  struct Guard {
-    ThreadId Tid;
-  };
-
-  IBR(const Config &C, Deleter Free, void *FreeCtx);
-  ~IBR();
-
-  IBR(const IBR &) = delete;
-  IBR &operator=(const IBR &) = delete;
+  IBR(const Config &C, Deleter Free, void *FreeCtx)
+      : ListReclaimer(C, Free, FreeCtx), Clock(C.EpochFreq) {}
 
   /// Pins the reservation interval at the current era.
   Guard enter(ThreadId Tid);
@@ -76,54 +75,25 @@ public:
   /// allocations.
   void initNode(Guard &G, NodeHeader *Node);
 
-  /// Stamps the retire era and appends to the thread's retired list.
-  void retire(Guard &G, NodeHeader *Node);
-
-  /// Frees a node that was never published into any shared structure
-  /// (e.g. a speculative copy discarded after a failed CAS).
-  void discard(NodeHeader *Node) {
-    Free(Node, FreeCtx);
-    // Counted as an (instant) retire+free so the accounting
-    // invariant "live == allocated - retired" holds for tests.
-    Counter.onRetire();
-    Counter.onFree();
-  }
-
-  /// Accounting for this scheme instance.
-  const MemCounter &memCounter() const { return Counter; }
-
-  /// Current era clock (exposed for tests).
+  /// Current era clock (exposed for tests and stats).
   uint64_t currentEra() const {
-    return GlobalEra.load(std::memory_order_acquire);
+    return Clock.load(std::memory_order_acquire);
   }
 
 private:
-  static constexpr uint64_t NoEra = UINT64_MAX;
-
-  struct Interval {
-    uint64_t Lower;
-    uint64_t Upper;
-  };
-
-  struct PerThread {
-    std::atomic<uint64_t> Lower{NoEra};
-    std::atomic<uint64_t> Upper{NoEra};
-    RetiredList<NodeHeader> Retired;
-    uint64_t AllocCount = 0;
-    std::vector<Interval> Scratch;
-  };
-
   uintptr_t protect(Guard &G, const std::atomic<uintptr_t> &Src);
-  void sweep(ThreadId Tid);
 
-  const Config Cfg;
-  const Deleter Free;
-  void *const FreeCtx;
-  MemCounter Counter;
+  void stamp(ThreadId, NodeHeader *Node) {
+    Node->RetireEra = Clock.load(std::memory_order_acquire);
+  }
 
-  alignas(CacheLineSize) std::atomic<uint64_t> GlobalEra{1};
-  std::unique_ptr<CachePadded<PerThread>[]> Threads;
+  /// A node is unreachable once its lifetime intersects no reservation.
+  auto freeable(ThreadId Tid);
+
+  EraClock Clock;
 };
+
+extern template class ListReclaimer<IBR, EraNode, IntervalReservation>;
 
 } // namespace lfsmr::smr
 

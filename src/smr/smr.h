@@ -31,7 +31,6 @@
 #ifndef LFSMR_SMR_SMR_H
 #define LFSMR_SMR_SMR_H
 
-#include <atomic>
 #include <cstdint>
 
 namespace lfsmr::smr {
@@ -90,12 +89,17 @@ struct Config {
 /// expose a global era/epoch observer named `currentEra()` (IBR, HE,
 /// Hyaline-S, Hyaline-1S) or `currentEpoch()` (EBR); `schemeEra` reads
 /// whichever one exists uniformly and returns 0 for schemes with no such
-/// clock (Hyaline, Hyaline-1, HP, nomm) — every real clock seeds at 1,
-/// so 0 is unambiguous. Together with the per-domain `MemCounter`
-/// (retired / reclaimed / retired-list length), this is everything a
-/// scheme reports into `lfsmr::telemetry::domain_stats`; a new scheme
-/// that wants its era visible only needs to name its observer
-/// accordingly.
+/// clock (Hyaline, Hyaline-1, Hyaline-P, HP, nomm). Every clock is an
+/// `EraClock` (smr/list_reclaimer.h), which seeds at 1, so 0 is
+/// unambiguous. EBR's observer keeps its own name because `currentEra()`
+/// means more than stats: the NM tree restarts a walk whenever the era of
+/// a scheme that has it advances, so that no walk adopts a node born
+/// after the era it reserved ("era-constant traversal", `ds/nm_tree.h`).
+/// EBR's epoch reservation covers whole operations and needs no restart.
+/// Together with the per-domain `MemCounter` (retired / reclaimed /
+/// retired-list length), this is everything a scheme reports into
+/// `lfsmr::telemetry::domain_stats`; a new scheme that wants its era
+/// visible only needs to name its observer accordingly.
 template <typename Scheme> std::uint64_t schemeEra(const Scheme &S) {
   if constexpr (requires { S.currentEra(); })
     return S.currentEra();
@@ -104,49 +108,6 @@ template <typename Scheme> std::uint64_t schemeEra(const Scheme &S) {
   else
     return 0;
 }
-
-/// Convenience RAII wrapper pairing enter/leave around a scope.
-///
-/// The paper notes (Table 1 discussion) that the deref-based API "can be
-/// fully hidden using standard language idioms, such as smart pointers in
-/// C++" — unlike HP-style APIs, which force the programmer to assign
-/// indices and annotate last uses. Region is that idiom: construction
-/// enters, destruction leaves, and read() wraps deref so user code never
-/// names a protection slot.
-///
-/// \code
-///   smr::Region R(Scheme, Tid);
-///   Node *N = R.read(SharedPtr);   // protected for the Region's lifetime
-///   ...
-/// \endcode
-template <typename Scheme> class Region {
-public:
-  Region(Scheme &S, ThreadId Tid) : S(S), G(S.enter(Tid)) {}
-  ~Region() { S.leave(G); }
-
-  Region(const Region &) = delete;
-  Region &operator=(const Region &) = delete;
-
-  /// Protected pointer read; the result stays valid until the Region is
-  /// destroyed. Successive reads rotate protection slots automatically
-  /// for the index-based schemes (HP/HE), up to Config::NumHazards live
-  /// pointers per Region.
-  template <typename T> T *read(const std::atomic<T *> &Src) {
-    return S.deref(G, Src, NextIdx++ % 16);
-  }
-
-  /// Reclaim retired batches observed so far without closing the region
-  /// (forwards to the scheme's trim when it has one).
-  void trim() { S.trim(G); }
-
-  /// Access the underlying per-operation guard.
-  typename Scheme::Guard &guard() { return G; }
-
-private:
-  Scheme &S;
-  typename Scheme::Guard G;
-  unsigned NextIdx = 0;
-};
 
 } // namespace lfsmr::smr
 

@@ -79,6 +79,13 @@ using AllSchemes = GtestTypes<ReclaimingSchemes>;
 /// Schemes with robust (bounded under stall) reclamation.
 using RobustSchemes = GtestTypes<typename Filter<SchemeList, IsRobust>::type>;
 
+/// Schemes that reclaim, but not past a stalled thread (paper Table 1).
+template <typename S>
+struct ReclaimsNonRobust
+    : std::bool_constant<Reclaims<S>::value && !IsRobust<S>::value> {};
+using NonRobustSchemes =
+    GtestTypes<typename Filter<SchemeList, ReclaimsNonRobust>::type>;
+
 /// Schemes that can run the Bonsai tree and the concurrent NM tree (all
 /// but HP/HE; paper Section 6).
 using WholeOperationSchemes =

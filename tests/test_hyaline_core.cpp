@@ -16,6 +16,7 @@
 #include "core/hyaline1.h"
 #include "core/hyaline_head.h"
 #include "core/hyaline_node.h"
+#include "lfsmr/domain.h"
 #include "scheme_fixtures.h"
 
 #include <thread>
@@ -372,11 +373,12 @@ TEST(HyalineCore, ConcurrentTrimmers) {
 
 TEST(HyalineCore, RegionRaiiWrapsEnterLeave) {
   std::atomic<int64_t> Freed{0};
-  Hyaline S(tinyConfig(2, 4), countingDeleter<Hyaline>, &Freed);
+  lfsmr::domain<Hyaline> D(tinyConfig(2, 4), countingDeleter<Hyaline>,
+                           &Freed);
   {
-    smr::Region<Hyaline> R(S, 0);
-    retireBatch(S, R.guard(), 3);
-  } // leave() runs here
+    auto G = D.enter(0);
+    retireBatch(D.scheme(), G.native(), 3);
+  } // the guard leaves here
   EXPECT_EQ(Freed.load(), 3);
 }
 

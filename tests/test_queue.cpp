@@ -6,6 +6,7 @@
 
 #include "ds/ms_queue.h"
 #include "ds_common.h"
+#include "lfsmr/domain.h"
 
 #include <numeric>
 
@@ -124,26 +125,30 @@ TYPED_TEST(QueueTest, AccountingClosesAfterDrain) {
 
 TYPED_TEST(QueueTest, RegionSmartPointerIdiom) {
   // The paper's Table 1 note: deref can be hidden behind standard C++
-  // idioms. Region::read never names a protection index.
-  MSQueue<TypeParam> Q(dsTestConfig());
-  Q.enqueue(0, 42);
-  // (Region wraps a scheme directly; exercise it on a raw cell.)
+  // idioms. A guard's scope is the protected region, and `protect(src)`
+  // never names a protection slot: it rotates through the domain's
+  // `NumHazards` slots, so more reads than slots stay inside HP's and
+  // HE's per-thread row.
+  smr::Config C = dsTestConfig();
+  C.NumHazards = 2;
   std::atomic<int64_t> Freed{0};
   {
-    TypeParam S(dsTestConfig(), countingDeleter<TypeParam>, &Freed);
+    lfsmr::domain<TypeParam> D(C, countingDeleter<TypeParam>, &Freed);
     auto *N = new TestNode<TypeParam>();
     N->Payload = 7;
     std::atomic<TestNode<TypeParam> *> Cell{nullptr};
     {
-      smr::Region<TypeParam> R(S, 0);
-      S.initNode(R.guard(), &N->Hdr);
+      auto G = D.enter(0);
+      G.init(&N->Hdr);
       Cell.store(N);
-      auto *P = R.read(Cell);
-      ASSERT_NE(P, nullptr);
-      EXPECT_EQ(P->Payload, 7u);
-      S.retire(R.guard(), &Cell.exchange(nullptr)->Hdr);
+      for (unsigned I = 0; I < 2 * C.NumHazards + 1; ++I) {
+        auto P = G.protect(Cell);
+        ASSERT_NE(P.get(), nullptr);
+        EXPECT_EQ(P->Payload, 7u);
+      }
+      G.retire(&Cell.exchange(nullptr)->Hdr);
     } // leave() runs here; the deferred free happens by destruction
-    EXPECT_EQ(S.memCounter().retired(), 1);
+    EXPECT_EQ(D.stats().retired, 1);
   }
   EXPECT_EQ(Freed.load(), 1);
 }

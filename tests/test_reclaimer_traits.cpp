@@ -59,6 +59,30 @@ static_assert(headerMeasured<core::HyalinePacked>());
 static_assert(headerMeasured<core::HyalineS>());
 static_assert(headerMeasured<core::Hyaline1S>());
 
+// The baselines' headers keep the paper's Table 1 word counts (the
+// Hyaline header is pinned at 3 words in core/hyaline_node.h).
+static_assert(ReclaimerTraits<smr::HP>::Row.HeaderBytes == 8);
+static_assert(ReclaimerTraits<smr::EBR>::Row.HeaderBytes == 16);
+static_assert(ReclaimerTraits<smr::HE>::Row.HeaderBytes == 24);
+static_assert(ReclaimerTraits<smr::IBR>::Row.HeaderBytes == 24);
+
+// --- Era observers ----------------------------------------------------------
+// `currentEra()` is more than a stats hook: the NM tree restarts a walk
+// whenever such a scheme's era advances (ds/nm_tree.h). Exactly the era
+// schemes expose it; EBR names its clock `currentEpoch()`.
+template <typename S>
+constexpr bool hasCurrentEra = requires(const S &Sc) { Sc.currentEra(); };
+static_assert(!hasCurrentEra<smr::NoMM>);
+static_assert(!hasCurrentEra<smr::EBR>);
+static_assert(!hasCurrentEra<smr::HP>);
+static_assert(hasCurrentEra<smr::HE>);
+static_assert(hasCurrentEra<smr::IBR>);
+static_assert(!hasCurrentEra<core::Hyaline>);
+static_assert(!hasCurrentEra<core::Hyaline1>);
+static_assert(!hasCurrentEra<core::HyalinePacked>);
+static_assert(hasCurrentEra<core::HyalineS>);
+static_assert(hasCurrentEra<core::Hyaline1S>);
+
 // --- API columns (Table 1) -----------------------------------------------
 // deref is required by exactly the robust schemes (paper Section 2); the
 // HP-style per-pointer indices only by HP and HE.

@@ -283,9 +283,6 @@ TYPED_TEST(Robust, KvServeBoundedUnderStalledSnapshotHolder) {
          "snapshot holder";
 }
 
-using NonRobustSchemes =
-    ::testing::Types<smr::EBR, core::Hyaline, core::Hyaline1>;
-
 template <typename S> class NonRobust : public ::testing::Test {};
 TYPED_TEST_SUITE(NonRobust, NonRobustSchemes, SchemeNames);
 

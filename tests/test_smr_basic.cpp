@@ -17,6 +17,7 @@
 #include "scheme_fixtures.h"
 
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 using namespace lfsmr;
@@ -291,6 +292,29 @@ TEST(NoMMTeardown, FreesEveryRetiredNodeAtDestruction) {
     EXPECT_EQ(Scheme.memCounter().retired(), 400);
   }
   EXPECT_EQ(Freed.load(), 400);
+}
+
+/// The schemes with a global clock: EBR's epoch and the four era schemes.
+template <typename S>
+constexpr bool HasClock =
+    std::is_same_v<S, smr::EBR> || std::is_same_v<S, smr::IBR> ||
+    std::is_same_v<S, smr::HE> || std::is_same_v<S, core::HyalineS> ||
+    std::is_same_v<S, core::Hyaline1S>;
+
+template <typename S> class EraObserver : public ::testing::Test {};
+TYPED_TEST_SUITE(EraObserver, GtestTypes<SchemeList>, SchemeNames);
+
+/// Every clock seeds at 1, so an era of 0 in `domain_stats` always means
+/// "this scheme has no clock", never "the clock has not ticked yet".
+TYPED_TEST(EraObserver, ClockReadsAtLeastOneFromConstruction) {
+  std::atomic<int64_t> Freed{0};
+  smr::Config C;
+  C.MaxThreads = 4;
+  TypeParam Scheme(C, countingDeleter<TypeParam>, &Freed);
+  if constexpr (HasClock<TypeParam>)
+    EXPECT_GE(smr::schemeEra(Scheme), 1u);
+  else
+    EXPECT_EQ(smr::schemeEra(Scheme), 0u);
 }
 
 } // namespace
