@@ -82,10 +82,9 @@ std::optional<double> heapInUse() {
 
 /// A u64 store prefilled with keys [0, \p Prefill) bound to 2K. With
 /// \p BytesPerKey set, it receives the heap bytes the (single-threaded)
-/// fill took per key: the node pool's chunks (ASan builds: nodes at
-/// their malloc chunk sizes), plus the bucket-directory arrays growth
-/// appended (bucket sentinels live inline there). It stays empty off
-/// glibc.
+/// fill took per key: the node pool's chunks, plus the bucket-directory
+/// arrays growth appended (bucket sentinels live inline there). It stays
+/// empty off glibc.
 template <typename S>
 std::unique_ptr<kv::Store<S>>
 prefilledStore(kv::Options KO, uint64_t Prefill,
@@ -968,7 +967,6 @@ template <typename S> struct KvAsyncOp {
           4096, 2 * static_cast<std::size_t>(T) * Window /
                     Db->options().Shards);
       AO.WaitSpins = 1;
-      AO.CombineDelay = 8;
       Sub = std::make_unique<SubmitterT>(*Db, AO);
     }
     RunResult Rr = storeRun(

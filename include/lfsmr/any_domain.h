@@ -88,7 +88,7 @@ class any_domain {
 
     explicit model(const config &cfg)
         : s(cfg, &detail::reclaimTransparent<Scheme>, nullptr),
-          rotate(cfg.NumHazards ? cfg.NumHazards : 1) {}
+          rotate(smr::hazardSlots(cfg)) {}
 
     static native_guard &as_guard(void *gs) {
       return *static_cast<native_guard *>(gs);

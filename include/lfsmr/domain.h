@@ -80,8 +80,7 @@ public:
   /// by it. Hyaline's transparency is that its slot count `k` does not
   /// depend on the number of threads, and threads need no registration.
   guard_type enter(thread_id tid) {
-    return guard_type(s, tid, cfg_.NumHazards ? cfg_.NumHazards : 1,
-                      transparent_);
+    return guard_type(s, tid, smr::hazardSlots(cfg_), transparent_);
   }
 
   /// The underlying scheme instance, for scheme-specific observers

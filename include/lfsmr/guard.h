@@ -35,6 +35,7 @@
 #include "lfsmr/protected_ptr.h"
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -65,12 +66,15 @@ public:
       requires(Scheme &s, typename Scheme::Guard &g) { s.trim(g); };
 
   /// Enters \p scheme as thread \p tid. Prefer `domain::enter`.
-  /// \p rotate_slots bounds the auto-rotating `protect` overload;
+  /// \p rotate_slots (at least 1; `domain::enter` passes
+  /// `smr::hazardSlots`) bounds the auto-rotating `protect` overload;
   /// \p transparent records whether the owning domain allows `create`.
   guard(Scheme &scheme, thread_id tid, unsigned rotate_slots,
         bool transparent)
-      : s(&scheme), g(scheme.enter(tid)), rotate(rotate_slots ? rotate_slots : 1),
-        transparent_mode(transparent) {}
+      : s(&scheme), g(scheme.enter(tid)), rotate(rotate_slots),
+        transparent_mode(transparent) {
+    assert(rotate_slots > 0 && "the rotation needs at least one slot");
+  }
 
   /// Leaves the scheme (unless the guard was moved from or `leave()` was
   /// already called).
@@ -187,25 +191,6 @@ public:
     s->initNode(g, &block->Hdr);
     // A discarded block is counted as retire+free, keeping the accounting
     // invariant "unreclaimed == retired - freed" intact.
-    return detail::constructTransparent<T>(
-        obj, [this, block] { s->discard(&block->Hdr); },
-        std::forward<Args>(args)...);
-  }
-
-  /// `create<T>()` with `extra` uninitialized bytes appended directly
-  /// after the object inside the same library-owned block — one
-  /// allocation, one retire, for variable-size records (a length-prefixed
-  /// byte payload riding behind its header, as `lfsmr::kv`'s string
-  /// codecs do). The trailing bytes have no alignment guarantee beyond
-  /// `alignof(T)` + `sizeof(T)` and are freed with the block; `T`'s
-  /// destructor must not assume they were initialized.
-  template <typename T, typename... Args>
-  T *create_extended(std::size_t extra, Args &&...args) {
-    require_transparent("guard::create_extended<T>()");
-    detail::TransparentBlock<Scheme> *block = nullptr;
-    void *obj = detail::allocateTransparent<Scheme>(sizeof(T) + extra,
-                                                    alignof(T), block);
-    s->initNode(g, &block->Hdr);
     return detail::constructTransparent<T>(
         obj, [this, block] { s->discard(&block->Hdr); },
         std::forward<Args>(args)...);

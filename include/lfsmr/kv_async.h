@@ -64,9 +64,8 @@
 namespace lfsmr::kv {
 
 /// Construction-time knobs for `submitter`: per-shard ring capacity
-/// (bounds memory and backpressure; rounded up to a power of two),
-/// the waiters' help budget before parking (`WaitSpins`), and the
-/// batch-deepening combine patience (`CombineDelay`).
+/// (bounds memory and backpressure; rounded up to a power of two) and
+/// the waiters' help budget before parking (`WaitSpins`).
 /// `submitter::options()` returns the values actually applied.
 using async_options = AsyncOptions;
 

@@ -20,11 +20,16 @@
 /// always *some* current head pointer — which an active thread in the
 /// slot is allowed to dereference (it holds a reference through HRef).
 ///
-/// On non-x86-64 targets this falls back to std::atomic<Head>. The same
-/// fallback is used under ThreadSanitizer: inline asm is invisible to
-/// TSan, so the cmpxchg16b path would (falsely) report every
-/// publish-batch/leave synchronization edge as a race. The fallback keeps
-/// the algorithm identical and lets TSan model the acquire/release pairs.
+/// Every x86-64 build runs this asm path, ThreadSanitizer's too. Inline
+/// asm is invisible to TSan, so the head tells it about its edges on the
+/// head's own address: `__tsan_release` before each cmpxchg16b and
+/// `__tsan_acquire` after it and after each two-word load. TSan then
+/// models the CAS as acq_rel and the load as acquire, which is what the
+/// hardware gives, and the publish-batch/leave edges Hyaline relies on
+/// are checked on the code every other build runs. Outside TSan the two
+/// calls compile to nothing.
+///
+/// Targets other than x86-64 fall back to std::atomic<Head>.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,16 +41,20 @@
 #include <atomic>
 #include <cstdint>
 
-namespace lfsmr::core {
-
 #if defined(__SANITIZE_THREAD__)
-#define LFSMR_DWCAS_PORTABLE 1
+#define LFSMR_DWCAS_TSAN 1
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
-#define LFSMR_DWCAS_PORTABLE 1
+#define LFSMR_DWCAS_TSAN 1
 #endif
 #endif
-#if !defined(LFSMR_DWCAS_PORTABLE) && !defined(__x86_64__)
+#ifdef LFSMR_DWCAS_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
+
+namespace lfsmr::core {
+
+#ifndef __x86_64__
 #define LFSMR_DWCAS_PORTABLE 1
 #endif
 
@@ -65,6 +74,7 @@ public:
     H.Ptr = reinterpret_cast<HyalineNode *>(
         reinterpret_cast<const std::atomic<uint64_t> &>(Hi).load(
             std::memory_order_acquire));
+    tsanAcquire();
     return H;
   }
 
@@ -74,12 +84,16 @@ public:
     uint64_t ExpLo = Expected.Ref;
     uint64_t ExpHi = reinterpret_cast<uint64_t>(Expected.Ptr);
     bool Ok;
+#ifdef LFSMR_DWCAS_TSAN
+    __tsan_release(this);
+#endif
     asm volatile("lock cmpxchg16b %[mem]"
                  : [mem] "+m"(Lo), "+m"(Hi), "+a"(ExpLo), "+d"(ExpHi),
                    "=@ccz"(Ok)
                  : "b"(Desired.Ref),
                    "c"(reinterpret_cast<uint64_t>(Desired.Ptr))
                  : "memory");
+    tsanAcquire();
     if (!Ok) {
       Expected.Ref = ExpLo;
       Expected.Ptr = reinterpret_cast<HyalineNode *>(ExpHi);
@@ -94,14 +108,22 @@ public:
   }
 
 private:
+  /// Tells TSan this thread acquired what every earlier CAS on the head
+  /// released (see the file comment). Nothing outside TSan.
+  void tsanAcquire() const {
+#ifdef LFSMR_DWCAS_TSAN
+    __tsan_acquire(const_cast<DWAtomicHead *>(this));
+#endif
+  }
+
   alignas(16) uint64_t Lo; ///< HRef
   uint64_t Hi;             ///< HPtr
 };
 
 #else // LFSMR_DWCAS_PORTABLE
 
-/// Portable fallback on std::atomic (LL/SC or library-provided CAS);
-/// also the TSan build's path, so the sanitizer sees the ordering.
+/// Portable fallback on std::atomic (LL/SC or library-provided CAS) for
+/// targets other than x86-64.
 class DWAtomicHead {
 public:
   DWAtomicHead() : A(Head{}) {}

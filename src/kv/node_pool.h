@@ -39,6 +39,18 @@
 /// range, then a fresh chunk — so a chunk is carved only when no freed
 /// slot was available to this thread at that moment.
 ///
+/// Every build runs this pool, AddressSanitizer's too, so ASan checks the
+/// allocation path that Release builds and benchmarks execute. Under ASan
+/// the pool plays the part of ASan's own heap quarantine: chunk space not
+/// yet carved is poisoned, `release` poisons the slot and parks it in a
+/// FIFO of `QuarantineSlots` slots before it reaches the return stack,
+/// and `allocate` unpoisons the slot it hands out. A reader that touches
+/// a slot while it sits in the quarantine — a reclamation bug — gets a
+/// use-after-poison report. Teardown aborts if a slot was handed out and
+/// never released, since LeakSanitizer only sees whole chunks. Outside
+/// ASan the quarantine is empty and the poisoning macros expand to
+/// nothing.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LFSMR_KV_NODE_POOL_H
@@ -47,10 +59,15 @@
 #include "smr/smr.h"
 #include "support/align.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <new>
 
@@ -64,16 +81,6 @@ namespace lfsmr::kv {
 #endif
 #endif
 
-/// True in AddressSanitizer builds. The store then takes its nodes from
-/// `::operator new` instead of a `NodePool`, so ASan's quarantine still
-/// catches a use-after-free of a reclaimed node (a pooled slot is reused
-/// at once and never poisoned).
-#ifdef LFSMR_KV_ASAN
-inline constexpr bool AsanBuild = true;
-#else
-inline constexpr bool AsanBuild = false;
-#endif
-
 /// A lock-free pool of equal-size slots (see the file comment).
 /// Immovable. `allocate` is called by the thread owning \p Tid only;
 /// `release` may be called by any thread, including one that never
@@ -82,6 +89,14 @@ class NodePool {
 public:
   /// Smallest chunk carved from `::operator new`.
   static constexpr std::size_t MinChunkBytes = std::size_t{64} << 10;
+
+  /// Released slots held poisoned before they can be reused: 512 under
+  /// AddressSanitizer, 0 otherwise (a released slot is reusable at once).
+#ifdef LFSMR_KV_ASAN
+  static constexpr std::size_t QuarantineSlots = 512;
+#else
+  static constexpr std::size_t QuarantineSlots = 0;
+#endif
 
   /// Slots of \p SlotBytes bytes, each aligned to \p Align (a power of
   /// two no larger than `operator new`'s default alignment that divides
@@ -95,9 +110,18 @@ public:
            SlotBytes >= sizeof(FreeSlot));
   }
 
-  /// Releases every chunk. Every slot must have been released or be
-  /// unreachable by then.
+  /// Releases every chunk. Every slot must have been released by then
+  /// (checked under AddressSanitizer).
   ~NodePool() {
+#ifdef LFSMR_KV_ASAN
+    if (const std::ptrdiff_t N = Live.load(std::memory_order_acquire)) {
+      std::fprintf(stderr,
+                   "lfsmr::kv::NodePool: %td slot(s) of %zu bytes were "
+                   "allocated and never released\n",
+                   N, Slot);
+      std::abort();
+    }
+#endif
     Chunk *C = Chunks.load(std::memory_order_acquire);
     while (C) {
       Chunk *Next = C->Next;
@@ -111,29 +135,29 @@ public:
 
   /// One slot for thread \p Tid (uninitialized storage).
   void *allocate(smr::ThreadId Tid) {
-    assert(Tid < MaxThreads && "thread id outside the pool's cache array");
-    Cache &C = *Caches[Tid];
-    if (FreeSlot *S = C.Free) {
-      C.Free = S->Next;
-      return S;
-    }
-    // Load first: an empty stack costs no write to the shared line.
-    if (Returned->load(std::memory_order_relaxed)) {
-      if (FreeSlot *S =
-              Returned->exchange(nullptr, std::memory_order_acquire)) {
-        C.Free = S->Next;
-        return S;
-      }
-    }
-    if (C.Bump == C.End)
-      carve(C);
-    void *P = C.Bump;
-    C.Bump += Slot;
+    void *P = take(Tid);
+    ASAN_UNPOISON_MEMORY_REGION(P, Slot);
+#ifdef LFSMR_KV_ASAN
+    Live.fetch_add(1, std::memory_order_relaxed);
+#endif
     return P;
   }
 
-  /// Returns \p P (a slot of this pool) to the shared stack. Any thread.
+  /// Returns \p P (a slot of this pool) to the shared stack — under
+  /// AddressSanitizer, poisoned and through the quarantine. Any thread.
   void release(void *P) {
+#ifdef LFSMR_KV_ASAN
+    Live.fetch_sub(1, std::memory_order_relaxed);
+    ASAN_POISON_MEMORY_REGION(P, Slot);
+    // Out comes the slot released QuarantineSlots releases ago. Its link
+    // word becomes pool state again; the rest of it stays poisoned.
+    const std::size_t I =
+        QNext.fetch_add(1, std::memory_order_relaxed) % QuarantineSlots;
+    P = Quarantine[I].exchange(P, std::memory_order_acq_rel);
+    if (!P)
+      return;
+    ASAN_UNPOISON_MEMORY_REGION(P, sizeof(FreeSlot));
+#endif
     auto *S = new (P) FreeSlot{Returned->load(std::memory_order_relaxed)};
     while (!Returned->compare_exchange_weak(S->Next, S,
                                             std::memory_order_release,
@@ -166,6 +190,29 @@ private:
     char *End = nullptr;
   };
 
+  /// A slot for thread \p Tid, in the order the file comment gives.
+  void *take(smr::ThreadId Tid) {
+    assert(Tid < MaxThreads && "thread id outside the pool's cache array");
+    Cache &C = *Caches[Tid];
+    if (FreeSlot *S = C.Free) {
+      C.Free = S->Next;
+      return S;
+    }
+    // Load first: an empty stack costs no write to the shared line.
+    if (Returned->load(std::memory_order_relaxed)) {
+      if (FreeSlot *S =
+              Returned->exchange(nullptr, std::memory_order_acquire)) {
+        C.Free = S->Next;
+        return S;
+      }
+    }
+    if (C.Bump == C.End)
+      carve(C);
+    void *P = C.Bump;
+    C.Bump += Slot;
+    return P;
+  }
+
   /// Carves a fresh chunk into \p C's bump range.
   void carve(Cache &C) {
     char *Mem = static_cast<char *>(::operator new(ChunkSize));
@@ -177,6 +224,7 @@ private:
     Bytes.fetch_add(ChunkSize, std::memory_order_relaxed);
     C.Bump = Mem + DataOff;
     C.End = C.Bump + (ChunkSize - DataOff) / Slot * Slot;
+    ASAN_POISON_MEMORY_REGION(C.Bump, C.End - C.Bump);
   }
 
   const std::size_t Slot;
@@ -187,6 +235,11 @@ private:
   CachePadded<std::atomic<FreeSlot *>> Returned{nullptr};
   std::atomic<Chunk *> Chunks{nullptr};
   std::atomic<std::size_t> Bytes{0};
+#ifdef LFSMR_KV_ASAN
+  std::atomic<std::ptrdiff_t> Live{0}; ///< slots handed out, not released
+  std::atomic<std::size_t> QNext{0};   ///< the quarantine's next entry
+  std::array<std::atomic<void *>, QuarantineSlots> Quarantine{};
+#endif
 };
 
 } // namespace lfsmr::kv

@@ -119,10 +119,11 @@
 /// pool's shared return stack, whichever thread reclamation frees it on.
 /// So a slot Hyaline frees on any thread is reused by every writer,
 /// where glibc would hand it back to the allocating thread's arena only.
-/// Byte-string payloads (the node size varies per value) and
-/// AddressSanitizer builds (whose quarantine must see every free) keep
-/// `::operator new`. The pool is declared before the domain, so every
-/// free of the domain's teardown lands in a live pool.
+/// Byte-string payloads (the node size varies per value) keep
+/// `::operator new`. Sanitizer builds run the same pool: under
+/// AddressSanitizer it poisons and quarantines every freed slot itself.
+/// The pool is declared before the domain, so every free of the domain's
+/// teardown lands in a live pool.
 ///
 /// Protection-slot discipline (HP/HE): the index walk rotates slots 0–2
 /// exactly like `ds::ListOps`; version-chain walks rotate slots 3–4,
@@ -689,11 +690,10 @@ private:
       (std::max({sizeof(VNode), sizeof(KNode), sizeof(CNode)}) + SlotAlign -
        1) & ~(SlotAlign - 1);
   /// True when nodes come from the store's `NodePool`: both codecs are
-  /// fixed size (one slot size fits every node), no node is over-aligned
-  /// for `::operator new`'s chunks, and the build is not ASan's.
-  static constexpr bool Pooled =
-      IsFixedSizeCodec<K> && IsFixedSizeCodec<V> && !AsanBuild &&
-      SlotAlign <= __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+  /// fixed size (one slot size fits every node) and no node is
+  /// over-aligned for `::operator new`'s chunks.
+  static constexpr bool Pooled = IsFixedSizeCodec<K> && IsFixedSizeCodec<V> &&
+                                 SlotAlign <= __STDCPP_DEFAULT_NEW_ALIGNMENT__;
 
 public:
   /// Bytes of one node-pool slot, or 0 when the store takes its nodes

@@ -101,16 +101,6 @@ struct AsyncOptions {
   /// toward sleeping — right when threads outnumber cores; the default
   /// keeps waiters hot on dedicated cores.
   unsigned WaitSpins = 64;
-
-  /// Yield rounds a waiting `Future::get` sits out before it starts
-  /// combining itself. 0 (default) helps immediately — lowest waiter
-  /// latency. Nonzero trades that latency for batch depth when clients
-  /// outnumber cores: descheduled producers get CombineDelay scheduler
-  /// rounds to pile more ops into the rings before this waiter drains
-  /// them, so each combined guard/stamp window amortizes over more
-  /// records. Completion still never depends on another thread existing
-  /// — once the delay is spent the waiter combines exactly as with 0.
-  unsigned CombineDelay = 0;
 };
 
 namespace detail {
@@ -266,29 +256,21 @@ public:
     assert(Req && "get() on an empty future");
     std::uint64_t C = Req->Ctl.load(std::memory_order_acquire);
     unsigned Rounds = 0;
-    unsigned Patience = Sub->options().CombineDelay;
     while (!(C & request_type::DoneBit)) {
-      if (Patience) {
-        // Batch-depth patience: give descheduled producers a scheduler
-        // round to fill the rings before draining them ourselves.
-        --Patience;
+      // The epoch read must precede the help attempt: if the owning
+      // combiner completes our op after this load, the bump+notify lands
+      // on a changed word and the wait below returns at once — no lost
+      // wakeup.
+      const std::uint64_t E =
+          Sub->Rings[Shard].Epoch.load(std::memory_order_acquire);
+      Sub->helpShard(Tid, Shard);
+      C = Req->Ctl.load(std::memory_order_acquire);
+      if (C & request_type::DoneBit)
+        break;
+      if (++Rounds > Sub->options().WaitSpins)
+        Sub->Rings[Shard].Epoch.wait(E, std::memory_order_acquire);
+      else
         std::this_thread::yield();
-      } else {
-        // The epoch read must precede the help attempt: if the owning
-        // combiner completes our op after this load, the bump+notify
-        // lands on a changed word and the wait below returns at once —
-        // no lost wakeup.
-        const std::uint64_t E =
-            Sub->Rings[Shard].Epoch.load(std::memory_order_acquire);
-        Sub->helpShard(Tid, Shard);
-        C = Req->Ctl.load(std::memory_order_acquire);
-        if (C & request_type::DoneBit)
-          break;
-        if (++Rounds > Sub->options().WaitSpins)
-          Sub->Rings[Shard].Epoch.wait(E, std::memory_order_acquire);
-        else
-          std::this_thread::yield();
-      }
       C = Req->Ctl.load(std::memory_order_acquire);
     }
     const bool R = (C & request_type::ResultBit) != 0;

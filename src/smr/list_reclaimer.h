@@ -228,7 +228,7 @@ void ListReclaimer<D, H, R>::sweep(PerThread &T, ThreadId Tid) {
   }
 }
 
-/// HP's and HE's per-thread reservations: `Config::NumHazards` indexed
+/// HP's and HE's per-thread reservations: `hazardSlots(Config)` indexed
 /// slots, each holding a protected value (an address for HP, an era for
 /// HE) or the scheme's empty value.
 template <typename T> struct ReservationRow {
@@ -262,7 +262,7 @@ protected:
 
   /// Slot \p Idx of \p G's row, recorded as used.
   std::atomic<T> &slot(Guard &G, unsigned Idx) {
-    assert(Idx < this->Cfg.NumHazards && "reservation index out of range");
+    assert(Idx < hazardSlots(this->Cfg) && "reservation index out of range");
     if (Idx + 1 > G.UsedHazards)
       G.UsedHazards = Idx + 1;
     return this->Threads[G.Tid]->Res.Slots[Idx];
@@ -274,7 +274,7 @@ protected:
     std::vector<T> &Snap = this->Threads[Tid]->Res.Scratch;
     Snap.clear();
     for (unsigned I = 0; I < this->Cfg.MaxThreads; ++I)
-      for (unsigned J = 0; J < this->Cfg.NumHazards; ++J) {
+      for (unsigned J = 0; J < hazardSlots(this->Cfg); ++J) {
         const T V = this->Threads[I]->Res.Slots[J].load(
             std::memory_order_seq_cst);
         if (V != Empty)
@@ -291,8 +291,8 @@ HazardReclaimer<D, H, T, Empty>::HazardReclaimer(const Config &C,
     : Base(C, Free, FreeCtx) {
   for (unsigned I = 0; I < C.MaxThreads; ++I) {
     auto &Slots = this->Threads[I]->Res.Slots;
-    Slots.reset(new std::atomic<T>[C.NumHazards]);
-    for (unsigned J = 0; J < C.NumHazards; ++J)
+    Slots.reset(new std::atomic<T>[hazardSlots(C)]);
+    for (unsigned J = 0; J < hazardSlots(C); ++J)
       Slots[J].store(Empty, std::memory_order_relaxed);
   }
 }

@@ -73,7 +73,8 @@ struct Config {
   /// per-thread retired list holds this many nodes).
   unsigned EmptyFreq = 120;
 
-  /// Per-thread protection slots for HP and HE.
+  /// Per-thread protection slots for HP and HE (0 counts as 1; see
+  /// `hazardSlots`).
   unsigned NumHazards = 16;
 
   /// Hyaline-S/1S `Freq`: the global era clock ticks once per this many
@@ -84,6 +85,13 @@ struct Config {
   /// considered occupied by stalled threads and is avoided by enter.
   int64_t AckThreshold = 8192;
 };
+
+/// The protection slots each thread really has: `C.NumHazards`, at least
+/// one. HP and HE size their reservation rows with it, and the facade's
+/// rotating `protect` cycles over it, so the two always agree.
+constexpr unsigned hazardSlots(const Config &C) {
+  return C.NumHazards ? C.NumHazards : 1;
+}
 
 /// The optional *stats surface* of the scheme contract: a scheme MAY
 /// expose a global era/epoch observer named `currentEra()` (IBR, HE,

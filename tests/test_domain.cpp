@@ -7,10 +7,11 @@
 /// \file
 /// The public transparent allocation surface, typed over every scheme
 /// that can run it (all but the address-protecting HP): `guard::create`,
-/// `create_extended`, `retire(ptr)`, `retire(ptr, del)`, `discard(ptr)`
-/// and their accounting; the strong exception guarantee of `create`; the
+/// `retire(ptr)`, `retire(ptr, del)`, `discard(ptr)` and their
+/// accounting; the strong exception guarantee of `create`; the
 /// `std::logic_error` a transparent call raises on an intrusive domain;
-/// and the names `lfsmr::any_domain` accepts and rejects.
+/// HP and HE with `NumHazards = 0`; and the names `lfsmr::any_domain`
+/// accepts and rejects.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,6 @@
 #include "lfsmr/any_domain.h"
 #include "lfsmr/domain.h"
 
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -112,33 +112,6 @@ TYPED_TEST(Transparent, CreateRetireDiscardAccounting) {
   }
 }
 
-TYPED_TEST(Transparent, CreateExtendedTrailingBytesAreWritable) {
-  constexpr std::size_t Extra = 200;
-  {
-    domain<TypeParam> D(this->testConfig());
-    auto G = D.enter(0);
-    Tracked *T = G.template create_extended<Tracked>(Extra, 7);
-    auto *Tail = reinterpret_cast<unsigned char *>(T + 1);
-    std::memset(Tail, 0xA5, Extra);
-    for (std::size_t I = 0; I < Extra; ++I)
-      ASSERT_EQ(Tail[I], 0xA5) << "trailing byte " << I;
-    EXPECT_EQ(T->Payload, 7u) << "the suffix must not overlap the object";
-    G.retire(T);
-
-    Tracked *U = G.template create_extended<Tracked>(Extra, 8);
-    std::memset(reinterpret_cast<unsigned char *>(U + 1), 0x5A, Extra);
-    G.discard(U);
-    EXPECT_EQ(Tracked::Dtors, D.stats().freed);
-    EXPECT_EQ(D.stats().allocated, 2);
-    this->expectBalanced(D.stats());
-  }
-  // The block (object + suffix) leaves in one free: the leak checker and
-  // the destructor count see it go.
-  if constexpr (Reclaims<TypeParam>::value) {
-    EXPECT_EQ(Tracked::Dtors, 2);
-  }
-}
-
 TYPED_TEST(Transparent, RetireWithDeleterRunsDeleterNotDestructor) {
   {
     domain<TypeParam> D(this->testConfig());
@@ -159,13 +132,11 @@ TYPED_TEST(Transparent, ThrowingConstructorLeavesCountersBalanced) {
   {
     auto G = D.enter(0);
     EXPECT_THROW((void)G.template create<Throws>(1), std::runtime_error);
-    EXPECT_THROW((void)G.template create_extended<Throws>(32, 1),
-                 std::runtime_error);
   }
   const memory_stats St = D.stats();
-  EXPECT_EQ(St.allocated, 2);
-  EXPECT_EQ(St.retired, 2) << "the released block counts as retire + free";
-  EXPECT_EQ(St.freed, 2);
+  EXPECT_EQ(St.allocated, 1);
+  EXPECT_EQ(St.retired, 1) << "the released block counts as retire + free";
+  EXPECT_EQ(St.freed, 1);
   EXPECT_EQ(St.unreclaimed, 0);
 }
 
@@ -176,11 +147,49 @@ TYPED_TEST(Transparent, CreateOnIntrusiveDomainThrows) {
   {
     auto G = D.enter(0);
     EXPECT_THROW((void)G.template create<Tracked>(1), std::logic_error);
-    EXPECT_THROW((void)G.template create_extended<Tracked>(16, 1),
-                 std::logic_error);
   }
   EXPECT_EQ(Tracked::Ctors, 0);
   EXPECT_EQ(D.stats().allocated, 0) << "nothing was allocated or counted";
+}
+
+/// HP and HE built with `NumHazards = 0` still give each thread one
+/// protection slot: the rotating `protect` stays inside the row, and the
+/// node it protects survives another thread's retire and sweep.
+template <typename S> void protectThroughTheOneSlot() {
+  smr::Config C;
+  C.MaxThreads = 2;
+  C.NumHazards = 0;
+  C.EmptyFreq = 1; // every retire sweeps
+  std::atomic<int64_t> Freed{0};
+  {
+    domain<S> D(C, countingDeleter<S>, &Freed);
+    auto *N = new TestNode<S>();
+    N->Payload = 7;
+    std::atomic<TestNode<S> *> Cell{nullptr};
+    {
+      auto W = D.enter(1);
+      W.init(&N->Hdr);
+      Cell.store(N);
+    }
+    auto Reader = D.enter(0);
+    auto P = Reader.protect(Cell);
+    ASSERT_EQ(P.get(), N);
+    {
+      auto W = D.enter(1);
+      W.retire(&Cell.exchange(nullptr)->Hdr);
+    }
+    EXPECT_EQ(Freed.load(), 0) << "the sweep freed a protected node";
+    EXPECT_EQ(P->Payload, 7u);
+  }
+  EXPECT_EQ(Freed.load(), 1);
+}
+
+TEST(ZeroHazards, HpProtectsThroughOneSlot) {
+  protectThroughTheOneSlot<smr::HP>();
+}
+
+TEST(ZeroHazards, HeProtectsThroughOneSlot) {
+  protectThroughTheOneSlot<smr::HE>();
 }
 
 /// Every scheme name paired with whether it protects raw addresses.

@@ -10,8 +10,11 @@
 /// slots one thread allocated and another freed are reused by a third
 /// thread id without a new chunk (the reuse glibc's per-thread arenas
 /// lack), teardown releases every chunk (LSan checks it under the `asan`
-/// preset), and a 4-thread cross-thread alloc/free stress (label
-/// `stress`; run it under the `tsan` preset for the race check).
+/// preset), a released slot is poisoned under ASan, and a 4-thread
+/// cross-thread alloc/free stress (label `stress`; run it under the
+/// `tsan` preset for the race check). Under ASan a released slot waits
+/// in the pool's quarantine, so the reuse tests push their slots through
+/// it first and keep their exact expectations.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +23,10 @@
 #include "kv/node_pool.h"
 
 #include "gtest/gtest.h"
+
+#ifdef LFSMR_KV_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include <atomic>
 #include <cstdint>
@@ -34,17 +41,36 @@ namespace {
 constexpr std::size_t Slot = 56;
 constexpr std::size_t Align = 8;
 
+/// `QuarantineSlots` slots of \p Tid (none outside ASan). Allocated before
+/// the slots under test are released and released right after them, they
+/// push those slots through the quarantine onto the return stack.
+std::vector<void *> quarantineFill(kv::NodePool &P, smr::ThreadId Tid) {
+  std::vector<void *> Fill;
+  for (std::size_t I = 0; I < kv::NodePool::QuarantineSlots; ++I)
+    Fill.push_back(P.allocate(Tid));
+  return Fill;
+}
+
+void releaseAll(kv::NodePool &P, const std::vector<void *> &Slots) {
+  for (void *S : Slots)
+    P.release(S);
+}
+
 TEST(NodePool, FreedSlotIsTheNextAllocation) {
   kv::NodePool P(Slot, Align, 2);
   EXPECT_EQ(P.bytes(), 0u) << "a fresh pool holds no chunk";
   void *A = P.allocate(0);
   void *B = P.allocate(0);
+  const std::vector<void *> FillA = quarantineFill(P, 0);
+  const std::vector<void *> FillB = quarantineFill(P, 0);
   EXPECT_NE(A, B);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(A) % Align, 0u);
   EXPECT_EQ(P.bytes(), P.chunkBytes());
   std::thread([&] { P.release(A); }).join();
+  releaseAll(P, FillA);
   EXPECT_EQ(P.allocate(0), A) << "the freed slot comes back before the bump";
   P.release(B);
+  releaseAll(P, FillB);
   EXPECT_EQ(P.allocate(1), B) << "any thread id takes the returned slot";
   EXPECT_EQ(P.bytes(), P.chunkBytes());
   P.release(A);
@@ -59,12 +85,11 @@ TEST(NodePool, SlotsFreedElsewhereAreReusedWithoutANewChunk) {
   std::vector<void *> Mine;
   for (std::size_t I = 0; I < N; ++I)
     Mine.push_back(P.allocate(0));
+  const std::vector<void *> Fill = quarantineFill(P, 0);
   const std::size_t Held = P.bytes();
   EXPECT_EQ(Held, P.chunkBytes());
-  std::thread([&] {
-    for (void *S : Mine)
-      P.release(S);
-  }).join();
+  std::thread([&] { releaseAll(P, Mine); }).join();
+  releaseAll(P, Fill);
   const std::set<void *> Freed(Mine.begin(), Mine.end());
   std::set<void *> Reused;
   for (std::size_t I = 0; I < N; ++I)
@@ -76,7 +101,7 @@ TEST(NodePool, SlotsFreedElsewhereAreReusedWithoutANewChunk) {
 }
 
 TEST(NodePool, BumpRangeSpansChunksAndTeardownReleasesThem) {
-  // Enough slots for three chunks, some left allocated at teardown: the
+  // Enough slots for three chunks, the last one only partly carved: the
   // destructor must release every chunk (LSan reports any it misses).
   kv::NodePool P(Slot, Align, 1);
   const std::size_t PerChunk = P.chunkBytes() / Slot;
@@ -85,6 +110,8 @@ TEST(NodePool, BumpRangeSpansChunksAndTeardownReleasesThem) {
     Seen.insert(P.allocate(0));
   EXPECT_EQ(Seen.size(), 2 * PerChunk + 1) << "every slot is distinct";
   EXPECT_EQ(P.bytes(), 3 * P.chunkBytes());
+  for (void *S : Seen)
+    P.release(S);
 }
 
 TEST(NodePool, OversizedSlotGetsAChunkOfItsOwn) {
@@ -95,6 +122,27 @@ TEST(NodePool, OversizedSlotGetsAChunkOfItsOwn) {
   EXPECT_NE(A, B);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(B) % 16, 0u);
   EXPECT_EQ(P.bytes(), 2 * P.chunkBytes());
+  P.release(A);
+  P.release(B);
+}
+
+TEST(NodePool, ReleasedSlotIsPoisonedUnderAsan) {
+#ifndef LFSMR_KV_ASAN
+  GTEST_SKIP() << "the pool poisons slots in AddressSanitizer builds only";
+#else
+  kv::NodePool P(Slot, Align, 1);
+  auto *A = static_cast<char *>(P.allocate(0));
+  EXPECT_EQ(__asan_region_is_poisoned(A, Slot), nullptr);
+  EXPECT_TRUE(__asan_address_is_poisoned(A + Slot))
+      << "chunk space not yet carved";
+  P.release(A);
+  EXPECT_TRUE(__asan_address_is_poisoned(A));
+  EXPECT_TRUE(__asan_address_is_poisoned(A + Slot - 1));
+  auto *B = static_cast<char *>(P.allocate(0));
+  EXPECT_NE(B, A) << "the released slot waits in the quarantine";
+  EXPECT_EQ(__asan_region_is_poisoned(B, Slot), nullptr);
+  P.release(B);
+#endif
 }
 
 TEST(NodePoolStress, FourThreadsAllocateAndFreeAcrossThreads) {
@@ -143,9 +191,11 @@ TEST(NodePoolStress, FourThreadsAllocateAndFreeAcrossThreads) {
   for (auto &B : Box)
     if (void *S = B.exchange(nullptr))
       Free(S);
-  // At most Boxes + Threads slots are ever live at once, so reuse keeps
-  // the pool to a few chunks per thread however many ops ran.
-  EXPECT_LE(P.bytes(), 2 * Threads * P.chunkBytes())
+  // At most Boxes + Threads slots are ever live at once (plus, under
+  // ASan, the quarantined ones), so reuse keeps the pool to a few chunks
+  // per thread however many ops ran.
+  EXPECT_LE(P.bytes(), 2 * Threads * P.chunkBytes() +
+                           kv::NodePool::QuarantineSlots * Slot)
       << "freed slots were not reused";
 }
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Verifies the install/export packaging end to end:
-#   1. builds the library alone and installs it into a scratch prefix,
-#      which must hold no bench/test tooling (impl/harness, devtools);
+#   1. builds the library alone and installs it into an emptied scratch
+#      prefix (a header deleted from the tree must not survive from an
+#      earlier run), which must hold no bench/test tooling (impl/harness,
+#      devtools);
 #   2. configures the standalone consumer (examples/find_package_consumer)
 #      against that prefix via find_package(lfsmr CONFIG);
 #   3. builds and runs the consumer's behavioural smoke test;
@@ -23,6 +25,7 @@ cmake -B "$BUILD/lib" -S . \
   -DLFSMR_BUILD_EXAMPLES=OFF -DLFSMR_BUILD_TOOLS=OFF \
   -DCMAKE_INSTALL_PREFIX="$PREFIX"
 cmake --build "$BUILD/lib" -j"$JOBS"
+rm -rf "$PREFIX"
 cmake --install "$BUILD/lib"
 
 test -f "$PREFIX/include/lfsmr/lfsmr.h"
