@@ -224,6 +224,23 @@ template <typename T>
 inline constexpr bool IsFixedSizeCodec =
     requires { requires Codec<T>::FixedSize; };
 
+/// Equality of two probe values in the codecs' order: bytewise for
+/// trivially copyable types, `operator==` for byte-strings.
+template <typename T> bool codecEqual(const T &A, const T &B) {
+  if constexpr (std::is_trivially_copyable_v<T>)
+    return std::memcmp(&A, &B, sizeof(T)) == 0;
+  else
+    return A == B;
+}
+
+/// Strict order of two probe values, consistent with `codecEqual`.
+template <typename T> bool codecLess(const T &A, const T &B) {
+  if constexpr (std::is_trivially_copyable_v<T>)
+    return std::memcmp(&A, &B, sizeof(T)) < 0;
+  else
+    return A < B;
+}
+
 } // namespace lfsmr::kv
 
 #endif // LFSMR_KV_CODEC_H

@@ -39,6 +39,9 @@
 /// driver: transactions and multi-key async batches publish their
 /// groups through `publishFold` under one record and resolve it with
 /// one clock tick (a single group takes the solo path, no record).
+/// Each chain step below them is spelled once, too: `locate` (key
+/// lookup), `stepOlder` (protected descent), `detachSuffix`, `markDead`
+/// (dead-mark and unlink) and `pinCommit` (commit-record pin).
 ///
 /// Shape:
 ///
@@ -65,9 +68,8 @@
 ///  - Writers trim the version-chain *suffix* past the oldest live
 ///    snapshot right after appending (no background thread): the chain
 ///    below the newest version any live snapshot can see is detached
-///    with an ownership-transferring `exchange` walk and retired through
-///    the guard. A chain reduced to one settled tombstone unlinks its
-///    key node entirely.
+///    and retired (`detachSuffix`). A chain reduced to one settled
+///    tombstone unlinks its key node entirely.
 ///  - Multi-key transactions (`kv/txn.h`) publish every version of a
 ///    write set under one shared commit record and resolve it with a
 ///    single clock tick, so snapshot reads observe the batch
@@ -89,16 +91,19 @@
 ///         are settled by (1), and an aborted head's stamp is cached
 ///         to Aborted before the unpublish CAS. This is what makes
 ///         dereferencing a version's commit-record pointer safe (see
-///         `stampOf` for the full argument). Enforced by `trimChain`'s
-///         boundary test and `unpublishAbortedHead`.
+///         `pinCommit`). Enforced at each version retire: `trimChain`
+///         calls `detachSuffix` only below a confirmed settled boundary,
+///         `unpublishAbortedHead` retires only a head cached to Aborted,
+///         and `retireUnlinked` runs only after `markDead` took a
+///         settled tombstone or an aborted sole version.
 ///      3. *A commit record is retired only after every version it
 ///         published has a non-Pending stamp* (the committer's settle
 ///         sweep, or the abort sweep's unpublish). Readers re-check the
-///         version stamp after protecting the commit record, so a
-///         Pending observation proves the record is still alive.
-///         Enforced in one place: `commitGroups` sweeps every published
-///         group (`settleAndTrim` / `abortPublished`) before the
-///         record retires.
+///         version stamp after protecting the record (`pinCommit`), so
+///         a Pending observation proves it is still alive. Enforced in
+///         one place: `commitGroups` sweeps every published group
+///         (`settleAndTrim` / `abortPublished`) before the record
+///         retires.
 ///
 /// One node layout for every scheme: each node is the scheme's header
 /// followed by one record (version, key or commit record),
@@ -125,12 +130,13 @@
 /// The pool is declared before the domain, so every free of the domain's
 /// teardown lands in a live pool.
 ///
-/// Protection-slot discipline (HP/HE): the index walk rotates slots 0–2
-/// exactly like `ds::ListOps`; version-chain walks rotate slots 3–4,
-/// slot 5 pins a writer's own fresh version through the publish-then-
-/// stamp window, and slot 6 pins a transaction's commit record while a
-/// reader resolves its shared stamp. `Options::Reclaim.NumHazards` is
-/// raised to at least 8.
+/// Protection-slot discipline (HP/HE): the index walk (`locate`) rotates
+/// slots 0–2 exactly like `ds::ListOps`; version-chain walks take the
+/// head in slot 3 and rotate slots 3–4 through `stepOlder`; slot 5 is
+/// `protectSelf`'s (a writer's own fresh version through the publish-
+/// then-stamp window) and slot 6 is `pinCommit`'s (a transaction's
+/// commit record while a reader resolves its shared stamp).
+/// `Options::Reclaim.NumHazards` is raised to at least 8.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -424,12 +430,9 @@ public:
     }
     for (const K &Key : Keys) {
       auto G = Dom.enter(Tid);
-      const std::uint64_t H = Codec<K>::hash(Key);
-      const Probe P{itemSoKey(H), &Key};
-      const typename Index_t::Position Pos =
-          Index->find(G, shardOf(H), H, P, /*InitBuckets=*/false);
-      if (Pos.Found)
-        trimChain(G, toK(Pos.CurrRaw), shardOf(H), H, P);
+      const Lookup L = locate(G, Key, Codec<K>::hash(Key), false);
+      if (L.KN)
+        trimChain(G, L);
     }
   }
 
@@ -490,26 +493,16 @@ public:
   /// introspection hook; O(chain), racy under concurrent writes.
   std::size_t version_count(thread_id Tid, const K &Key) {
     auto G = Dom.enter(Tid);
-    const std::uint64_t H = Codec<K>::hash(Key);
-    const Probe P{itemSoKey(H), &Key};
-    const typename Index_t::Position Pos =
-        Index->find(G, shardOf(H), H, P, /*InitBuckets=*/false);
-    if (!Pos.Found)
+    const Lookup L = locate(G, Key, Codec<K>::hash(Key), false);
+    if (!L.KN)
       return 0;
     std::size_t N = 0;
-    unsigned A = VSlotA, B = VSlotB;
-    std::uintptr_t Raw =
-        G.protect_link(toK(Pos.CurrRaw)->R.VHead, A) & ~Tag;
-    while (VNode *VN = toV(Raw)) {
+    unsigned Spare = VSlotB;
+    for (VNode *VN = toV(G.protect_link(L.KN->R.VHead, VSlotA)); VN;) {
       ++N;
-      const std::uint64_t St =
-          VN->R.Stamp.load(std::memory_order_seq_cst);
-      Raw = G.protect_link(VN->R.Older, B);
-      if (St == SnapshotRegistry::Pending &&
-          VN->R.Stamp.load(std::memory_order_seq_cst) ==
-              SnapshotRegistry::Aborted)
+      if (!stepOlder(G, VN, VN->R.Stamp.load(std::memory_order_seq_cst),
+                     Spare))
         break; // a txn died under the walk; the count is racy anyway
-      std::swap(A, B);
     }
     return N;
   }
@@ -775,20 +768,13 @@ private:
 
   /// Retires an unlinked key node and its version chain. Only the single
   /// unlink-CAS winner gets here, so the head version (the settled
-  /// tombstone) is retired exactly once; the suffix links are *taken*
-  /// with exchange because a trimmer that was mid-walk when the key died
-  /// may still be detaching them concurrently.
+  /// tombstone) is retired exactly once; the suffix goes through
+  /// `detachSuffix` because a trimmer that was mid-walk when the key died
+  /// may still be detaching it concurrently.
   void retireUnlinked(guard_type &G, std::uintptr_t Raw) {
     KNode *KN = toK(Raw);
-    const std::uintptr_t VW =
-        KN->R.VHead.load(std::memory_order_acquire) & ~Tag;
-    if (VNode *HeadV = toV(VW)) {
-      std::uintptr_t Taken =
-          HeadV->R.Older.exchange(0, std::memory_order_seq_cst);
-      while (VNode *X = toV(Taken)) {
-        Taken = X->R.Older.exchange(0, std::memory_order_seq_cst);
-        G.retire(&X->Hdr);
-      }
+    if (VNode *HeadV = toV(KN->R.VHead.load(std::memory_order_acquire))) {
+      detachSuffix(G, HeadV);
       G.retire(&HeadV->Hdr);
     }
     G.retire(&KN->Hdr);
@@ -796,6 +782,27 @@ private:
 
   friend class ShardIndex<Store>;
   using Index_t = ShardIndex<Store>;
+
+  /// A located key: hash, shard and probe (what an unlink needs), index
+  /// position, and the key node (null when absent), which slots 0–2 keep
+  /// protected until the guard's next index walk.
+  struct Lookup {
+    std::uint64_t H;
+    std::size_t S;
+    Probe P;
+    typename Index_t::Position Pos;
+    KNode *KN;
+  };
+
+  /// The key lookup: hash -> probe -> shard -> `Index->find`. A write
+  /// passes \p InitBuckets to materialize the bucket it may insert into.
+  Lookup locate(guard_type &G, const K &Key, std::uint64_t H,
+                bool InitBuckets) {
+    const std::size_t S = shardOf(H);
+    const Probe P{itemSoKey(H), &Key};
+    const typename Index_t::Position Pos = Index->find(G, S, H, P, InitBuckets);
+    return Lookup{H, S, P, Pos, Pos.Found ? toK(Pos.CurrRaw) : nullptr};
+  }
 
   //===------------------------------------------------------------------===//
   // Version chains
@@ -818,29 +825,18 @@ private:
   /// a settled clock value, `Aborted` (the version is invisible and
   /// will be unpublished), or `Pending` (an unpublished transaction —
   /// invisible *for now*, treat as +inf and keep walking). Solo pending
-  /// stamps are helped (`resolve`) exactly as before; transactional
-  /// stamps are resolved through the shared commit record and *cached*
-  /// into the version's own stamp word so later readers stop touching
-  /// the record.
-  ///
-  /// Commit-record lifetime argument: the record is dereferenced only
-  /// when the re-check load after `protect_link` still reads Pending.
-  /// The owner retires the record only after every version it published
-  /// carries a non-Pending stamp (file-header invariant 3), so a
-  /// Pending observation *after* the hazard/era protection is installed
-  /// proves the retire — if it happens at all — happens after the
-  /// protection is visible to reclamation.
+  /// stamps are helped (`resolve`); transactional stamps are resolved
+  /// through the shared commit record (`pinCommit`) and *cached* into
+  /// the version's own stamp word so later readers stop touching it.
   std::uint64_t stampOf(guard_type &G, VNode *VN) {
     const std::uint64_t S = VN->R.Stamp.load(std::memory_order_seq_cst);
     if (S != SnapshotRegistry::Pending)
       return S; // settled or Aborted: immutable from here on
-    const std::uintptr_t CW = G.protect_link(VN->R.Commit, VSlotC) & ~TombBit;
-    if (!CW)
-      return Registry.resolve(VN->R.Stamp); // solo write: help-stamp it
-    const std::uint64_t S2 = VN->R.Stamp.load(std::memory_order_seq_cst);
-    if (S2 != SnapshotRegistry::Pending)
-      return S2; // settled/aborted while we protected the record
-    const std::uint64_t CS = Registry.resolveCommit(toC(CW)->R.Stamp);
+    const auto [C, S2] = pinCommit(G, VN);
+    if (!C) // solo write: help-stamp it; else settled/aborted meanwhile
+      return S2 == SnapshotRegistry::Pending ? Registry.resolve(VN->R.Stamp)
+                                             : S2;
+    const std::uint64_t CS = Registry.resolveCommit(C->R.Stamp);
     if (CS == SnapshotRegistry::Unpublished)
       return SnapshotRegistry::Pending; // not yet committed: do not cache
     // Aborted or settled: cache into the version (first CAS wins; every
@@ -857,19 +853,74 @@ private:
   /// lock-free; transactions are obstruction-free against each other).
   /// A lost CAS means the committer opened the record (Pending) or
   /// another writer killed it first — either way the next `stampOf`
-  /// settles. The stamp re-check after protecting the record is the
-  /// same lifetime argument as in `stampOf`.
+  /// settles.
   void killUnpublished(guard_type &G, VNode *VN) {
+    if (CNode *C = pinCommit(G, VN).first) {
+      std::uint64_t Exp = SnapshotRegistry::Unpublished;
+      C->R.Stamp.compare_exchange_strong(Exp, SnapshotRegistry::Aborted,
+                                         std::memory_order_seq_cst,
+                                         std::memory_order_seq_cst);
+    }
+  }
+
+  /// The commit-record pin: protects \p VN's commit record in `VSlotC`
+  /// and re-checks that \p VN's stamp is still Pending. Returns the
+  /// record and Pending, or null and the stamp: Pending for a solo write
+  /// (no record), the value it left Pending for meanwhile otherwise.
+  /// Lifetime argument: the owner retires the record only after every
+  /// version it published carries a non-Pending stamp (file-header
+  /// invariant 3), so a Pending re-check *after* the hazard/era
+  /// protection is installed proves the retire, if any, comes after the
+  /// protection is visible.
+  std::pair<CNode *, std::uint64_t> pinCommit(guard_type &G, VNode *VN) {
     const std::uintptr_t CW = G.protect_link(VN->R.Commit, VSlotC) & ~TombBit;
     if (!CW)
-      return;
-    if (VN->R.Stamp.load(std::memory_order_seq_cst) !=
-        SnapshotRegistry::Pending)
-      return;
-    std::uint64_t Exp = SnapshotRegistry::Unpublished;
-    toC(CW)->R.Stamp.compare_exchange_strong(Exp, SnapshotRegistry::Aborted,
-                                              std::memory_order_seq_cst,
-                                              std::memory_order_seq_cst);
+      return {nullptr, SnapshotRegistry::Pending};
+    const std::uint64_t St = VN->R.Stamp.load(std::memory_order_seq_cst);
+    return {St == SnapshotRegistry::Pending ? toC(CW) : nullptr, St};
+  }
+
+  /// One protected step down a version chain: protects the older link of
+  /// \p Cur (stamp \p St, held in the other V slot) in \p Spare and
+  /// swaps the slots' roles. False when \p St was Pending and the
+  /// version has turned Aborted since: the killed version may be
+  /// unpublished and retired, so the link may be stale. On true \p Cur
+  /// is the older version (null past the chain's end).
+  bool stepOlder(guard_type &G, VNode *&Cur, std::uint64_t St,
+                 unsigned &Spare) {
+    const std::uintptr_t Nxt = G.protect_link(Cur->R.Older, Spare);
+    if (St == SnapshotRegistry::Pending &&
+        Cur->R.Stamp.load(std::memory_order_seq_cst) ==
+            SnapshotRegistry::Aborted)
+      return false;
+    Cur = toV(Nxt);
+    Spare = Spare == VSlotA ? VSlotB : VSlotA;
+    return true;
+  }
+
+  /// Detaches and retires everything older than \p Cur, returning the
+  /// count. Each link is *taken* with an exchange, so concurrent
+  /// detachers (trimmers, the unlinker) retire every node exactly once.
+  std::uint64_t detachSuffix(guard_type &G, VNode *Cur) {
+    std::uint64_t N = 0;
+    std::uintptr_t Taken = Cur->R.Older.exchange(0, std::memory_order_seq_cst);
+    while (VNode *X = toV(Taken)) {
+      Taken = X->R.Older.exchange(0, std::memory_order_seq_cst);
+      G.retire(&X->Hdr);
+      ++N;
+    }
+    return N;
+  }
+
+  /// Dead-marks \p L's key (head word \p Hd, untagged, becomes `Hd |
+  /// Tag`) and, if this CAS won, unlinks it. \p Hd must be a settled
+  /// tombstone no snapshot can miss, or an aborted sole version.
+  void markDead(guard_type &G, const Lookup &L, std::uintptr_t Hd) {
+    std::uintptr_t Expected = Hd;
+    if (L.KN->R.VHead.compare_exchange_strong(Expected, Hd | Tag,
+                                               std::memory_order_seq_cst,
+                                               std::memory_order_seq_cst))
+      Index->helpUnlink(G, L.S, raw(L.KN), L.H, L.P);
   }
 
   /// Unpublishes an aborted head version (stamp already cached to
@@ -880,41 +931,34 @@ private:
   /// retires; losers raced another unpublisher or a dead-mark and just
   /// retry through their caller. \p Hd is the protected, untagged head
   /// word.
-  void unpublishAbortedHead(guard_type &G, KNode *KN, std::uintptr_t Hd,
-                            std::size_t S, std::uint64_t H,
-                            const Probe &P) {
+  void unpublishAbortedHead(guard_type &G, const Lookup &L,
+                            std::uintptr_t Hd) {
     VNode *HeadV = toV(Hd);
     // Immutable for an aborted head: aborted versions are never a trim
     // boundary (never settled), so nothing exchanges this link until the
     // unpublish CAS below removes the node from the chain.
     const std::uintptr_t Old = HeadV->R.Older.load(std::memory_order_seq_cst);
     std::uintptr_t Expected = Hd;
-    if (Old) {
-      if (KN->R.VHead.compare_exchange_strong(Expected, Old,
-                                               std::memory_order_seq_cst,
-                                               std::memory_order_seq_cst))
-        G.retire(&HeadV->Hdr);
-      return;
-    }
-    if (KN->R.VHead.compare_exchange_strong(Expected, Hd | Tag,
-                                             std::memory_order_seq_cst,
-                                             std::memory_order_seq_cst))
-      Index->helpUnlink(G, S, raw(KN), H, P);
+    if (!Old)
+      markDead(G, L, Hd);
+    else if (L.KN->R.VHead.compare_exchange_strong(Expected, Old,
+                                                    std::memory_order_seq_cst,
+                                                    std::memory_order_seq_cst))
+      G.retire(&HeadV->Hdr);
   }
 
-  /// Settles \p KN's chain head so an append may go above it (invariant
+  /// Settles \p L's chain head so an append may go above it (invariant
   /// 1 in the file header): helps solo-pending stamps, kills unpublished
   /// transactions, unpublishes aborted heads. Returns false when the
   /// caller must re-find the key (it died or lost a race); on true,
   /// \p HdOut is the protected (slot A) head word — possibly 0 for an
   /// empty chain — and \p StampOut its settled stamp (0 when empty).
-  bool settleHeadForWrite(guard_type &G, KNode *KN, std::size_t S,
-                          std::uint64_t H, const Probe &P,
+  bool settleHeadForWrite(guard_type &G, const Lookup &L,
                           std::uintptr_t &HdOut, std::uint64_t &StampOut) {
     for (;;) {
-      const std::uintptr_t Hd = G.protect_link(KN->R.VHead, VSlotA);
+      const std::uintptr_t Hd = G.protect_link(L.KN->R.VHead, VSlotA);
       if (Hd & Tag) {
-        Index->helpUnlink(G, S, raw(KN), H, P);
+        Index->helpUnlink(G, L.S, raw(L.KN), L.H, L.P);
         return false;
       }
       VNode *HeadV = toV(Hd);
@@ -929,7 +973,7 @@ private:
         continue;
       }
       if (St == SnapshotRegistry::Aborted) {
-        unpublishAbortedHead(G, KN, Hd, S, H, P);
+        unpublishAbortedHead(G, L, Hd);
         continue;
       }
       HdOut = Hd;
@@ -1033,18 +1077,15 @@ private:
   template <typename Fold>
   Publish publishFold(guard_type &G, const K &Key, std::uint64_t H,
                       Fold &&Fn, CNode *C, SnapshotHandle *Read) {
-    const std::size_t S = shardOf(H);
-    const Probe P{itemSoKey(H), &Key};
     const std::uint64_t ReadStamp =
         Read ? Read->version() : SnapshotRegistry::Pending;
     for (;;) {
-      const typename Index_t::Position Pos =
-          Index->find(G, S, H, P, /*InitBuckets=*/true);
-      KNode *KN = Pos.Found ? toK(Pos.CurrRaw) : nullptr;
+      const Lookup L = locate(G, Key, H, true);
+      KNode *KN = L.KN;
       std::uintptr_t Hd = 0;
       if (KN) {
         std::uint64_t HdStamp;
-        if (!settleHeadForWrite(G, KN, S, H, P, Hd, HdStamp))
+        if (!settleHeadForWrite(G, L, Hd, HdStamp))
           continue; // key died (or is dying): re-find — a put re-inserts
                     // a fresh key node, an erase finds nothing
         if (HdStamp > ReadStamp)
@@ -1055,13 +1096,13 @@ private:
         return Publish{};
       VNode *FreshV = makeVersion(G, F.Val, !F.Val, Hd, C ? raw(C) : 0);
       protectSelf(G, FreshV);
-      KNode *FreshK = KN ? nullptr : makeKey(G, Key, P.SoKey, raw(FreshV));
+      KNode *FreshK = KN ? nullptr : makeKey(G, Key, L.P.SoKey, raw(FreshV));
       std::uintptr_t Expected = Hd;
       const bool Linked =
           KN ? KN->R.VHead.compare_exchange_strong(Expected, raw(FreshV),
                                                     std::memory_order_seq_cst,
                                                     std::memory_order_seq_cst)
-             : Index->insertAt(G, S, Pos, raw(FreshK));
+             : Index->insertAt(G, L.S, L.Pos, raw(FreshK));
       if (!Linked) {
         // Lost the race: the fold may be stale — re-find and re-fold.
         G.discard(&FreshV->Hdr);
@@ -1077,7 +1118,7 @@ private:
       if (Read)
         Read->reset();
       if (KN)
-        trimChain(G, KN, S, H, P);
+        trimChain(G, L);
       return Publish{false, true, T};
     }
   }
@@ -1167,15 +1208,11 @@ private:
   /// address recycled, so the only safe route back is a protected walk.
   void settleAndTrim(guard_type &G, const K &Key, std::uint64_t H,
                      std::uint64_t T) {
-    const std::size_t S = shardOf(H);
-    const Probe P{itemSoKey(H), &Key};
-    const typename Index_t::Position Pos =
-        Index->find(G, S, H, P, /*InitBuckets=*/false);
-    if (!Pos.Found)
+    const Lookup L = locate(G, Key, H, false);
+    if (!L.KN)
       return;
-    KNode *KN = toK(Pos.CurrRaw);
-    (void)readAt(G, KN, T);
-    trimChain(G, KN, S, H, P);
+    (void)readAt(G, L.KN, T);
+    trimChain(G, L);
   }
 
   /// Abort-path sweep for one published group: while the key's head
@@ -1187,15 +1224,11 @@ private:
   /// address was reused).
   void abortPublished(guard_type &G, const K &Key, std::uint64_t H,
                       CNode *C) {
-    const std::size_t S = shardOf(H);
-    const Probe P{itemSoKey(H), &Key};
     for (;;) {
-      const typename Index_t::Position Pos =
-          Index->find(G, S, H, P, /*InitBuckets=*/false);
-      if (!Pos.Found)
+      const Lookup L = locate(G, Key, H, false);
+      if (!L.KN)
         return; // key unlinked: our version was unpublished first
-      KNode *KN = toK(Pos.CurrRaw);
-      const std::uintptr_t Hd = G.protect_link(KN->R.VHead, VSlotA);
+      const std::uintptr_t Hd = G.protect_link(L.KN->R.VHead, VSlotA);
       if (Hd & Tag)
         return; // dead-marked (possibly by our version's unpublisher)
       VNode *HeadV = toV(Hd);
@@ -1205,7 +1238,7 @@ private:
       const std::uint64_t St = stampOf(G, HeadV);
       if (St != SnapshotRegistry::Aborted)
         return; // cannot happen for an aborted record; bail defensively
-      unpublishAbortedHead(G, KN, Hd, S, H, P);
+      unpublishAbortedHead(G, L, Hd);
       // Loop: retry until the head no longer carries our record.
     }
   }
@@ -1280,18 +1313,14 @@ private:
 
   friend class Submitter<Scheme, K, V>;
 
-  /// Trims \p KN's version-chain suffix past the oldest live snapshot:
+  /// Trims \p L's version-chain suffix past the oldest live snapshot:
   /// walks from the head to the *boundary* (the newest version whose
   /// stamp is at or below the trim floor — exactly the version the
-  /// oldest snapshot reads), detaches everything older with an
-  /// ownership-transferring exchange walk, and retires it. Concurrent
-  /// trimmers are safe: each link is exchanged (taken) at most once with
-  /// a non-null result, so every node is retired exactly once. Finally,
-  /// a chain reduced to a settled tombstone nobody can see dead-marks
-  /// the key and unlinks it from its shard list.
-  void trimChain(guard_type &G, KNode *KN, std::size_t S, std::uint64_t H,
-                 const Probe &P) {
-    const std::uintptr_t Hd = G.protect_link(KN->R.VHead, VSlotA);
+  /// oldest snapshot reads) and detaches everything older
+  /// (`detachSuffix`). Finally, a chain reduced to a settled tombstone
+  /// nobody can see dead-marks the key and unlinks it (`markDead`).
+  void trimChain(guard_type &G, const Lookup &L) {
+    const std::uintptr_t Hd = G.protect_link(L.KN->R.VHead, VSlotA);
     if (Hd & Tag)
       return;
     VNode *Cur = toV(Hd);
@@ -1308,13 +1337,13 @@ private:
           Hist.record(N);
       }
     } Walk{TrimWalkLen};
-    unsigned A = VSlotA, B = VSlotB;
+    unsigned Spare = VSlotB;
     std::uint64_t CurStamp = stampOf(G, Cur);
     if (CurStamp == SnapshotRegistry::Aborted) {
       // A killed transaction's head: unpublish it instead of trimming
       // (compact's hygiene pass; writers do the same before appending).
       // Versions below it stay until the next trim reaches them.
-      unpublishAbortedHead(G, KN, Hd, S, H, P);
+      unpublishAbortedHead(G, L, Hd);
       return;
     }
     std::uint64_t Floor = Registry.minLive();
@@ -1325,19 +1354,11 @@ private:
       // still what every reader sees. `!settled` also keeps Aborted out
       // of the boundary, though one can only be at the head.
       while (!SnapshotRegistry::settled(CurStamp) || CurStamp > Floor) {
-        const std::uintptr_t Nxt = G.protect_link(Cur->R.Older, B);
-        if (CurStamp == SnapshotRegistry::Pending &&
-            Cur->R.Stamp.load(std::memory_order_seq_cst) ==
-                SnapshotRegistry::Aborted)
-          return; // the txn died under us: Nxt may be a stale link into
-                  // an unpublished-and-retired node's suffix — bail, a
-                  // later write or compact pass trims this chain
-        VNode *N = toV(Nxt);
-        if (!N)
-          return; // no version at or below the floor: nothing to trim
-        Cur = N;
+        // Bail when the txn died under us (a later write or compact pass
+        // trims this chain) or no version is at or below the floor.
+        if (!stepOlder(G, Cur, CurStamp, Spare) || !Cur)
+          return;
         ++Walk.N;
-        std::swap(A, B);
         CurStamp = stampOf(G, Cur);
         if (CurStamp == SnapshotRegistry::Aborted)
           return; // aborted nodes live only at the head; a new head
@@ -1357,35 +1378,21 @@ private:
         break; // confirmed: nothing below Cur is visible to anyone
       Floor = Fresh; // an older snapshot surfaced: descend further
     }
-    std::uintptr_t Taken =
-        Cur->R.Older.exchange(0, std::memory_order_seq_cst);
-    while (VNode *X = toV(Taken)) {
-      Taken = X->R.Older.exchange(0, std::memory_order_seq_cst);
-      G.retire(&X->Hdr);
-      ++Walk.N;
-    }
+    Walk.N += detachSuffix(G, Cur);
     // Key removal: only when the chain head itself is the boundary, it
     // is a tombstone with a settled stamp no live (or future) snapshot
     // can miss, and it now has no older versions.
-    if (raw(Cur) != (Hd & ~Tag) || !Cur->R.tombstone())
-      return;
-    std::uintptr_t Expected = Hd;
-    if (KN->R.VHead.compare_exchange_strong(Expected, Hd | Tag,
-                                             std::memory_order_seq_cst,
-                                             std::memory_order_seq_cst))
-      Index->helpUnlink(G, S, raw(KN), H, P);
+    if (raw(Cur) == Hd && Cur->R.tombstone())
+      markDead(G, L, Hd);
   }
 
   /// Both `get`s: find \p Key, read its chain at \p At, decode.
   std::optional<V> getAt(thread_id Tid, const K &Key, std::uint64_t At) {
     auto G = Dom.enter(Tid);
-    const std::uint64_t H = Codec<K>::hash(Key);
-    const Probe P{itemSoKey(H), &Key};
-    const typename Index_t::Position Pos =
-        Index->find(G, shardOf(H), H, P, /*InitBuckets=*/false);
-    if (!Pos.Found)
+    const Lookup L = locate(G, Key, Codec<K>::hash(Key), false);
+    if (!L.KN)
       return std::nullopt;
-    VNode *VN = readAt(G, toK(Pos.CurrRaw), At);
+    VNode *VN = readAt(G, L.KN, At);
     if (!VN)
       return std::nullopt;
     return Codec<V>::decode(VN->R.Val);
@@ -1410,31 +1417,18 @@ private:
       if (Hd & Tag)
         return nullptr; // removed: every live snapshot saw the tombstone
       VNode *Cur = toV(Hd);
-      unsigned A = VSlotA, B = VSlotB;
-      bool Restart = false;
-      while (Cur) {
+      unsigned Spare = VSlotB;
+      for (;;) {
+        if (!Cur)
+          return nullptr; // key did not exist yet at the snapshot
         const std::uint64_t St = stampOf(G, Cur);
-        if (St == SnapshotRegistry::Aborted) {
-          Restart = true;
-          break;
-        }
-        if (St <= At) { // settled at or below the cut (Pending is +inf)
-          if (Cur->R.tombstone())
-            return nullptr;
-          return Cur;
-        }
-        const std::uintptr_t Nxt = G.protect_link(Cur->R.Older, B);
-        if (St == SnapshotRegistry::Pending &&
-            Cur->R.Stamp.load(std::memory_order_seq_cst) ==
-                SnapshotRegistry::Aborted) {
-          Restart = true; // killed under us: Nxt may be stale
-          break;
-        }
-        Cur = toV(Nxt);
-        std::swap(A, B);
+        if (St == SnapshotRegistry::Aborted)
+          break; // restart
+        if (St <= At) // settled at or below the cut (Pending is +inf)
+          return Cur->R.tombstone() ? nullptr : Cur;
+        if (!stepOlder(G, Cur, St, Spare))
+          break; // killed under us: restart
       }
-      if (!Restart)
-        return nullptr; // key did not exist yet at the snapshot
     }
   }
 

@@ -75,11 +75,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -102,30 +100,6 @@ struct AsyncOptions {
   /// keeps waiters hot on dedicated cores.
   unsigned WaitSpins = 64;
 };
-
-namespace detail {
-
-/// Value equality for the fold paths, matching the codec families'
-/// compare semantics: bytewise for trivially copyable payloads,
-/// `operator==` (lexicographic for strings) otherwise.
-template <typename T> bool foldEquals(const T &A, const T &B) {
-  if constexpr (std::is_trivially_copyable_v<T>)
-    return std::memcmp(&A, &B, sizeof(T)) == 0;
-  else
-    return A == B;
-}
-
-/// Strict weak order used only to make equal keys adjacent in a drained
-/// batch (any total order works; ties broken bytewise/lexicographically
-/// like the codecs').
-template <typename T> bool foldLess(const T &A, const T &B) {
-  if constexpr (std::is_trivially_copyable_v<T>)
-    return std::memcmp(&A, &B, sizeof(T)) < 0;
-  else
-    return A < B;
-}
-
-} // namespace detail
 
 template <typename Scheme, typename K, typename V> class Future;
 
@@ -169,7 +143,7 @@ template <typename Scheme, typename K, typename V> struct AsyncRequest {
   /// Same-key test for batch grouping (hash first: almost always
   /// decides).
   bool sameKey(const AsyncRequest &O) const {
-    return Hash == O.Hash && detail::foldEquals(KeyV, O.KeyV);
+    return Hash == O.Hash && codecEqual(KeyV, O.KeyV);
   }
 
   /// Applies this op in place to the running value state \p Cur of its
@@ -191,7 +165,7 @@ template <typename Scheme, typename K, typename V> struct AsyncRequest {
       Cur.reset();
       return Result;
     case AsyncOp::CompareAndSet:
-      Result = Cur.has_value() && detail::foldEquals(*Cur, Expected);
+      Result = Cur.has_value() && codecEqual(*Cur, Expected);
       if (Result)
         Cur = Val;
       return Result;
@@ -526,7 +500,7 @@ private:
                      [](const request_type *A, const request_type *B) {
                        if (A->Hash != B->Hash)
                          return A->Hash < B->Hash;
-                       return detail::foldLess(A->KeyV, B->KeyV);
+                       return codecLess(A->KeyV, B->KeyV);
                      });
     Db->applyAsyncBatch(Tid, Batch.data(), Batch.size());
     completeBatch(Batch.data(), Batch.size());

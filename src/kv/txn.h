@@ -57,7 +57,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -179,19 +178,9 @@ private:
     std::uint64_t Hash;
   };
 
-  /// Key equality consistent with `Codec<K>::compare`: byte-string
-  /// codecs compare contents, trivially copyable keys compare object
-  /// representations.
-  static bool keyEq(const K &A, const K &B) {
-    if constexpr (IsBytesCodec<K>)
-      return A == B;
-    else
-      return std::memcmp(&A, &B, sizeof(K)) == 0;
-  }
-
   Entry *findEntry(const K &Key, std::uint64_t H) {
     for (Entry &E : Set)
-      if (E.Hash == H && keyEq(E.Key, Key))
+      if (E.Hash == H && codecEqual(E.Key, Key))
         return &E;
     return nullptr;
   }

@@ -9,10 +9,13 @@
 #include "support/json.h"
 
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 using namespace lfsmr;
@@ -179,178 +182,168 @@ std::string telemetry::drain_trace_json() {
 
 namespace {
 
-void writeHistogram(json::Writer &W, const char *Key,
-                    const histogram_summary &H) {
-  W.key(Key).beginObject();
-  W.key("count").value(H.count);
-  W.key("mean").value(H.mean);
-  W.key("p50").value(H.p50);
-  W.key("p90").value(H.p90);
-  W.key("p99").value(H.p99);
-  W.key("max").value(H.max);
-  W.endObject();
+/// One field of the stats snapshots, in output order: its JSON key, the
+/// member, its Prometheus type (a counter's family name adds `_total`)
+/// and HELP text. The first `DomainFields` are `domain_stats`'s.
+struct Field {
+  const char *Key;
+  std::variant<std::int64_t store_stats::*, std::uint64_t store_stats::*,
+               histogram_summary store_stats::*>
+      Member;
+  const char *Type;
+  const char *Help;
+};
+
+const Field Fields[] = {
+    {"allocated", &store_stats::allocated, "counter",
+     "Nodes allocated through the domain."},
+    {"retired", &store_stats::retired, "counter", "Nodes retired so far."},
+    {"freed", &store_stats::freed, "counter",
+     "Nodes handed back to the deleter."},
+    {"unreclaimed", &store_stats::unreclaimed, "gauge",
+     "Retired but not yet reclaimed nodes."},
+    {"era", &store_stats::era, "gauge",
+     "The scheme's global era/epoch clock (0: none)."},
+    {"version_clock", &store_stats::version_clock, "gauge",
+     "Current version clock."},
+    {"live_snapshots", &store_stats::live_snapshots, "gauge",
+     "Live snapshot references."},
+    {"snapshot_slots", &store_stats::snapshot_slots, "gauge",
+     "Snapshot slot capacity."},
+    {"slow_acquires", &store_stats::slow_acquires, "counter",
+     "Snapshot opens that fell off the one-RMW fast path."},
+    {"fast_rejects", &store_stats::fast_rejects, "counter",
+     "Fast-path snapshot opens undone after failed verification."},
+    {"index_resizes", &store_stats::index_resizes, "counter",
+     "Cooperative bucket-directory doubling triggers."},
+    {"txn_commits", &store_stats::txn_commits, "counter",
+     "Transactional commits that published."},
+    {"txn_aborts", &store_stats::txn_aborts, "counter",
+     "Transactional commits aborted on conflict or kill."},
+    {"async_submits", &store_stats::async_submits, "counter",
+     "Write ops submitted through the async batched write path."},
+    {"combiner_takeovers", &store_stats::combiner_takeovers, "counter",
+     "Flat-combining lock acquisitions that drained a submission ring."},
+    {"sync_fallbacks", &store_stats::sync_fallbacks, "counter",
+     "Async submits that hit a full ring and applied synchronously."},
+    {"node_bytes", &store_stats::node_bytes, "gauge",
+     "Bytes of node-pool chunks the store holds."},
+    {"snapshot_open_ns", &store_stats::snapshot_open_ns, "summary",
+     "Sampled open_snapshot latency (ns)."},
+    {"trim_walk_len", &store_stats::trim_walk_len, "summary",
+     "Version-chain nodes visited per trim walk."},
+    {"txn_commit_ns", &store_stats::txn_commit_ns, "summary",
+     "Sampled transactional commit latency (ns)."},
+    {"submit_batch_len", &store_stats::submit_batch_len, "summary",
+     "Requests applied per async combined batch."},
+};
+constexpr std::size_t DomainFields = 5;
+
+/// Calls `Fn(field, value)` for the first \p N fields of \p S, the value
+/// in its member's own type.
+template <typename F>
+void forEachField(const store_stats &S, std::size_t N, F &&Fn) {
+  for (std::size_t I = 0; I < N; ++I)
+    std::visit([&](auto M) { Fn(Fields[I], S.*M); }, Fields[I].Member);
 }
 
-void writeDomainFields(json::Writer &W, const domain_stats &S) {
-  W.key("allocated").value(static_cast<std::int64_t>(S.allocated));
-  W.key("retired").value(static_cast<std::int64_t>(S.retired));
-  W.key("freed").value(static_cast<std::int64_t>(S.freed));
-  W.key("unreclaimed").value(static_cast<std::int64_t>(S.unreclaimed));
-  W.key("era").value(S.era);
+template <typename T>
+constexpr bool IsSummary = std::is_same_v<T, histogram_summary>;
+
+void writeFields(json::Writer &W, const store_stats &S, std::size_t N) {
+  forEachField(S, N, [&](const Field &F, const auto &V) {
+    W.key(F.Key);
+    if constexpr (IsSummary<std::decay_t<decltype(V)>>) {
+      W.beginObject();
+      W.key("count").value(V.count);
+      W.key("mean").value(V.mean);
+      W.key("p50").value(V.p50);
+      W.key("p90").value(V.p90);
+      W.key("p99").value(V.p99);
+      W.key("max").value(V.max);
+      W.endObject();
+    } else {
+      W.value(V);
+    }
+  });
 }
 
-void writeStoreFields(json::Writer &W, const store_stats &S) {
-  writeDomainFields(W, S);
-  W.key("version_clock").value(S.version_clock);
-  W.key("live_snapshots").value(S.live_snapshots);
-  W.key("snapshot_slots").value(S.snapshot_slots);
-  W.key("slow_acquires").value(S.slow_acquires);
-  W.key("fast_rejects").value(S.fast_rejects);
-  W.key("index_resizes").value(S.index_resizes);
-  W.key("txn_commits").value(S.txn_commits);
-  W.key("txn_aborts").value(S.txn_aborts);
-  W.key("async_submits").value(S.async_submits);
-  W.key("combiner_takeovers").value(S.combiner_takeovers);
-  W.key("sync_fallbacks").value(S.sync_fallbacks);
-  W.key("node_bytes").value(S.node_bytes);
-  writeHistogram(W, "snapshot_open_ns", S.snapshot_open_ns);
-  writeHistogram(W, "trim_walk_len", S.trim_walk_len);
-  writeHistogram(W, "txn_commit_ns", S.txn_commit_ns);
-  writeHistogram(W, "submit_batch_len", S.submit_batch_len);
-}
-
-/// Prometheus text-format emitter (exposition format 0.0.4). Counters
-/// get a `_total` suffix per convention; histogram summaries emit
-/// quantile-labelled gauge series plus a `_count`.
-struct PromWriter {
+/// Prometheus text format (exposition format 0.0.4): one `# HELP` /
+/// `# TYPE`-annotated family per field; a counter's name gets the
+/// `_total` suffix by convention, and a histogram summary emits
+/// quantile-labelled series plus a `_count`.
+std::string promFields(const store_stats &S, std::size_t N,
+                       std::string_view Prefix) {
   std::string Out;
-  std::string Prefix;
-
-  void family(const char *Name, const char *Help, const char *Type,
-              double Value) {
-    header(Name, Help, Type);
-    append(Name, "", Value);
-  }
-
-  void header(const char *Name, const char *Help, const char *Type) {
-    Out += "# HELP " + Prefix + "_" + Name + " " + Help + "\n";
-    Out += "# TYPE " + Prefix + "_" + Name + " " + Type + "\n";
-  }
-
-  void append(const char *Name, const char *Labels, double Value) {
+  const auto Append = [&](const std::string &Family, const char *Labels,
+                          double Value) {
     char Buf[64];
     // %.17g round-trips doubles; counters print as integers below 2^53.
     std::snprintf(Buf, sizeof(Buf), "%.17g", Value);
-    Out += Prefix + "_" + Name + Labels + " " + Buf + "\n";
-  }
-
-  void summary(const char *Name, const char *Help,
-               const histogram_summary &H) {
-    header(Name, Help, "summary");
-    append(Name, "{quantile=\"0.5\"}", H.p50);
-    append(Name, "{quantile=\"0.9\"}", H.p90);
-    append(Name, "{quantile=\"0.99\"}", H.p99);
-    std::string CountName = std::string(Name) + "_count";
-    append(CountName.c_str(), "", static_cast<double>(H.count));
-  }
-};
-
-void promDomain(PromWriter &P, const domain_stats &S) {
-  P.family("allocated_total", "Nodes allocated through the domain.",
-           "counter", static_cast<double>(S.allocated));
-  P.family("retired_total", "Nodes retired so far.", "counter",
-           static_cast<double>(S.retired));
-  P.family("freed_total", "Nodes handed back to the deleter.", "counter",
-           static_cast<double>(S.freed));
-  P.family("unreclaimed", "Retired but not yet reclaimed nodes.", "gauge",
-           static_cast<double>(S.unreclaimed));
-  P.family("era", "The scheme's global era/epoch clock (0: none).", "gauge",
-           static_cast<double>(S.era));
+    Out += Family + Labels + " " + Buf + "\n";
+  };
+  forEachField(S, N, [&](const Field &F, const auto &V) {
+    const bool Counter = std::string_view(F.Type) == "counter";
+    const std::string Family =
+        std::string(Prefix) + "_" + F.Key + (Counter ? "_total" : "");
+    Out += "# HELP " + Family + " " + F.Help + "\n";
+    Out += "# TYPE " + Family + " " + F.Type + "\n";
+    if constexpr (IsSummary<std::decay_t<decltype(V)>>) {
+      Append(Family, "{quantile=\"0.5\"}", V.p50);
+      Append(Family, "{quantile=\"0.9\"}", V.p90);
+      Append(Family, "{quantile=\"0.99\"}", V.p99);
+      Append(Family + "_count", "", static_cast<double>(V.count));
+    } else {
+      Append(Family, "", static_cast<double>(V));
+    }
+  });
+  return Out;
 }
 
-void promStore(PromWriter &P, const store_stats &S) {
-  promDomain(P, S);
-  P.family("version_clock", "Current version clock.", "gauge",
-           static_cast<double>(S.version_clock));
-  P.family("live_snapshots", "Live snapshot references.", "gauge",
-           static_cast<double>(S.live_snapshots));
-  P.family("snapshot_slots", "Snapshot slot capacity.", "gauge",
-           static_cast<double>(S.snapshot_slots));
-  P.family("slow_acquires_total",
-           "Snapshot opens that fell off the one-RMW fast path.", "counter",
-           static_cast<double>(S.slow_acquires));
-  P.family("fast_rejects_total",
-           "Fast-path snapshot opens undone after failed verification.",
-           "counter", static_cast<double>(S.fast_rejects));
-  P.family("index_resizes_total",
-           "Cooperative bucket-directory doubling triggers.", "counter",
-           static_cast<double>(S.index_resizes));
-  P.family("txn_commits_total", "Transactional commits that published.",
-           "counter", static_cast<double>(S.txn_commits));
-  P.family("txn_aborts_total",
-           "Transactional commits aborted on conflict or kill.", "counter",
-           static_cast<double>(S.txn_aborts));
-  P.family("async_submits_total",
-           "Write ops submitted through the async batched write path.",
-           "counter", static_cast<double>(S.async_submits));
-  P.family("combiner_takeovers_total",
-           "Flat-combining lock acquisitions that drained a submission ring.",
-           "counter", static_cast<double>(S.combiner_takeovers));
-  P.family("sync_fallbacks_total",
-           "Async submits that hit a full ring and applied synchronously.",
-           "counter", static_cast<double>(S.sync_fallbacks));
-  P.family("node_bytes", "Bytes of node-pool chunks the store holds.",
-           "gauge", static_cast<double>(S.node_bytes));
-  P.summary("snapshot_open_ns", "Sampled open_snapshot latency (ns).",
-            S.snapshot_open_ns);
-  P.summary("trim_walk_len", "Version-chain nodes visited per trim walk.",
-            S.trim_walk_len);
-  P.summary("txn_commit_ns", "Sampled transactional commit latency (ns).",
-            S.txn_commit_ns);
-  P.summary("submit_batch_len", "Requests applied per async combined batch.",
-            S.submit_batch_len);
+/// A `domain_stats` as a `store_stats` (store fields zero), so the domain
+/// renderers walk the same table.
+store_stats widen(const domain_stats &D) {
+  store_stats S{};
+  static_cast<domain_stats &>(S) = D;
+  return S;
+}
+
+template <typename Stats> std::string jsonDocument(const Stats &S) {
+  json::Writer W;
+  telemetry::writeJson(W, S);
+  std::string Doc = W.take();
+  Doc.push_back('\n');
+  return Doc;
 }
 
 } // namespace
 
 void telemetry::writeJson(json::Writer &W, const domain_stats &S) {
   W.beginObject();
-  writeDomainFields(W, S);
+  writeFields(W, widen(S), DomainFields);
   W.endObject();
 }
 
 void telemetry::writeJson(json::Writer &W, const store_stats &S) {
   W.beginObject();
-  writeStoreFields(W, S);
+  writeFields(W, S, std::size(Fields));
   W.endObject();
 }
 
 std::string telemetry::to_json(const domain_stats &S) {
-  json::Writer W;
-  writeJson(W, S);
-  std::string Doc = W.take();
-  Doc.push_back('\n');
-  return Doc;
+  return jsonDocument(S);
 }
 
 std::string telemetry::to_json(const store_stats &S) {
-  json::Writer W;
-  writeJson(W, S);
-  std::string Doc = W.take();
-  Doc.push_back('\n');
-  return Doc;
+  return jsonDocument(S);
 }
 
 std::string telemetry::to_prometheus(const domain_stats &S,
                                      std::string_view Prefix) {
-  PromWriter P{std::string(), std::string(Prefix)};
-  promDomain(P, S);
-  return std::move(P.Out);
+  return promFields(widen(S), DomainFields, Prefix);
 }
 
 std::string telemetry::to_prometheus(const store_stats &S,
                                      std::string_view Prefix) {
-  PromWriter P{std::string(), std::string(Prefix)};
-  promStore(P, S);
-  return std::move(P.Out);
+  return promFields(S, std::size(Fields), Prefix);
 }

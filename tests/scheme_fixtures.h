@@ -7,22 +7,44 @@
 /// \file
 /// Typed-test scaffolding shared by the test suite: the scheme lists and
 /// the scheme x payload kv matrix, all generated from smr/scheme_list.h
-/// and filtered on the Table 1 traits; the gtest instance names; a
-/// counting test node and a deleter that tracks destruction.
+/// and filtered on the Table 1 traits; the gtest instance names; the kv
+/// suites' store options, payloads and configurations; a counting test
+/// node and a deleter that tracks destruction.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LFSMR_TESTS_SCHEME_FIXTURES_H
 #define LFSMR_TESTS_SCHEME_FIXTURES_H
 
+#include "kv/store.h"
 #include "smr/reclaimer_traits.h"
 #include "smr/scheme_list.h"
 
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <cstdlib>
 #include <string>
 #include <type_traits>
+
+namespace {
+
+/// One typed kv store configuration: reclamation scheme + key/value
+/// types. gtest prints the TypeParam, namespace included, into every
+/// typed-test name, so each kv suite has a configuration template of its
+/// own name at global scope in an unnamed namespace; the transaction and
+/// async ones add nothing to `KvCfg`.
+template <typename S, typename KT, typename VT> struct KvCfg {
+  using Scheme = S;
+  using Key = KT;
+  using Value = VT;
+};
+template <typename S, typename KT, typename VT>
+struct TxnCfg : KvCfg<S, KT, VT> {};
+template <typename S, typename KT, typename VT>
+struct AsyncCfg : KvCfg<S, KT, VT> {};
+
+} // namespace
 
 namespace lfsmr::testing {
 
@@ -130,6 +152,42 @@ public:
     const char *P =
         std::is_same_v<typename C::Key, std::string> ? "_str" : "_u64";
     return S + P;
+  }
+};
+
+/// Small batches and frequent sweeps so reclamation runs inside the kv
+/// tests.
+inline kv::Options kvTestOptions(unsigned MaxThreads = 8) {
+  kv::Options O;
+  O.Reclaim.MaxThreads = MaxThreads;
+  O.Reclaim.Slots = 4;
+  O.Reclaim.MinBatch = 8;
+  O.Reclaim.EpochFreq = 4;
+  O.Reclaim.EmptyFreq = 16;
+  O.Reclaim.EraFreq = 4;
+  O.Shards = 4;
+  O.BucketsPerShard = 64;
+  O.MinSnapshotSlots = 2;
+  return O;
+}
+
+/// Deterministic kv payloads per key/value type: `make(x)` builds the
+/// payload carrying the number `x`, `stamp(p)` recovers it. String
+/// payloads vary in length so the variable-size (trailing-suffix)
+/// record path is exercised.
+template <typename T> struct Payload;
+
+template <> struct Payload<uint64_t> {
+  static uint64_t make(uint64_t X) { return X; }
+  static uint64_t stamp(uint64_t P) { return P; }
+};
+
+template <> struct Payload<std::string> {
+  static std::string make(uint64_t X) {
+    return "p:" + std::to_string(X) + "/" + std::string(X % 23, '#');
+  }
+  static uint64_t stamp(const std::string &P) {
+    return std::strtoull(P.c_str() + 2, nullptr, 10);
   }
 };
 

@@ -47,21 +47,6 @@ namespace {
 
 [[maybe_unused]] const uint64_t LoggedSeed = testSeed();
 
-/// Small batches and frequent sweeps so reclamation runs inside tests.
-kv::Options kvTestOptions(unsigned MaxThreads = 8) {
-  kv::Options O;
-  O.Reclaim.MaxThreads = MaxThreads;
-  O.Reclaim.Slots = 4;
-  O.Reclaim.MinBatch = 8;
-  O.Reclaim.EpochFreq = 4;
-  O.Reclaim.EmptyFreq = 16;
-  O.Reclaim.EraFreq = 4;
-  O.Shards = 4;
-  O.BucketsPerShard = 64;
-  O.MinSnapshotSlots = 2;
-  return O;
-}
-
 /// Tiny initial tables + an aggressive load factor, so bucket growth
 /// triggers inside CI-sized tests.
 kv::Options kvResizeOptions(unsigned MaxThreads = 8) {
@@ -71,26 +56,6 @@ kv::Options kvResizeOptions(unsigned MaxThreads = 8) {
   O.MaxLoadFactor = 2;
   return O;
 }
-
-/// Deterministic payloads per key/value type: `make(x)` builds the
-/// payload carrying the number `x`, `stamp(p)` recovers it. String
-/// payloads vary in length so the variable-size (trailing-suffix)
-/// record path is exercised.
-template <typename T> struct Payload;
-
-template <> struct Payload<uint64_t> {
-  static uint64_t make(uint64_t X) { return X; }
-  static uint64_t stamp(uint64_t P) { return P; }
-};
-
-template <> struct Payload<std::string> {
-  static std::string make(uint64_t X) {
-    return "p:" + std::to_string(X) + "/" + std::string(X % 23, '#');
-  }
-  static uint64_t stamp(const std::string &P) {
-    return std::strtoull(P.c_str() + 2, nullptr, 10);
-  }
-};
 
 //===----------------------------------------------------------------------===//
 // SnapshotRegistry (scheme-independent)
@@ -290,13 +255,6 @@ template <typename StoreT> std::int64_t checkShardLists(StoreT &Db) {
 //===----------------------------------------------------------------------===//
 // Store semantics, typed over scheme × payload configurations
 //===----------------------------------------------------------------------===//
-
-/// One typed-store configuration: reclamation scheme + key/value types.
-template <typename S, typename KT, typename VT> struct KvCfg {
-  using Scheme = S;
-  using Key = KT;
-  using Value = VT;
-};
 
 using KvConfigs = KvMatrix<KvCfg>;
 

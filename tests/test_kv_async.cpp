@@ -43,47 +43,6 @@ namespace {
 
 [[maybe_unused]] const uint64_t LoggedSeed = testSeed();
 
-/// Small batches and frequent sweeps so reclamation runs inside tests
-/// (mirrors test_kv_txn.cpp).
-kv::Options asyncTestOptions(unsigned MaxThreads = 8) {
-  kv::Options O;
-  O.Reclaim.MaxThreads = MaxThreads;
-  O.Reclaim.Slots = 4;
-  O.Reclaim.MinBatch = 8;
-  O.Reclaim.EpochFreq = 4;
-  O.Reclaim.EmptyFreq = 16;
-  O.Reclaim.EraFreq = 4;
-  O.Shards = 4;
-  O.BucketsPerShard = 64;
-  O.MinSnapshotSlots = 2;
-  return O;
-}
-
-/// Deterministic payloads per key/value type (same scheme as
-/// test_kv.cpp: `make(x)` carries the number `x`, `stamp(p)` recovers
-/// it; strings vary in length to exercise the trailing-suffix path).
-template <typename T> struct Payload;
-
-template <> struct Payload<uint64_t> {
-  static uint64_t make(uint64_t X) { return X; }
-  static uint64_t stamp(uint64_t P) { return P; }
-};
-
-template <> struct Payload<std::string> {
-  static std::string make(uint64_t X) {
-    return "p:" + std::to_string(X) + "/" + std::string(X % 23, '#');
-  }
-  static uint64_t stamp(const std::string &P) {
-    return std::strtoull(P.c_str() + 2, nullptr, 10);
-  }
-};
-
-template <typename S, typename KT, typename VT> struct AsyncCfg {
-  using Scheme = S;
-  using Key = KT;
-  using Value = VT;
-};
-
 using AsyncConfigs = KvMatrix<AsyncCfg>;
 
 template <typename C> class KvAsync : public ::testing::Test {
@@ -108,7 +67,7 @@ TYPED_TEST_SUITE(KvAsync, AsyncConfigs, KvCfgNames);
 
 TYPED_TEST(KvAsync, ResultsMirrorSyncApi) {
   using V = typename TestFixture::Value;
-  typename TestFixture::Store Db(asyncTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   typename TestFixture::Submitter Sub(Db);
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto Val = [](uint64_t X) { return TestFixture::val(X); };
@@ -155,7 +114,7 @@ TYPED_TEST(KvAsync, ResultsMirrorSyncApi) {
 }
 
 TYPED_TEST(KvAsync, SameKeyOpsInOneBatchApplyInSubmissionOrder) {
-  typename TestFixture::Store Db(asyncTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   typename TestFixture::Submitter Sub(Db);
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto Val = [](uint64_t X) { return TestFixture::val(X); };
@@ -181,7 +140,7 @@ TYPED_TEST(KvAsync, CompletionExactlyOnceAcrossConcurrentSubmitters) {
   constexpr unsigned Threads = 4;
   constexpr uint64_t OpsPerThread = 400;
   constexpr uint64_t Keys = 32; // heavy same-key overlap
-  typename TestFixture::Store Db(asyncTestOptions(Threads));
+  typename TestFixture::Store Db(kvTestOptions(Threads));
   typename TestFixture::Submitter Sub(Db);
   std::atomic<uint64_t> Completed{0};
   std::vector<std::thread> Workers;
@@ -235,7 +194,7 @@ TYPED_TEST(KvAsync, ReadersNeverObserveAPartialBatch) {
   constexpr uint64_t GroupKeys = 6;
   constexpr uint64_t Rounds = 120;
   constexpr unsigned Readers = 2;
-  kv::Options O = asyncTestOptions(1 + Readers);
+  kv::Options O = kvTestOptions(1 + Readers);
   O.Shards = 1;
   typename TestFixture::Store Db(O);
   for (uint64_t K = 0; K < GroupKeys; ++K)
@@ -290,7 +249,7 @@ TYPED_TEST(KvAsync, ReadersNeverObserveAPartialBatch) {
 //===----------------------------------------------------------------------===//
 
 TYPED_TEST(KvAsync, RingFullFallsBackToSyncWithoutLosingOps) {
-  typename TestFixture::Store Db(asyncTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   kv::AsyncOptions AO;
   AO.RingCapacity = 2; // the minimum after normalization
   typename TestFixture::Submitter Sub(Db, AO);
@@ -324,7 +283,7 @@ TYPED_TEST(KvAsync, RingFullFallsBackToSyncWithoutLosingOps) {
 //===----------------------------------------------------------------------===//
 
 TYPED_TEST(KvAsync, OrphanedOpsAreAppliedByTheNextCombiner) {
-  typename TestFixture::Store Db(asyncTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   typename TestFixture::Submitter Sub(Db);
   // A client submits fire-and-forget and walks away (its thread dies
   // without waiting or flushing) — the ops sit orphaned in the ring.
@@ -345,7 +304,7 @@ TYPED_TEST(KvAsync, OrphanedOpsAreAppliedByTheNextCombiner) {
 }
 
 TYPED_TEST(KvAsync, DestructorDrainsFireAndForget) {
-  typename TestFixture::Store Db(asyncTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   {
     typename TestFixture::Submitter Sub(Db);
     for (uint64_t I = 0; I < 32; ++I)
@@ -361,7 +320,7 @@ TYPED_TEST(KvAsync, DestructorDrainsFireAndForget) {
 }
 
 TYPED_TEST(KvAsync, ExplicitFlushAppliesEverythingSubmitted) {
-  typename TestFixture::Store Db(asyncTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   typename TestFixture::Submitter Sub(Db);
   std::vector<typename TestFixture::Future> Futures;
   for (uint64_t I = 0; I < 16; ++I)
@@ -378,7 +337,7 @@ TYPED_TEST(KvAsync, ExplicitFlushAppliesEverythingSubmitted) {
 //===----------------------------------------------------------------------===//
 
 TYPED_TEST(KvAsync, FutureMoveAndReleaseSemantics) {
-  typename TestFixture::Store Db(asyncTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   typename TestFixture::Submitter Sub(Db);
 
   typename TestFixture::Future A =
@@ -407,7 +366,7 @@ TYPED_TEST(KvAsync, FutureMoveAndReleaseSemantics) {
 //===----------------------------------------------------------------------===//
 
 TYPED_TEST(KvAsync, CompletionWindowPacesAClosedLoop) {
-  typename TestFixture::Store Db(asyncTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   typename TestFixture::Submitter Sub(Db);
   workload::CompletionWindow<typename TestFixture::Future> Win(0, 4);
   for (uint64_t I = 0; I < 64; ++I) {

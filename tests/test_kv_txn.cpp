@@ -41,41 +41,6 @@ namespace {
 
 [[maybe_unused]] const uint64_t LoggedSeed = testSeed();
 
-/// Small batches and frequent sweeps so reclamation runs inside tests
-/// (mirrors test_kv.cpp).
-kv::Options txnTestOptions(unsigned MaxThreads = 8) {
-  kv::Options O;
-  O.Reclaim.MaxThreads = MaxThreads;
-  O.Reclaim.Slots = 4;
-  O.Reclaim.MinBatch = 8;
-  O.Reclaim.EpochFreq = 4;
-  O.Reclaim.EmptyFreq = 16;
-  O.Reclaim.EraFreq = 4;
-  O.Shards = 4;
-  O.BucketsPerShard = 64;
-  O.MinSnapshotSlots = 2;
-  return O;
-}
-
-/// Deterministic payloads per key/value type (same scheme as
-/// test_kv.cpp: `make(x)` carries the number `x`, `stamp(p)` recovers
-/// it; strings vary in length to exercise the trailing-suffix path).
-template <typename T> struct Payload;
-
-template <> struct Payload<uint64_t> {
-  static uint64_t make(uint64_t X) { return X; }
-  static uint64_t stamp(uint64_t P) { return P; }
-};
-
-template <> struct Payload<std::string> {
-  static std::string make(uint64_t X) {
-    return "p:" + std::to_string(X) + "/" + std::string(X % 23, '#');
-  }
-  static uint64_t stamp(const std::string &P) {
-    return std::strtoull(P.c_str() + 2, nullptr, 10);
-  }
-};
-
 //===----------------------------------------------------------------------===//
 // Commit-record state machine (scheme-independent registry surface)
 //===----------------------------------------------------------------------===//
@@ -124,12 +89,6 @@ TEST(CommitRecord, ResolveCommitLeavesAbortedTerminal) {
 // Transaction semantics, typed over scheme × payload configurations
 //===----------------------------------------------------------------------===//
 
-template <typename S, typename KT, typename VT> struct TxnCfg {
-  using Scheme = S;
-  using Key = KT;
-  using Value = VT;
-};
-
 using TxnConfigs = KvMatrix<TxnCfg>;
 
 template <typename C> class KvTxn : public ::testing::Test {
@@ -147,7 +106,7 @@ protected:
 TYPED_TEST_SUITE(KvTxn, TxnConfigs, KvCfgNames);
 
 TYPED_TEST(KvTxn, ReadYourWritesAndLastWriteWins) {
-  typename TestFixture::Store Db(txnTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   Db.put(0, K(1), V(10));
@@ -180,7 +139,7 @@ TYPED_TEST(KvTxn, ReadYourWritesAndLastWriteWins) {
 }
 
 TYPED_TEST(KvTxn, CommitPublishesAtomicallyAtOneStamp) {
-  typename TestFixture::Store Db(txnTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   for (uint64_t X = 1; X <= 4; ++X)
@@ -205,7 +164,7 @@ TYPED_TEST(KvTxn, CommitPublishesAtomicallyAtOneStamp) {
 }
 
 TYPED_TEST(KvTxn, ConflictIsFirstWriterWins) {
-  typename TestFixture::Store Db(txnTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   Db.put(0, K(1), V(1));
@@ -232,7 +191,7 @@ TYPED_TEST(KvTxn, ConflictIsFirstWriterWins) {
 }
 
 TYPED_TEST(KvTxn, SingleKeyCommitUsesSoloFastPathSemantics) {
-  typename TestFixture::Store Db(txnTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   Db.put(0, K(1), V(1));
@@ -255,7 +214,7 @@ TYPED_TEST(KvTxn, SingleKeyCommitUsesSoloFastPathSemantics) {
 }
 
 TYPED_TEST(KvTxn, EmptyCommitAndAbort) {
-  typename TestFixture::Store Db(txnTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
 
@@ -276,7 +235,7 @@ TYPED_TEST(KvTxn, EmptyCommitAndAbort) {
 }
 
 TYPED_TEST(KvTxn, EraseAndInsertCommitTogether) {
-  typename TestFixture::Store Db(txnTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   Db.put(0, K(1), V(1));
@@ -299,7 +258,7 @@ TYPED_TEST(KvTxn, SoloWritersKillInFlightCommitsNotViceVersa) {
   // in-flight (unpublished) commit — it kills it. Sequentially we can
   // only see the effect: the put always lands, and the overlapping
   // commit reports failure without corrupting the chain.
-  typename TestFixture::Store Db(txnTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   Db.put(0, K(1), V(1));
@@ -325,7 +284,7 @@ TYPED_TEST(KvTxn, AbortedEraseIsUnpublished) {
   // published before the commit aborts.
   constexpr uint64_t Keys = 8;
   using Value = typename TestFixture::Value;
-  typename TestFixture::Store Db(txnTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   for (uint64_t X = 1; X <= Keys; ++X)
@@ -348,7 +307,7 @@ TYPED_TEST(KvTxn, AbortedEraseIsUnpublished) {
 }
 
 TYPED_TEST(KvTxn, CompareAndSet) {
-  typename TestFixture::Store Db(txnTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   EXPECT_FALSE(Db.compare_and_set(0, K(1), V(1), V(2)))
@@ -365,7 +324,7 @@ TYPED_TEST(KvTxn, CompareAndSet) {
 }
 
 TYPED_TEST(KvTxn, MergeUpsertsAtomically) {
-  typename TestFixture::Store Db(txnTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   using Value = typename TestFixture::Value;
@@ -381,7 +340,7 @@ TYPED_TEST(KvTxn, MergeUpsertsAtomically) {
 }
 
 TYPED_TEST(KvTxn, TrimSafetyWithStalledPreCommitSnapshot) {
-  typename TestFixture::Store Db(txnTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   for (uint64_t X = 1; X <= 8; ++X)
@@ -417,7 +376,7 @@ TYPED_TEST(KvTxn, CommitTrimsPastItsOwnSnapshot) {
   // The transaction's own snapshot must not hold back the trim its
   // commit owes the chains: with no other snapshot live, every committed
   // key ends at one version, like a plain put.
-  typename TestFixture::Store Db(txnTestOptions());
+  typename TestFixture::Store Db(kvTestOptions());
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   for (uint64_t X = 1; X <= 5; ++X)
@@ -450,7 +409,7 @@ TYPED_TEST(KvTxn, ConcurrentTransfersKeepScanSumInvariant) {
   // the sum.
   constexpr unsigned Movers = 4, Scanners = 2;
   constexpr uint64_t Accounts = 16, Initial = 1000;
-  typename TestFixture::Store Db(txnTestOptions(Movers + Scanners));
+  typename TestFixture::Store Db(kvTestOptions(Movers + Scanners));
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   for (uint64_t X = 0; X < Accounts; ++X)
@@ -536,7 +495,7 @@ TYPED_TEST(KvTxn, ConcurrentTxnsVsSoloWritersStayConsistent) {
   // read carries its own key's tag.
   constexpr unsigned Txns = 3, Solos = 3, Readers = 2;
   constexpr uint64_t KeyRange = 24;
-  typename TestFixture::Store Db(txnTestOptions(Txns + Solos + Readers));
+  typename TestFixture::Store Db(kvTestOptions(Txns + Solos + Readers));
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   for (uint64_t X = 0; X < KeyRange; ++X)
@@ -621,7 +580,7 @@ TYPED_TEST(KvTxn, ConcurrentTxnErasesVsSoloWritersStayConsistent) {
   // version.
   constexpr unsigned Txns = 3, Solos = 2, Readers = 1;
   constexpr uint64_t KeyRange = 16;
-  typename TestFixture::Store Db(txnTestOptions(Txns + Solos + Readers));
+  typename TestFixture::Store Db(kvTestOptions(Txns + Solos + Readers));
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   for (uint64_t X = 0; X < KeyRange; ++X)
@@ -707,7 +666,7 @@ TYPED_TEST(KvTxn, NoLostUpdatesAcrossWritePaths) {
   constexpr uint64_t Keys = 4;
   constexpr int Ops = 300;
   using Value = typename TestFixture::Value;
-  typename TestFixture::Store Db(txnTestOptions(Mergers + Casers + Txners));
+  typename TestFixture::Store Db(kvTestOptions(Mergers + Casers + Txners));
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   const auto Num = [](const Value &P) { return TestFixture::stampOf(P); };

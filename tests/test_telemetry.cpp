@@ -299,6 +299,152 @@ TEST(TelemetryExport, PrometheusExposition) {
   EXPECT_NE(P.find("quantile=\"0.5\""), std::string::npos) << P;
 }
 
+/// Every scalar and every histogram summary set, each to its own value.
+telemetry::store_stats fullStats() {
+  telemetry::store_stats St = sampleStats();
+  St.async_submits = 11;
+  St.combiner_takeovers = 12;
+  St.sync_fallbacks = 13;
+  St.trim_walk_len = {9, 3.5, 2.0, 6.0, 8.0, 15.0};
+  St.txn_commit_ns = {5, 1250.25, 1024.0, 2048.0, 3072.0, 4096.0};
+  St.submit_batch_len = {7, 64.5, 64.0, 120.0, 250.0, 256.0};
+  return St;
+}
+
+// The whole JSON document and Prometheus text, byte for byte: both
+// writers render from one field table, and this pins its order, names,
+// types and help texts.
+TEST(TelemetryExport, FullStoreStatsRenderVerbatim) {
+  EXPECT_EQ(telemetry::to_json(fullStats()), R"({
+  "allocated": 100,
+  "retired": 80,
+  "freed": 70,
+  "unreclaimed": 10,
+  "era": 7,
+  "version_clock": 42,
+  "live_snapshots": 1,
+  "snapshot_slots": 8,
+  "slow_acquires": 3,
+  "fast_rejects": 2,
+  "index_resizes": 1,
+  "txn_commits": 5,
+  "txn_aborts": 1,
+  "async_submits": 11,
+  "combiner_takeovers": 12,
+  "sync_fallbacks": 13,
+  "node_bytes": 131072,
+  "snapshot_open_ns": {
+    "count": 4,
+    "mean": 50,
+    "p50": 40,
+    "p90": 60,
+    "p99": 80,
+    "max": 90
+  },
+  "trim_walk_len": {
+    "count": 9,
+    "mean": 3.5,
+    "p50": 2,
+    "p90": 6,
+    "p99": 8,
+    "max": 15
+  },
+  "txn_commit_ns": {
+    "count": 5,
+    "mean": 1250.25,
+    "p50": 1024,
+    "p90": 2048,
+    "p99": 3072,
+    "max": 4096
+  },
+  "submit_batch_len": {
+    "count": 7,
+    "mean": 64.5,
+    "p50": 64,
+    "p90": 120,
+    "p99": 250,
+    "max": 256
+  }
+}
+)");
+  EXPECT_EQ(telemetry::to_prometheus(fullStats(), "kv"), R"(# HELP kv_allocated_total Nodes allocated through the domain.
+# TYPE kv_allocated_total counter
+kv_allocated_total 100
+# HELP kv_retired_total Nodes retired so far.
+# TYPE kv_retired_total counter
+kv_retired_total 80
+# HELP kv_freed_total Nodes handed back to the deleter.
+# TYPE kv_freed_total counter
+kv_freed_total 70
+# HELP kv_unreclaimed Retired but not yet reclaimed nodes.
+# TYPE kv_unreclaimed gauge
+kv_unreclaimed 10
+# HELP kv_era The scheme's global era/epoch clock (0: none).
+# TYPE kv_era gauge
+kv_era 7
+# HELP kv_version_clock Current version clock.
+# TYPE kv_version_clock gauge
+kv_version_clock 42
+# HELP kv_live_snapshots Live snapshot references.
+# TYPE kv_live_snapshots gauge
+kv_live_snapshots 1
+# HELP kv_snapshot_slots Snapshot slot capacity.
+# TYPE kv_snapshot_slots gauge
+kv_snapshot_slots 8
+# HELP kv_slow_acquires_total Snapshot opens that fell off the one-RMW fast path.
+# TYPE kv_slow_acquires_total counter
+kv_slow_acquires_total 3
+# HELP kv_fast_rejects_total Fast-path snapshot opens undone after failed verification.
+# TYPE kv_fast_rejects_total counter
+kv_fast_rejects_total 2
+# HELP kv_index_resizes_total Cooperative bucket-directory doubling triggers.
+# TYPE kv_index_resizes_total counter
+kv_index_resizes_total 1
+# HELP kv_txn_commits_total Transactional commits that published.
+# TYPE kv_txn_commits_total counter
+kv_txn_commits_total 5
+# HELP kv_txn_aborts_total Transactional commits aborted on conflict or kill.
+# TYPE kv_txn_aborts_total counter
+kv_txn_aborts_total 1
+# HELP kv_async_submits_total Write ops submitted through the async batched write path.
+# TYPE kv_async_submits_total counter
+kv_async_submits_total 11
+# HELP kv_combiner_takeovers_total Flat-combining lock acquisitions that drained a submission ring.
+# TYPE kv_combiner_takeovers_total counter
+kv_combiner_takeovers_total 12
+# HELP kv_sync_fallbacks_total Async submits that hit a full ring and applied synchronously.
+# TYPE kv_sync_fallbacks_total counter
+kv_sync_fallbacks_total 13
+# HELP kv_node_bytes Bytes of node-pool chunks the store holds.
+# TYPE kv_node_bytes gauge
+kv_node_bytes 131072
+# HELP kv_snapshot_open_ns Sampled open_snapshot latency (ns).
+# TYPE kv_snapshot_open_ns summary
+kv_snapshot_open_ns{quantile="0.5"} 40
+kv_snapshot_open_ns{quantile="0.9"} 60
+kv_snapshot_open_ns{quantile="0.99"} 80
+kv_snapshot_open_ns_count 4
+# HELP kv_trim_walk_len Version-chain nodes visited per trim walk.
+# TYPE kv_trim_walk_len summary
+kv_trim_walk_len{quantile="0.5"} 2
+kv_trim_walk_len{quantile="0.9"} 6
+kv_trim_walk_len{quantile="0.99"} 8
+kv_trim_walk_len_count 9
+# HELP kv_txn_commit_ns Sampled transactional commit latency (ns).
+# TYPE kv_txn_commit_ns summary
+kv_txn_commit_ns{quantile="0.5"} 1024
+kv_txn_commit_ns{quantile="0.9"} 2048
+kv_txn_commit_ns{quantile="0.99"} 3072
+kv_txn_commit_ns_count 5
+# HELP kv_submit_batch_len Requests applied per async combined batch.
+# TYPE kv_submit_batch_len summary
+kv_submit_batch_len{quantile="0.5"} 64
+kv_submit_batch_len{quantile="0.9"} 120
+kv_submit_batch_len{quantile="0.99"} 250
+kv_submit_batch_len_count 7
+)");
+}
+
 TEST(TelemetryExport, TraceDrainShape) {
   // With tracing compiled out (the default) the drain is an empty JSON
   // array; with it compiled in, it is a JSON array either way.
