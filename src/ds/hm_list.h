@@ -15,88 +15,39 @@
 #ifndef LFSMR_DS_HM_LIST_H
 #define LFSMR_DS_HM_LIST_H
 
-#include "ds/list_ops.h"
-#include "lfsmr/domain.h"
+#include "ds/michael_hashmap.h"
 
 #include <atomic>
-#include <optional>
 #include <vector>
 
 namespace lfsmr::ds {
 
 /// Sorted lock-free set/map with integer keys, generic over the SMR
-/// scheme \p S.
-template <typename S> class HMList {
+/// scheme \p S: a `MichaelHashMap` with one bucket, plus the sorted
+/// prefill only a single chain can take.
+template <typename S> class HMList : public MichaelHashMap<S> {
+  using Base = MichaelHashMap<S>;
+
 public:
-  using Ops = ListOps<S>;
-  using Node = typename Ops::Node;
-
-  explicit HMList(const smr::Config &C)
-      : Dom(C, &Ops::deleteNode, nullptr), Head(0) {}
-
-  /// Drains the chain; concurrent access must have ceased.
-  ~HMList() {
-    uintptr_t Raw = Head.load(std::memory_order_relaxed);
-    while (Node *N = Ops::toNode(Raw)) {
-      Raw = N->Next.load(std::memory_order_relaxed);
-      delete N;
-    }
-  }
-
-  HMList(const HMList &) = delete;
-  HMList &operator=(const HMList &) = delete;
-
-  /// Inserts (K, V); returns false if K is already present.
-  bool insert(smr::ThreadId Tid, Key K, Value V) {
-    auto G = Dom.enter(Tid);
-    return Ops::insert(G, Head, K, V);
-  }
-
-  /// Removes K; returns false if absent.
-  bool remove(smr::ThreadId Tid, Key K) {
-    auto G = Dom.enter(Tid);
-    return Ops::remove(G, Head, K);
-  }
-
-  /// Returns the value mapped to K, if any.
-  std::optional<Value> get(smr::ThreadId Tid, Key K) {
-    auto G = Dom.enter(Tid);
-    return Ops::get(G, Head, K);
-  }
-
-  /// Insert-or-replace; replacing retires the old node. Returns true if
-  /// K was newly inserted.
-  bool put(smr::ThreadId Tid, Key K, Value V) {
-    auto G = Dom.enter(Tid);
-    return Ops::put(G, Head, K, V);
-  }
+  explicit HMList(const smr::Config &C) : Base(C, 1) {}
 
   /// Builds the chain directly from \p SortedKeys (strictly increasing,
   /// value = key + 1). Setup-only fast path: prefilling a 50,000-element
   /// list through the public insert would cost O(n^2) traversal steps.
   /// Must run before any concurrent access.
   void prefillSorted(const std::vector<Key> &SortedKeys) {
-    auto G = Dom.enter(0);
+    using Node = typename Base::Node;
+    auto G = this->Dom.enter(0);
+    std::atomic<uintptr_t> &Head = this->Table[0];
     uintptr_t Chain = Head.load(std::memory_order_relaxed);
     for (auto It = SortedKeys.rbegin(); It != SortedKeys.rend(); ++It) {
       Node *N = new Node(*It, *It + 1);
       G.init(&N->Hdr);
       N->Next.store(Chain, std::memory_order_relaxed);
-      Chain = Ops::toRaw(N);
+      Chain = Base::Ops::toRaw(N);
     }
     Head.store(Chain, std::memory_order_release);
   }
-
-  /// The underlying reclamation scheme (for counters and tests).
-  S &smr() { return Dom.scheme(); }
-  const S &smr() const { return Dom.scheme(); }
-
-  /// The reclamation domain (public-API access to the same scheme).
-  lfsmr::domain<S> &domain() { return Dom; }
-
-private:
-  lfsmr::domain<S> Dom;
-  std::atomic<uintptr_t> Head;
 };
 
 } // namespace lfsmr::ds

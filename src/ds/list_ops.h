@@ -12,7 +12,9 @@
 ///
 /// The operations are written against a single chain head so both the
 /// standalone list (paper Figures 11a/d) and the hash map's buckets
-/// (Figures 11b/e) share them.
+/// (Figures 11b/e) share them. Their traversal, `michaelFind`, is
+/// parameterised by a node layout, and the kv shard index and kv scans
+/// (`kv/shard_index.h`) run the same one.
 ///
 /// Mark convention: bit 0 of a node's `Next` word is set when the node is
 /// logically deleted. Hazard-slot usage: indices 0..2, rotated as the
@@ -35,6 +37,88 @@ namespace lfsmr::ds {
 /// 64-bit integer keys uniformly from [0, 100000)).
 using Key = uint64_t;
 using Value = uint64_t;
+
+/// Where a Michael walk stopped: the link that pointed at `CurrRaw`, the
+/// first node the layout did not order before its probe (0 at the tail),
+/// that node's unmarked successor, and whether it matches the probe.
+struct ListPosition {
+  std::atomic<uintptr_t> *PrevLink;
+  uintptr_t CurrRaw;
+  uintptr_t NextRaw;
+  bool Found;
+};
+
+/// Michael's find step, the one traversal of every sorted lock-free list
+/// in the library (`ListOps`, the kv shard index and kv scans): walks
+/// from \p Head to the first node \p L does not order before its probe,
+/// physically unlinking every marked node it meets. It never steps out of
+/// a marked node: each step re-checks that `PrevLink` still points at the
+/// current node, unmarked, after protecting its successor, and re-finds
+/// on a mismatch, so every node it dereferences was reachable when
+/// protected — the property hazard pointers need (Brown, arXiv
+/// 1712.01044). Slots 0–2 rotate: `CurrIdx` protects the current node,
+/// `NextIdx` its successor, and `SpareIdx` the predecessor that owns
+/// `PrevLink`.
+///
+/// \p L is the node layout:
+/// \code
+///   std::atomic<uintptr_t> &next(uintptr_t Raw); // link word, bit 0 = mark
+///   int order(uintptr_t Raw);   // < 0 walk past Raw, 0 match, > 0 stop
+///   void unlinked(Guard &, uintptr_t Raw); // the unlink-CAS winner's duty
+///   std::atomic<uintptr_t> *restart(std::atomic<uintptr_t> *Head,
+///                                   std::atomic<uintptr_t> *PrevLink);
+/// \endcode
+/// `restart` returns the head to re-find from after a failed re-check or
+/// unlink CAS; `PrevLink`'s owner is still protected when it runs. \p L
+/// is taken by value: no call the walk makes can alias it, so its probe
+/// is not re-read through a pointer after each out-of-line `protect_link`.
+template <typename Guard, typename Layout>
+ListPosition michaelFind(Guard &G, std::atomic<uintptr_t> *Head, Layout L) {
+  constexpr uintptr_t Mark = 1;
+Retry:
+  std::atomic<uintptr_t> *PrevLink = Head;
+  unsigned CurrIdx = 0, NextIdx = 1, SpareIdx = 2;
+  uintptr_t CurrRaw = G.protect_link(*PrevLink, CurrIdx);
+  while (true) {
+    const uintptr_t Curr = CurrRaw & ~Mark;
+    if (!Curr)
+      return ListPosition{PrevLink, 0, 0, false};
+    std::atomic<uintptr_t> &Next = L.next(Curr);
+    const uintptr_t NextRaw = G.protect_link(Next, NextIdx);
+    // Validate: PrevLink must still point at Curr, unmarked. This also
+    // detects a marked (deleted) predecessor, whose Next word would now
+    // carry the mark bit.
+    if (PrevLink->load(std::memory_order_acquire) != Curr) {
+      Head = L.restart(Head, PrevLink);
+      goto Retry;
+    }
+    if (NextRaw & Mark) {
+      // Curr is logically deleted: unlink it; the CAS winner owns it.
+      uintptr_t Expected = Curr;
+      if (!PrevLink->compare_exchange_strong(Expected, NextRaw & ~Mark,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire)) {
+        Head = L.restart(Head, PrevLink);
+        goto Retry;
+      }
+      L.unlinked(G, Curr);
+      CurrRaw = NextRaw & ~Mark;
+      std::swap(CurrIdx, NextIdx); // Next's protection now guards Curr
+      continue;
+    }
+    const int Order = L.order(Curr);
+    if (Order >= 0)
+      return ListPosition{PrevLink, Curr, NextRaw, Order == 0};
+    PrevLink = &Next;
+    CurrRaw = NextRaw;
+    // Advance one hop: Curr becomes the predecessor (keeps its slot),
+    // Next becomes Curr, and the old predecessor's slot is recycled.
+    const unsigned Old = SpareIdx;
+    SpareIdx = CurrIdx;
+    CurrIdx = NextIdx;
+    NextIdx = Old;
+  }
+}
 
 /// Harris-Michael list operations, generic over the SMR scheme. All
 /// scheme interaction goes through the public `lfsmr::guard` facade; the
@@ -68,58 +152,31 @@ template <typename S> struct ListOps {
   }
   static uintptr_t toRaw(Node *N) { return reinterpret_cast<uintptr_t>(N); }
 
-  /// Result of a traversal: the link that pointed at `Curr` and the first
-  /// node with `K >= key` (null when the tail was reached).
-  struct Position {
-    std::atomic<uintptr_t> *PrevLink;
-    Node *Curr;
-    uintptr_t NextRaw; ///< Curr's successor (unmarked) when Curr != null
-    bool Found;
+  /// The step's view of a `Node` chain, probing for key `K`: a marked
+  /// node's unlink winner retires it.
+  struct Steps {
+    Key K;
+
+    std::atomic<uintptr_t> &next(uintptr_t Raw) const {
+      return toNode(Raw)->Next;
+    }
+    int order(uintptr_t Raw) const {
+      const Key C = toNode(Raw)->K;
+      return C < K ? -1 : C != K;
+    }
+    void unlinked(Guard &G, uintptr_t Raw) const {
+      G.retire(&toNode(Raw)->Hdr);
+    }
+    std::atomic<uintptr_t> *restart(std::atomic<uintptr_t> *Head,
+                                    std::atomic<uintptr_t> *) const {
+      return Head;
+    }
   };
 
   /// Michael's find: locates the insertion point for \p K, physically
   /// unlinking (and retiring) any marked nodes encountered.
-  static Position find(Guard &G, std::atomic<uintptr_t> &Head, Key K) {
-  retry:
-    std::atomic<uintptr_t> *PrevLink = &Head;
-    // Hazard-slot roles rotate among {0,1,2}: CurrIdx protects Curr,
-    // NextIdx the node after it, the third slot keeps the previous node
-    // alive so PrevLink stays dereferenceable.
-    unsigned CurrIdx = 0, NextIdx = 1, SpareIdx = 2;
-    uintptr_t CurrRaw = G.protect_link(*PrevLink, CurrIdx);
-    while (true) {
-      Node *Curr = toNode(CurrRaw);
-      if (!Curr)
-        return Position{PrevLink, nullptr, 0, false};
-      const uintptr_t NextRaw = G.protect_link(Curr->Next, NextIdx);
-      // Validate: PrevLink must still point at Curr, unmarked. This also
-      // detects a marked (deleted) predecessor, whose Next word would now
-      // carry the mark bit.
-      if (PrevLink->load(std::memory_order_acquire) != (CurrRaw & ~Mark))
-        goto retry;
-      if (NextRaw & Mark) {
-        // Curr is logically deleted: unlink it and retire immediately.
-        uintptr_t Expected = CurrRaw & ~Mark;
-        if (!PrevLink->compare_exchange_strong(Expected, NextRaw & ~Mark,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire))
-          goto retry;
-        G.retire(&Curr->Hdr);
-        CurrRaw = NextRaw & ~Mark;
-        std::swap(CurrIdx, NextIdx); // Next's protection now guards Curr
-        continue;
-      }
-      if (Curr->K >= K)
-        return Position{PrevLink, Curr, NextRaw, Curr->K == K};
-      PrevLink = &Curr->Next;
-      CurrRaw = NextRaw;
-      // Advance one hop: Curr becomes the predecessor (keeps its slot),
-      // Next becomes Curr, and the old predecessor's slot is recycled.
-      const unsigned Old = SpareIdx;
-      SpareIdx = CurrIdx;
-      CurrIdx = NextIdx;
-      NextIdx = Old;
-    }
+  static ListPosition find(Guard &G, std::atomic<uintptr_t> &Head, Key K) {
+    return michaelFind(G, &Head, Steps{K});
   }
 
   /// Inserts (K, V); fails if the key is present.
@@ -127,7 +184,7 @@ template <typename S> struct ListOps {
                      Value V) {
     Node *Fresh = nullptr;
     while (true) {
-      Position Pos = find(G, Head, K);
+      const ListPosition Pos = find(G, Head, K);
       if (Pos.Found) {
         if (Fresh)
           G.discard(&Fresh->Hdr);
@@ -137,8 +194,8 @@ template <typename S> struct ListOps {
         Fresh = new Node(K, V);
         G.init(&Fresh->Hdr);
       }
-      Fresh->Next.store(toRaw(Pos.Curr), std::memory_order_relaxed);
-      uintptr_t Expected = toRaw(Pos.Curr);
+      Fresh->Next.store(Pos.CurrRaw, std::memory_order_relaxed);
+      uintptr_t Expected = Pos.CurrRaw;
       if (Pos.PrevLink->compare_exchange_strong(Expected, toRaw(Fresh),
                                                 std::memory_order_acq_rel,
                                                 std::memory_order_acquire))
@@ -150,10 +207,10 @@ template <typename S> struct ListOps {
   /// node (after it is physically unlinked here or by a helping find).
   static bool remove(Guard &G, std::atomic<uintptr_t> &Head, Key K) {
     while (true) {
-      Position Pos = find(G, Head, K);
+      const ListPosition Pos = find(G, Head, K);
       if (!Pos.Found)
         return false;
-      Node *Victim = Pos.Curr;
+      Node *Victim = toNode(Pos.CurrRaw);
       // Logically delete: set the mark bit on the victim's Next.
       uintptr_t Succ = Pos.NextRaw;
       if (!Victim->Next.compare_exchange_strong(Succ, Succ | Mark,
@@ -178,10 +235,10 @@ template <typename S> struct ListOps {
   /// Looks up K.
   static std::optional<Value> get(Guard &G, std::atomic<uintptr_t> &Head,
                                   Key K) {
-    Position Pos = find(G, Head, K);
+    const ListPosition Pos = find(G, Head, K);
     if (!Pos.Found)
       return std::nullopt;
-    return Pos.Curr->V;
+    return toNode(Pos.CurrRaw)->V;
   }
 
   /// Insert-or-replace (the benchmark's "put", paper Section 6's
@@ -193,17 +250,17 @@ template <typename S> struct ListOps {
     Node *Fresh = new Node(K, V);
     G.init(&Fresh->Hdr);
     while (true) {
-      Position Pos = find(G, Head, K);
+      const ListPosition Pos = find(G, Head, K);
       if (!Pos.Found) {
-        Fresh->Next.store(toRaw(Pos.Curr), std::memory_order_relaxed);
-        uintptr_t Expected = toRaw(Pos.Curr);
+        Fresh->Next.store(Pos.CurrRaw, std::memory_order_relaxed);
+        uintptr_t Expected = Pos.CurrRaw;
         if (Pos.PrevLink->compare_exchange_strong(Expected, toRaw(Fresh),
                                                   std::memory_order_acq_rel,
                                                   std::memory_order_acquire))
           return true;
         continue;
       }
-      Node *Victim = Pos.Curr;
+      Node *Victim = toNode(Pos.CurrRaw);
       uintptr_t Succ = Pos.NextRaw;
       // Logically delete the old binding; the replacement linearizes here.
       if (!Victim->Next.compare_exchange_strong(Succ, Succ | Mark,

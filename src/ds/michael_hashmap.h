@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Michael's lock-free hash map [TPDS'04]: a fixed array of buckets, each
-/// a Harris-Michael chain (shared with hm_list.h). Operations are very
-/// short, which makes this the paper's reclamation stress test
+/// a Harris-Michael chain (`HMList` is the one-bucket map). Operations
+/// are very short, which makes this the paper's reclamation stress test
 /// (Figures 11b/11e, 12b/12e): enter/leave and retire dominate.
 ///
 //===----------------------------------------------------------------------===//
@@ -89,16 +89,17 @@ public:
   /// The reclamation domain (public-API access to the same scheme).
   lfsmr::domain<S> &domain() { return Dom; }
 
+protected:
+  lfsmr::domain<S> Dom;
+  const std::size_t Buckets;
+  std::unique_ptr<std::atomic<uintptr_t>[]> Table;
+
 private:
   std::atomic<uintptr_t> &bucket(Key K) {
     // Fibonacci hashing spreads the benchmark's dense integer keys.
     const uint64_t H = K * 0x9e3779b97f4a7c15ULL;
     return Table[(H >> 32) & (Buckets - 1)];
   }
-
-  lfsmr::domain<S> Dom;
-  const std::size_t Buckets;
-  std::unique_ptr<std::atomic<uintptr_t>[]> Table;
 };
 
 } // namespace lfsmr::ds

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The snapshot scan layer of `lfsmr::kv`: a single walk protocol that
-/// visits every key binding visible at one snapshot stamp, plus the key
-/// filters (`MatchAll`, `PrefixFilter`) the store's `scan`/`scan_prefix`
-/// apply along the way.
+/// The snapshot scan layer of `lfsmr::kv`: why one walk per shard
+/// (`ShardIndex::scan`) visits every key binding visible at one snapshot
+/// stamp, plus the key filters (`MatchAll`, `PrefixFilter`) the store's
+/// `scan`/`scan_prefix` apply along the way.
 ///
 /// **Why a whole-shard scan is snapshot-consistent — including across
 /// resizes.** Each shard is one split-ordered list (`kv/shard_index.h`);
@@ -30,10 +30,12 @@
 ///    for keys inserted, mutated, or marked dead mid-scan. Marked nodes
 ///    (dead tombstones) are skipped outright — they are invisible to
 ///    every live snapshot by construction.
-///  - *Unlink races are benign.* If the node under the cursor is
-///    physically unlinked mid-visit, its forward link is frozen at
-///    unlink time and still enters the list, exactly as in Michael's
-///    traversal; the protection-slot rotation keeps it dereferenceable.
+///  - *The walk never leaves the list.* It is Michael's find step
+///    (`ds::michaelFind`), so it helps unlink a marked node instead of
+///    stepping through it: a marked node's frozen link may point at
+///    nodes already unlinked and, under hazard pointers, freed. When its
+///    re-check fails it re-finds the node it last stood on and goes on
+///    past it, so no key is visited twice.
 ///
 /// The walk never blocks writers and writers never block it; its only
 /// cost to the system is the history the snapshot pins by contract.
@@ -43,11 +45,7 @@
 #ifndef LFSMR_KV_SCAN_H
 #define LFSMR_KV_SCAN_H
 
-#include "kv/shard_index.h"
-
-#include <cstdint>
 #include <string_view>
-#include <utility>
 
 namespace lfsmr::kv {
 
@@ -71,31 +69,6 @@ struct PrefixFilter {
            Key.compare(0, Prefix.size(), Prefix) == 0;
   }
 };
-
-/// Walks one shard list from its root sentinel, emitting every *live
-/// item* node (sentinels and marked nodes are skipped). \p LinkOf maps a raw
-/// node word to its `LinkPart` (the store's layout knowledge); \p Emit
-/// receives the tag-stripped raw node. Rotates protection slots 0–2, so
-/// \p Emit may use slots 3+ for version-chain reads. Runs under the
-/// caller's guard, which must stay open for the whole walk.
-template <typename Guard, typename LinkOfFn, typename EmitFn>
-void scanShardList(Guard &G, std::uintptr_t Root, LinkOfFn &&LinkOf,
-                   EmitFn &&Emit) {
-  constexpr std::uintptr_t Tag = 1;
-  unsigned CurrIdx = 0, NextIdx = 1, SpareIdx = 2;
-  std::uintptr_t CurRaw = G.protect_link(LinkOf(Root)->Next, CurrIdx);
-  while (CurRaw & ~Tag) {
-    LinkPart *L = LinkOf(CurRaw);
-    const std::uintptr_t NextRaw = G.protect_link(L->Next, NextIdx);
-    if (!(NextRaw & Tag) && (L->SoKey & 1))
-      Emit(CurRaw & ~Tag);
-    CurRaw = NextRaw & ~Tag;
-    const unsigned Old = SpareIdx;
-    SpareIdx = CurrIdx;
-    CurrIdx = NextIdx;
-    NextIdx = Old;
-  }
-}
 
 } // namespace lfsmr::kv
 

@@ -50,9 +50,10 @@
 /// (`LinkPart` prefix accessors), key matching/ordering for
 /// hash-collision ties, and the retire hook for unlinked items (which
 /// must also retire the item's version chain).
-/// Protection discipline matches `ds::ListOps::find`: slots 0–2 rotate
-/// along the walk, marked nodes are unlinked in passing, and the unlink
-/// winner owns the retire.
+/// Every walk over a shard list — a find, a sentinel link, a scan — is
+/// `ds::michaelFind` over one layout (`Steps`): slots 0–2 rotate along
+/// the walk, marked nodes are unlinked in passing, and the unlink winner
+/// decrements the item count and owns the retire.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,6 +61,7 @@
 #define LFSMR_KV_SHARD_INDEX_H
 
 #include "core/slot_directory.h"
+#include "ds/list_ops.h"
 #include "support/align.h"
 #include "support/telemetry.h"
 
@@ -144,6 +146,8 @@ static_assert(sizeof(Bucket) <= 24, "a bucket is its sentinel plus a byte");
 ///   uintptr_t  rawOf(LinkPart *);         // inverse of linkOf
 ///   int  compareTie(uintptr_t Raw, const Probe &); // same-SoKey order
 ///   void retireUnlinked(guard_type &, uintptr_t); // unlinked marked item
+///   using KeyCopy = ...;                  // owns one copied key
+///   Probe probeOf(uintptr_t Raw, KeyCopy &); // the probe that finds Raw
 /// \endcode
 ///
 /// `retireUnlinked` is called exactly once per item, by the thread whose
@@ -161,14 +165,9 @@ public:
   static constexpr unsigned WalkSlots = 3;
 
   /// A located position in a shard list: the link that pointed at
-  /// `Curr`, the first node at or after the probe (null at the tail),
+  /// `CurrRaw`, the first node at or after the probe (0 at the tail),
   /// and whether it matches the probe exactly.
-  struct Position {
-    std::atomic<std::uintptr_t> *PrevLink;
-    std::uintptr_t CurrRaw; ///< 0 at the tail
-    std::uintptr_t NextRaw; ///< Curr's successor word (unmarked)
-    bool Found;
-  };
+  using Position = ds::ListPosition;
 
   /// One shard: the grow-only bucket directory (each slot holds its
   /// bucket's inline sentinel; bucket 0 is born Linked) and the item
@@ -246,7 +245,20 @@ public:
     const std::size_t B = static_cast<std::size_t>(Hash) & (K - 1);
     std::uintptr_t Head = InitBuckets ? bucketInit(G, Sh, B)
                                       : bucketReady(Sh, B);
-    return walk(G, Sh, Head, P);
+    return ds::michaelFind(G, &Pol.linkOf(Head)->Next, Steps{*this, Sh, P});
+  }
+
+  /// Visits every live item of shard \p S in list order, once each:
+  /// `Visit(Raw)` gets the tag-stripped raw node while it is protected
+  /// (slots 0–2 are the walk's, so \p Visit may use slots 3+). The walk
+  /// helps unlink marked items like any find; when a re-check fails it
+  /// re-finds the node it last stood on and goes on past it, so it never
+  /// visits an item twice and never steps out of an unlinked one.
+  template <typename Visit>
+  void scan(guard_type &G, std::size_t S, Visit &&V) {
+    Shard &Sh = Shards_[S];
+    ds::michaelFind(G, &Sh.Buckets.slot(0).L.Next,
+                    ScanSteps<Visit>{{*this, Sh, Probe{}}, V});
   }
 
   /// Links \p FreshRaw (an item node whose `LinkPart` is already filled
@@ -330,7 +342,8 @@ private:
     const Probe P = Policy::sentinelProbe(Bk.L.SoKey);
     const std::uintptr_t Self = Pol.rawOf(&Bk.L);
     for (;;) {
-      const Position Pos = walk(G, Sh, Parent, P);
+      const Position Pos =
+          ds::michaelFind(G, &Pol.linkOf(Parent)->Next, Steps{*this, Sh, P});
       assert(!Pos.Found && "only the claimer links a bucket's sentinel");
       Bk.L.Next.store(Pos.CurrRaw, std::memory_order_relaxed);
       std::uintptr_t Expected = Pos.CurrRaw;
@@ -343,54 +356,68 @@ private:
     return Self;
   }
 
-  /// The Michael walk from \p HeadNode (a sentinel, never removable) to
-  /// the first node at or after \p P. `PrevLink` always points into a
-  /// node that cannot be freed while this guard holds it protected — the
-  /// head sentinel lives in the directory, and every later Prev is protected by the slot
-  /// rotation exactly as in `ds::ListOps::find`. The unlink winner of a
-  /// marked item both retires it (through the policy) and decrements the
-  /// shard's item count.
-  Position walk(guard_type &G, Shard &Sh, std::uintptr_t HeadNode,
-                const Probe &P) {
-  Retry:
-    std::atomic<std::uintptr_t> *PrevLink = &Pol.linkOf(HeadNode)->Next;
-    unsigned CurrIdx = 0, NextIdx = 1, SpareIdx = 2;
-    std::uintptr_t CurrRaw = G.protect_link(*PrevLink, CurrIdx);
-    for (;;) {
-      if (!(CurrRaw & ~Tag))
-        return Position{PrevLink, 0, 0, false};
-      LinkPart *Curr = Pol.linkOf(CurrRaw);
-      const std::uintptr_t NextRaw = G.protect_link(Curr->Next, NextIdx);
-      if (PrevLink->load(std::memory_order_acquire) != (CurrRaw & ~Tag))
-        goto Retry;
-      if (NextRaw & Tag) {
-        // Logically removed item: unlink; the CAS winner retires it.
-        std::uintptr_t Expected = CurrRaw & ~Tag;
-        if (!PrevLink->compare_exchange_strong(Expected, NextRaw & ~Tag,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire))
-          goto Retry;
-        Sh.Items.Value.fetch_sub(1, std::memory_order_relaxed);
-        Pol.retireUnlinked(G, CurrRaw & ~Tag);
-        CurrRaw = NextRaw & ~Tag;
-        std::swap(CurrIdx, NextIdx);
-        continue;
-      }
-      if (Curr->SoKey >= P.SoKey) {
-        if (Curr->SoKey > P.SoKey)
-          return Position{PrevLink, CurrRaw & ~Tag, NextRaw, false};
-        const int C = Pol.compareTie(CurrRaw & ~Tag, P);
-        if (C >= 0)
-          return Position{PrevLink, CurrRaw & ~Tag, NextRaw, C == 0};
-      }
-      PrevLink = &Curr->Next;
-      CurrRaw = NextRaw;
-      const unsigned Old = SpareIdx;
-      SpareIdx = CurrIdx;
-      CurrIdx = NextIdx;
-      NextIdx = Old;
+  /// `ds::michaelFind`'s view of shard \p Sh's list, probing for \p P:
+  /// nodes are `LinkPart` prefixes ordered by split-order key, ties by the
+  /// policy's `compareTie`. The walk's first `PrevLink` lies in a sentinel,
+  /// which never dies; the unlink winner of a marked item decrements the
+  /// shard's item count and retires it through the policy.
+  struct Steps {
+    ShardIndex &Ix;
+    Shard &Sh;
+    Probe P;
+
+    std::atomic<std::uintptr_t> &next(std::uintptr_t Raw) const {
+      return Ix.Pol.linkOf(Raw)->Next;
     }
-  }
+    int order(std::uintptr_t Raw) const {
+      const std::uint64_t So = Ix.Pol.linkOf(Raw)->SoKey;
+      if (So != P.SoKey)
+        return So < P.SoKey ? -1 : 1;
+      return Ix.Pol.compareTie(Raw, P);
+    }
+    void unlinked(guard_type &G, std::uintptr_t Raw) const {
+      Sh.Items.Value.fetch_sub(1, std::memory_order_relaxed);
+      Ix.Pol.retireUnlinked(G, Raw);
+    }
+    std::atomic<std::uintptr_t> *restart(std::atomic<std::uintptr_t> *Head,
+                                         std::atomic<std::uintptr_t> *) const {
+      return Head;
+    }
+  };
+
+  /// The scan's view: orders every node before the probe, so the walk
+  /// runs to the tail, and visits each live item on the way. After a
+  /// failed re-check it copies the probe of the node it last stood on
+  /// (still protected in the spare slot), re-finds from that node's
+  /// bucket, and skips every node up to and including it.
+  template <typename Visit> struct ScanSteps : Steps {
+    Visit &V;
+    typename Policy::KeyCopy Copy{};
+    bool Skipping = false;
+
+    int order(std::uintptr_t Raw) {
+      if (Skipping && Steps::order(Raw) <= 0)
+        return -1;
+      Skipping = false;
+      if (this->Ix.Pol.linkOf(Raw)->SoKey & 1)
+        V(Raw);
+      return -1;
+    }
+    std::atomic<std::uintptr_t> *restart(std::atomic<std::uintptr_t> *Head,
+                                         std::atomic<std::uintptr_t> *Prev) {
+      if (Prev == Head)
+        return Head; // nothing stood on since the last (re)start
+      auto *L = reinterpret_cast<LinkPart *>(reinterpret_cast<char *>(Prev) -
+                                             offsetof(LinkPart, Next));
+      this->P = this->Ix.Pol.probeOf(this->Ix.Pol.rawOf(L), Copy);
+      Skipping = true;
+      // Bucket bits are the hash's low bits, reversed into the key's top.
+      const std::size_t B =
+          static_cast<std::size_t>(bitReverse64(this->P.SoKey)) &
+          (this->Sh.Buckets.capacity() - 1);
+      return &this->Ix.Pol.linkOf(this->Ix.bucketReady(this->Sh, B))->Next;
+    }
+  };
 
   Policy &Pol;
   const std::size_t NumShards;

@@ -130,8 +130,9 @@
 /// The pool is declared before the domain, so every free of the domain's
 /// teardown lands in a live pool.
 ///
-/// Protection-slot discipline (HP/HE): the index walk (`locate`) rotates
-/// slots 0–2 exactly like `ds::ListOps`; version-chain walks take the
+/// Protection-slot discipline (HP/HE): every index walk (`locate`, the
+/// scans) is `ds::michaelFind`, which rotates slots 0–2 for the
+/// containers and the index alike; version-chain walks take the
 /// head in slot 3 and rotate slots 3–4 through `stepOlder`; slot 5 is
 /// `protectSelf`'s (a writer's own fresh version through the publish-
 /// then-stamp window) and slot 6 is `pinCommit`'s (a transaction's
@@ -422,11 +423,9 @@ public:
     // everything retired domain-wide while it runs.
     for (std::size_t S = 0; S < Opt.Shards; ++S) {
       auto G = Dom.enter(Tid);
-      scanShardList(G, Index->root(S),
-                    [this](std::uintptr_t R) { return linkOf(R); },
-                    [&](std::uintptr_t R) {
-                      Keys.push_back(K(Codec<K>::view(toK(R)->R.Key)));
-                    });
+      Index->scan(G, S, [&](std::uintptr_t R) {
+        Keys.push_back(K(Codec<K>::view(toK(R)->R.Key)));
+      });
     }
     for (const K &Key : Keys) {
       auto G = Dom.enter(Tid);
@@ -764,6 +763,19 @@ private:
     if (!P.Key)
       return 0;
     return Codec<K>::compare(toK(Raw)->R.Key, *P.Key);
+  }
+
+  /// Owned storage for the key of a probe that outlives its node.
+  using KeyCopy = std::optional<K>;
+
+  /// The probe that finds node \p Raw (protected by the caller) again: a
+  /// sentinel's, or an item's with its key copied into \p Copy.
+  Probe probeOf(std::uintptr_t Raw, KeyCopy &Copy) const {
+    const std::uint64_t So = linkOf(Raw)->SoKey;
+    if (!(So & 1))
+      return sentinelProbe(So);
+    Copy.emplace(Codec<K>::view(toK(Raw)->R.Key));
+    return Probe{So, &*Copy};
   }
 
   /// Retires an unlinked key node and its version chain. Only the single
@@ -1432,24 +1444,22 @@ private:
     }
   }
 
-  /// Shared body of `scan`/`scan_prefix`: one split-ordered walk per
-  /// shard (slots 0–2), a snapshot cut per key (slots 3–4), the filter
-  /// on the borrowed key view.
+  /// Shared body of `scan`/`scan_prefix`: one index scan per shard
+  /// (slots 0–2), a snapshot cut per key (slots 3–4), the filter on the
+  /// borrowed key view.
   template <typename Filter, typename F>
   void scanFiltered(thread_id Tid, std::uint64_t At, Filter &&Keep,
                     F &&Fn) {
     for (std::size_t S = 0; S < Opt.Shards; ++S) {
       auto G = Dom.enter(Tid);
-      scanShardList(G, Index->root(S),
-                    [this](std::uintptr_t R) { return linkOf(R); },
-                    [&](std::uintptr_t R) {
-                      KNode *KN = toK(R);
-                      key_view KeyV = Codec<K>::view(KN->R.Key);
-                      if (!Keep(KeyV))
-                        return;
-                      if (VNode *VN = readAt(G, KN, At))
-                        Fn(KeyV, Codec<V>::view(VN->R.Val));
-                    });
+      Index->scan(G, S, [&](std::uintptr_t R) {
+        KNode *KN = toK(R);
+        key_view KeyV = Codec<K>::view(KN->R.Key);
+        if (!Keep(KeyV))
+          return;
+        if (VNode *VN = readAt(G, KN, At))
+          Fn(KeyV, Codec<V>::view(VN->R.Val));
+      });
     }
   }
 

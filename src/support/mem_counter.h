@@ -12,7 +12,9 @@
 /// same interface.
 ///
 /// Counters are sharded across cache lines so that hot-path increments do
-/// not serialize the benchmark threads.
+/// not serialize the benchmark threads. The same `ShardedCounter` is the
+/// telemetry layer's `telemetry::Counter` when telemetry is compiled in;
+/// `MemCounter` uses it in every build.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,20 +30,21 @@
 
 namespace lfsmr {
 
-/// A sharded event counter: increments go to a per-thread shard; reads sum
-/// all shards (approximate under concurrency, exact at quiescence).
+/// A sharded event counter: increments go to the calling thread's
+/// cache-padded shard with one relaxed RMW; reads sum all shards
+/// (approximate under concurrency, exact at quiescence).
 class ShardedCounter {
 public:
   static constexpr std::size_t NumShards = 64;
 
-  /// Adds \p Delta to the calling thread's shard.
-  void add(int64_t Delta) {
-    Shards[shardIndex()]->fetch_add(Delta, std::memory_order_relaxed);
+  /// Adds \p N to the calling thread's shard.
+  void add(std::uint64_t N = 1) {
+    Shards[shardIndex()]->fetch_add(N, std::memory_order_relaxed);
   }
 
   /// Sums all shards. Exact only when no thread is concurrently adding.
-  int64_t total() const {
-    int64_t Sum = 0;
+  std::uint64_t total() const {
+    std::uint64_t Sum = 0;
     for (const auto &S : Shards)
       Sum += S->load(std::memory_order_relaxed);
     return Sum;
@@ -56,7 +59,7 @@ public:
 private:
   static std::size_t shardIndex();
 
-  CachePadded<std::atomic<int64_t>> Shards[NumShards] = {};
+  CachePadded<std::atomic<std::uint64_t>> Shards[NumShards] = {};
 };
 
 /// Accounting for one reclamation domain: how many nodes were allocated,
@@ -73,14 +76,14 @@ public:
     LFSMR_TRACE_EVENT(telemetry::TraceEvent::Reclaim, 1);
   }
   void onFree(int64_t N) {
-    Frees.add(N);
+    Frees.add(static_cast<std::uint64_t>(N));
     LFSMR_TRACE_EVENT(telemetry::TraceEvent::Reclaim,
                       static_cast<unsigned long long>(N));
   }
 
-  int64_t allocated() const { return Allocs.total(); }
-  int64_t retired() const { return Retires.total(); }
-  int64_t freed() const { return Frees.total(); }
+  int64_t allocated() const { return static_cast<int64_t>(Allocs.total()); }
+  int64_t retired() const { return static_cast<int64_t>(Retires.total()); }
+  int64_t freed() const { return static_cast<int64_t>(Frees.total()); }
 
   /// Number of retired-but-not-yet-reclaimed objects right now.
   int64_t unreclaimed() const { return retired() - freed(); }

@@ -12,7 +12,6 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -22,19 +21,10 @@ using namespace lfsmr;
 using namespace lfsmr::telemetry;
 
 //===----------------------------------------------------------------------===//
-// Counter / Histogram (compiled only when telemetry is enabled)
+// Histogram (compiled only when telemetry is enabled)
 //===----------------------------------------------------------------------===//
 
 #if LFSMR_TELEMETRY_ENABLED
-
-std::size_t Counter::shardIndex() {
-  // Hash the thread id once per thread (the ShardedCounter idiom): the
-  // shard assignment only needs to spread concurrent writers.
-  static thread_local const std::size_t Index =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-      Counter::NumShards;
-  return Index;
-}
 
 histogram_summary Histogram::summarize() const {
   std::uint64_t Counts[NumBuckets];

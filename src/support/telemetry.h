@@ -9,7 +9,7 @@
 ///
 ///  - `Counter`: a striped event counter — one relaxed `fetch_add` on a
 ///    per-thread cache-padded shard per increment, all shards summed on
-///    read (the `ShardedCounter` idiom, widened to the telemetry gate).
+///    read (`ShardedCounter`, behind the telemetry gate).
 ///  - `Histogram`: a log-bucketed concurrent histogram — power-of-two
 ///    major buckets split into 16 linear sub-buckets (HDR-style, ~6%
 ///    relative resolution), one relaxed `fetch_add` per record.
@@ -39,6 +39,7 @@
 
 #include "lfsmr/telemetry.h"
 #include "support/align.h"
+#include "support/mem_counter.h"
 #include "support/trace.h"
 
 #include <atomic>
@@ -61,37 +62,8 @@ inline std::uint64_t nowNs() {
 
 #if LFSMR_TELEMETRY_ENABLED
 
-/// A striped event counter: increments go to the calling thread's
-/// cache-padded shard with one relaxed RMW; `total()` sums all shards
-/// (approximate under concurrency, exact at quiescence).
-class Counter {
-public:
-  static constexpr std::size_t NumShards = 64;
-
-  /// Adds \p N to the calling thread's shard.
-  void add(std::uint64_t N = 1) {
-    Shards[shardIndex()]->fetch_add(N, std::memory_order_relaxed);
-  }
-
-  /// Sums all shards. Exact only when no thread is concurrently adding.
-  std::uint64_t total() const {
-    std::uint64_t Sum = 0;
-    for (const auto &S : Shards)
-      Sum += S->load(std::memory_order_relaxed);
-    return Sum;
-  }
-
-  /// Resets all shards to zero. Only call at quiescence.
-  void reset() {
-    for (auto &S : Shards)
-      S->store(0, std::memory_order_relaxed);
-  }
-
-private:
-  static std::size_t shardIndex();
-
-  CachePadded<std::atomic<std::uint64_t>> Shards[NumShards] = {};
-};
+/// A striped event counter (see `ShardedCounter`).
+using Counter = ShardedCounter;
 
 /// A concurrent log-bucketed histogram over `uint64_t` samples. Values
 /// below 16 get exact buckets; above, each power-of-two decade splits

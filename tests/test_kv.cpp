@@ -538,6 +538,57 @@ TYPED_TEST(KvStore, ScanStaysConsistentAcrossResize) {
   Snap.reset();
 }
 
+TYPED_TEST(KvStore, ScanNeverStepsOutOfAnUnlinkedKey) {
+  // One list, no growth, a reclamation sweep on every retire. While the
+  // scan stands on X, keys P, C and W behind it are unlinked and C and W
+  // are freed (HP protects only X and P). A scan that followed P's frozen
+  // link would then step into freed memory; Michael's re-check sends it
+  // back to X instead, which it skips, and on to Y.
+  kv::Options O = kvTestOptions();
+  O.Shards = 1;
+  O.BucketsPerShard = 1;
+  O.MaxLoadFactor = 0;
+  O.Reclaim.EmptyFreq = 1;
+  typename TestFixture::Store Db(O);
+  using Key = typename TestFixture::Key;
+  std::vector<std::pair<std::uint64_t, uint64_t>> Order;
+  for (uint64_t I = 0; I < 64; ++I)
+    Order.emplace_back(kv::itemSoKey(kv::Codec<Key>::hash(TestFixture::key(I))),
+                       I);
+  std::sort(Order.begin(), Order.end());
+  ASSERT_TRUE(std::adjacent_find(Order.begin(), Order.begin() + 5,
+                                 [](const auto &A, const auto &B) {
+                                   return A.first == B.first;
+                                 }) == Order.begin() + 5);
+  const Key X = TestFixture::key(Order[0].second);
+  const Key Y = TestFixture::key(Order[4].second);
+  for (std::size_t I = 0; I < 5; ++I)
+    Db.put(0, TestFixture::key(Order[I].second), TestFixture::val(I));
+  kv::snapshot Old = Db.open_snapshot();
+  for (std::size_t I = 1; I < 4; ++I) // P, C, W
+    ASSERT_TRUE(Db.erase(0, TestFixture::key(Order[I].second)));
+  kv::snapshot Snap = Db.open_snapshot();
+
+  int SeenX = 0, SeenY = 0, SeenOther = 0;
+  Db.scan(0, Snap, [&](typename TestFixture::Store::key_view KeyV,
+                       typename TestFixture::Store::value_view) {
+    const Key Seen(KeyV);
+    if (Seen == X) {
+      ++SeenX;
+      Old.reset();
+      Db.compact(1);
+    } else if (Seen == Y) {
+      ++SeenY;
+    } else {
+      ++SeenOther;
+    }
+  });
+  EXPECT_EQ(SeenX, 1);
+  EXPECT_EQ(SeenY, 1);
+  EXPECT_EQ(SeenOther, 0);
+  Snap.reset();
+}
+
 TYPED_TEST(KvStore, StalledBucketClaimOnlyLengthensWalks) {
   // Bucket 1 is claimed and never linked, as by a writer preempted right
   // after winning the claim. Its keys and those of every bucket below

@@ -1,22 +1,31 @@
 #!/usr/bin/env python3
 """List the atomic operations and protection slots of each C++ function.
 
-For every function defined in the given source file, prints one row per
+For every function defined in the given source files, prints one row per
 
   * atomic operation: `.load` / `.store` / `.exchange` /
     `.compare_exchange_*` / `.fetch_*` with the memory orders it passes
     (`(default)` when it passes none, i.e. seq_cst), and
   * `protect_link(source, slot)` call with its protection slot.
 
-Rows are `function  line  op  object  orders-or-slot`, where `object` is
-the receiver expression (the link read, for `protect_link`).
+Rows are `function  line  op  object  orders-or-slot`, where `function`
+is qualified by its enclosing classes and `object` is the receiver
+expression (the link read, for `protect_link`).
 
 `--flatten` prints the per-path view instead: for each function, its own
-sites plus those of every function of the same file it calls, expanded
+sites plus those of every function of the given files it calls, expanded
 at each call site (recursively; a cycle is expanded once), as counted
 `op member orders-or-slot` rows without line numbers. A step moved into
-a helper leaves that view unchanged, so diffing it before and after a
-refactor shows whether any path gained, lost or changed an atomic.
+a helper, or into another of the files, leaves that view unchanged, so
+diffing it before and after a refactor shows whether any path gained,
+lost or changed an atomic. A call resolves by name, narrowed in turn by
+its `Class::` qualifier (a member call `x.f()` never resolves to the
+calling function's own class), by the classes of the functions on the
+path being expanded (innermost first, then to the types that function
+brace-initializes: a call through a template parameter, such as a node
+layout's hook, resolves to the layout its caller built), and by include
+distance from the calling file; what is still ambiguous is expanded for
+every candidate.
 
 `--require NAME` (repeatable) exits with status 1 when NAME has no rows
 of its own. The parser is a brace/paren scanner, not a C++ front end: it
@@ -24,7 +33,7 @@ handles the repository's own style (comments, string literals,
 preprocessor lines, constructor initializer lists, lambdas inside
 functions), and merges overloads that share a name.
 
-Usage: tools/atomic_sites.py [--flatten] [--require NAME]... FILE
+Usage: tools/atomic_sites.py [--flatten] [--require NAME]... FILE...
 """
 
 import argparse
@@ -43,8 +52,16 @@ FN_QUALIFIERS = re.compile(
 SCOPE_KEYWORD = re.compile(r"\b(?:struct|class|namespace|enum|union|extern)\b")
 FN_NAME = re.compile(
     r"((?:\w+::)*(?:operator\s*\(\s*\)|operator\s*[^\s(]+|~?\w+))\s*\(")
+CLASS_NAME = re.compile(
+    r"\b(?:struct|class|union)\s+(?:alignas\s*\([^)]*\)\s*)?(\w+)")
+BRACE_INIT = re.compile(r"\b(\w+)\s*(?:<[^;{}()]*>)?\s*\{")
+INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.M)
+CALL = re.compile(
+    r"(?<![\w~])((?:\w+::)*)(\w+)\s*(?:<[^;{}()]*>)?\s*\(")
 
-Function = collections.namedtuple("Function", "name start end")
+# `cls` is the tuple of enclosing class names, `file` the index of the
+# source file the function is defined in.
+Function = collections.namedtuple("Function", "name start end cls file")
 Site = collections.namedtuple("Site", "line op obj detail")
 
 
@@ -108,26 +125,31 @@ def blank_out(src):
     return "".join(out)
 
 
-def function_name(head):
-    """The declared name in a function head, or None."""
+def drop_templates(head):
+    """`head` without its template parameter and argument lists."""
     head = re.sub(r"^\s*template\s*<", "<", head)
     depth = 0
     flat = []
-    for c in head:  # drop template argument lists
+    for c in head:
         if c == "<":
             depth += 1
         elif c == ">" and depth:
             depth -= 1
         elif depth == 0:
             flat.append(c)
-    m = FN_NAME.search("".join(flat))
+    return "".join(flat)
+
+
+def function_name(head):
+    """The declared name in a function head, or None."""
+    m = FN_NAME.search(drop_templates(head))
     return re.sub(r"\s+", "", m.group(1)) if m else None
 
 
-def find_functions(code):
+def find_functions(code, file=0):
     """Every function definition outside another function's body."""
     functions = []
-    stack = []  # enclosing braces outside functions: 'scope' | 'init'
+    stack = []  # braces outside functions: ('scope', class) | ('init',)
     head_start = 0
     paren = 0
     fn_name, fn_start, fn_depth = None, 0, 0
@@ -138,7 +160,10 @@ def find_functions(code):
             elif c == "}":
                 fn_depth -= 1
                 if fn_depth == 0:
-                    functions.append(Function(fn_name, fn_start, i))
+                    cls = tuple(e[1] for e in stack
+                                if e[0] == "scope" and e[1])
+                    functions.append(
+                        Function(fn_name, fn_start, i, cls, file))
                     fn_name = None
                     head_start = i + 1
             continue
@@ -156,12 +181,13 @@ def find_functions(code):
             if name:
                 fn_name, fn_start, fn_depth = name, i, 1
             elif SCOPE_KEYWORD.search(head):
-                stack.append("scope")
+                m = CLASS_NAME.search(drop_templates(head))
+                stack.append(("scope", m.group(1) if m else None))
                 head_start = i + 1
             else:
-                stack.append("init")  # a brace initializer: head goes on
+                stack.append(("init",))  # a brace initializer: head goes on
         elif c == "}" and stack:
-            if stack.pop() == "scope":
+            if stack.pop()[0] == "scope":
                 head_start = i + 1
     return functions
 
@@ -252,32 +278,82 @@ def member(obj):
     return names[-1] if names else obj
 
 
-def flatten(code, functions):
+def qualified(fn):
+    """`fn`'s name with its enclosing classes (`ShardIndex::find`)."""
+    return "::".join(fn.cls + (fn.name,))
+
+
+def include_distances(paths, sources):
+    """dist[i][j]: include hops from file i to file j among the given
+    files (None when j is not reachable)."""
+    edges = [[j for inc in INCLUDE.findall(src)
+              for j, other in enumerate(paths)
+              if j != i and other.replace("\\", "/").endswith("/" + inc)]
+             for i, src in enumerate(sources)]
+    dist = []
+    for i in range(len(paths)):
+        d, frontier = {i: 0}, [i]
+        while frontier:
+            nxt = []
+            for f in frontier:
+                for j in edges[f]:
+                    if j not in d:
+                        d[j] = d[f] + 1
+                        nxt.append(j)
+            frontier = nxt
+        dist.append([d.get(j) for j in range(len(paths))])
+    return dist
+
+
+def flatten(codes, functions, dist):
     """Per-function multiset of (op, member, detail), callees expanded at
     every call site."""
     by_name = collections.defaultdict(list)
     for fn in functions:
         by_name[fn.name.split("::")[-1]].append(fn)
-    own = {fn: sites(code, fn) for fn in functions}
+    own = {fn: sites(codes[fn.file], fn) for fn in functions}
+
+    def scope(fn):
+        return fn.cls + tuple(fn.name.split("::")[:-1])
+
+    def body(fn):
+        return codes[fn.file][fn.start:fn.end]
+
+    def resolve(qual, name, member_call, path):
+        cands = by_name[name]
+        if member_call:
+            cands = [c for c in cands if scope(c) != scope(path[-1])]
+        if qual:
+            last = qual.rstrip(":").split("::")[-1]
+            cands = [c for c in cands if last in scope(c)] or cands
+        for caller in reversed(path):
+            outer = scope(caller)
+            inside = [c for c in cands
+                      if outer and scope(c)[:len(outer)] == outer]
+            if inside:
+                built = set(BRACE_INIT.findall(body(caller)))
+                return [c for c in inside if built & set(scope(c))] or inside
+        hops = dist[path[-1].file]
+        reach = [hops[c.file] for c in cands if hops[c.file] is not None]
+        if reach:
+            cands = [c for c in cands if hops[c.file] == min(reach)]
+        return cands
 
     def calls(fn):
-        body = code[fn.start:fn.end]
-        out = []
-        for m in re.finditer(r"(?<![\w.>:~])(\w+)\s*(?:<[^;{}()]*>)?\s*\(",
-                             body):
-            if m.group(1) in by_name:
-                out.append(m.group(1))
-        return out
+        text = body(fn)
+        return [(m.group(1), m.group(2),
+                 text[:m.start()].rstrip().endswith((".", "->")))
+                for m in CALL.finditer(text) if m.group(2) in by_name]
 
-    def expand(fn, active):
+    def expand(fn, path):
         rows = collections.Counter(
             (s.op, member(s.obj), s.detail) for s in own[fn])
         helpers = []
-        for name in calls(fn):
-            for callee in by_name[name]:
-                if callee in active:
+        for qual, name, member_call in calls(fn):
+            for callee in resolve(qual, name, member_call, path):
+                if callee in path:
                     continue
-                sub, sub_helpers = expand(callee, active | {callee})
+                sub, sub_helpers = expand(callee, path + (callee,))
                 if sub:
                     helpers.append(name)
                     helpers.extend(sub_helpers)
@@ -286,7 +362,7 @@ def flatten(code, functions):
 
     result = []
     for fn in functions:
-        rows, helpers = expand(fn, {fn})
+        rows, helpers = expand(fn, (fn,))
         result.append((fn, rows, helpers))
     return result
 
@@ -295,34 +371,42 @@ def main(argv):
     parser = argparse.ArgumentParser(
         description="List atomic operations and protect_link slots per "
         "function.")
-    parser.add_argument("file")
+    parser.add_argument("files", nargs="+", metavar="FILE")
     parser.add_argument("--flatten", action="store_true",
-                        help="expand same-file callees at each call site")
+                        help="expand callees from any FILE at each call site")
     parser.add_argument("--require", action="append", default=[],
                         metavar="NAME",
                         help="fail unless NAME has rows of its own")
     args = parser.parse_args(argv)
 
-    with open(args.file, encoding="utf-8") as f:
-        code = blank_out(f.read())
-    functions = find_functions(code)
+    sources = []
+    for path in args.files:
+        with open(path, encoding="utf-8") as f:
+            sources.append(f.read())
+    codes = [blank_out(src) for src in sources]
+    functions = [fn for i, code in enumerate(codes)
+                 for fn in find_functions(code, i)]
     if args.flatten:
-        for fn, rows, helpers in flatten(code, functions):
+        dist = include_distances(args.files, sources)
+        for fn, rows, helpers in flatten(codes, functions, dist):
             if not rows:
                 continue
             via = " (via %s)" % ", ".join(sorted(set(helpers))) \
                 if helpers else ""
-            print(fn.name + via)
+            print(qualified(fn) + via)
             for (op, mem, detail), count in sorted(rows.items()):
                 print("  %2dx %-24s %-8s %s" % (count, op, mem, detail))
     else:
         for fn in functions:
-            for s in sites(code, fn):
+            for s in sites(codes[fn.file], fn):
                 print("%-22s %5d  %-24s %-28s %s" %
-                      (fn.name, s.line, s.op, s.obj, s.detail))
+                      (qualified(fn), s.line, s.op, s.obj, s.detail))
 
-    have_rows = {fn.name.split("::")[-1] for fn in functions
-                 if sites(code, fn)}
+    have_rows = set()  # every qualified suffix: `find`, `ShardIndex::find`
+    for fn in functions:
+        if sites(codes[fn.file], fn):
+            parts = qualified(fn).split("::")
+            have_rows.update("::".join(parts[i:]) for i in range(len(parts)))
     missing = [name for name in args.require if name not in have_rows]
     for name in missing:
         print("atomic_sites: no rows for %s" % name, file=sys.stderr)
