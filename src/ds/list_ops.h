@@ -63,13 +63,17 @@ struct ListPosition {
 /// \p L is the node layout:
 /// \code
 ///   std::atomic<uintptr_t> &next(uintptr_t Raw); // link word, bit 0 = mark
-///   int order(uintptr_t Raw);   // < 0 walk past Raw, 0 match, > 0 stop
+///   bool before(uintptr_t Raw);  // Raw orders before the probe: walk on
+///   bool matches(uintptr_t Raw); // the node the walk stops at is the probe's
 ///   void unlinked(Guard &, uintptr_t Raw); // the unlink-CAS winner's duty
-///   std::atomic<uintptr_t> *restart(std::atomic<uintptr_t> *Head,
-///                                   std::atomic<uintptr_t> *PrevLink);
+///   std::atomic<uintptr_t> *restart(std::atomic<uintptr_t> *Head);
 /// \endcode
 /// `restart` returns the head to re-find from after a failed re-check or
-/// unlink CAS; `PrevLink`'s owner is still protected when it runs. \p L
+/// unlink CAS; `PrevLink`'s owner is still protected when it runs. The
+/// order is two predicates, not one three-way `int`: with the `int`, GCC
+/// made the walk's exit the fall-through and every hop a taken branch,
+/// which slowed a long single-thread walk. `matches` is asked only of
+/// the node the walk stops at. \p L
 /// is taken by value: no call the walk makes can alias it, so its probe
 /// is not re-read through a pointer after each out-of-line `protect_link`.
 template <typename Guard, typename Layout>
@@ -77,19 +81,19 @@ ListPosition michaelFind(Guard &G, std::atomic<uintptr_t> *Head, Layout L) {
   constexpr uintptr_t Mark = 1;
 Retry:
   std::atomic<uintptr_t> *PrevLink = Head;
-  unsigned CurrIdx = 0, NextIdx = 1, SpareIdx = 2;
+  unsigned CurrIdx = 0, NextIdx = 1;
   uintptr_t CurrRaw = G.protect_link(*PrevLink, CurrIdx);
   while (true) {
-    const uintptr_t Curr = CurrRaw & ~Mark;
-    if (!Curr)
+    if (CurrRaw <= Mark)
       return ListPosition{PrevLink, 0, 0, false};
+    const uintptr_t Curr = CurrRaw & ~Mark;
     std::atomic<uintptr_t> &Next = L.next(Curr);
     const uintptr_t NextRaw = G.protect_link(Next, NextIdx);
     // Validate: PrevLink must still point at Curr, unmarked. This also
     // detects a marked (deleted) predecessor, whose Next word would now
     // carry the mark bit.
     if (PrevLink->load(std::memory_order_acquire) != Curr) {
-      Head = L.restart(Head, PrevLink);
+      Head = L.restart(Head);
       goto Retry;
     }
     if (NextRaw & Mark) {
@@ -98,7 +102,7 @@ Retry:
       if (!PrevLink->compare_exchange_strong(Expected, NextRaw & ~Mark,
                                              std::memory_order_acq_rel,
                                              std::memory_order_acquire)) {
-        Head = L.restart(Head, PrevLink);
+        Head = L.restart(Head);
         goto Retry;
       }
       L.unlinked(G, Curr);
@@ -106,17 +110,16 @@ Retry:
       std::swap(CurrIdx, NextIdx); // Next's protection now guards Curr
       continue;
     }
-    const int Order = L.order(Curr);
-    if (Order >= 0)
-      return ListPosition{PrevLink, Curr, NextRaw, Order == 0};
+    if (!L.before(Curr))
+      return ListPosition{PrevLink, Curr, NextRaw, L.matches(Curr)};
     PrevLink = &Next;
     CurrRaw = NextRaw;
     // Advance one hop: Curr becomes the predecessor (keeps its slot),
-    // Next becomes Curr, and the old predecessor's slot is recycled.
-    const unsigned Old = SpareIdx;
-    SpareIdx = CurrIdx;
+    // Next becomes Curr, and the old predecessor's slot (the one of 0-2
+    // that is neither) is recycled; no register holds it across calls.
+    const unsigned SpareIdx = 3 - CurrIdx - NextIdx;
     CurrIdx = NextIdx;
-    NextIdx = Old;
+    NextIdx = SpareIdx;
   }
 }
 
@@ -160,15 +163,12 @@ template <typename S> struct ListOps {
     std::atomic<uintptr_t> &next(uintptr_t Raw) const {
       return toNode(Raw)->Next;
     }
-    int order(uintptr_t Raw) const {
-      const Key C = toNode(Raw)->K;
-      return C < K ? -1 : C != K;
-    }
+    bool before(uintptr_t Raw) const { return toNode(Raw)->K < K; }
+    bool matches(uintptr_t Raw) const { return toNode(Raw)->K == K; }
     void unlinked(Guard &G, uintptr_t Raw) const {
       G.retire(&toNode(Raw)->Hdr);
     }
-    std::atomic<uintptr_t> *restart(std::atomic<uintptr_t> *Head,
-                                    std::atomic<uintptr_t> *) const {
+    std::atomic<uintptr_t> *restart(std::atomic<uintptr_t> *Head) const {
       return Head;
     }
   };

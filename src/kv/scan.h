@@ -34,8 +34,9 @@
 ///    (`ds::michaelFind`), so it helps unlink a marked node instead of
 ///    stepping through it: a marked node's frozen link may point at
 ///    nodes already unlinked and, under hazard pointers, freed. When its
-///    re-check fails it re-finds the node it last stood on and goes on
-///    past it, so no key is visited twice.
+///    re-check fails it re-finds the node it last stood on and skips up
+///    to and past it (a re-check that fails mid-skip keeps that target),
+///    so it never goes back over a node and no key is visited twice.
 ///
 /// The walk never blocks writers and writers never block it; its only
 /// cost to the system is the history the snapshot pins by contract.

@@ -99,6 +99,13 @@ constexpr std::uint64_t sentinelSoKey(std::uint64_t B) {
   return bitReverse64(B);
 }
 
+/// The hash bits split-order key \p K encodes (the inverse of
+/// `sentinelSoKey`, and of `itemSoKey` in all but the top bit).
+constexpr std::uint64_t soKeyHash(std::uint64_t K) { return bitReverse64(K); }
+
+static_assert(soKeyHash(sentinelSoKey(6)) == 6 &&
+              (soKeyHash(itemSoKey(0x2a)) & 0xff) == 0x2a);
+
 /// Parent of bucket \p B (> 0) in the split hierarchy: \p B with its top
 /// set bit cleared. Bucket 0 is the root and always Linked.
 constexpr std::size_t parentBucket(std::size_t B) {
@@ -241,8 +248,7 @@ public:
   Position find(guard_type &G, std::size_t S, std::uint64_t Hash,
                 const Probe &P, bool InitBuckets) {
     Shard &Sh = Shards_[S];
-    const std::size_t K = Sh.Buckets.capacity();
-    const std::size_t B = static_cast<std::size_t>(Hash) & (K - 1);
+    const std::size_t B = bucketOf(Sh, Hash);
     std::uintptr_t Head = InitBuckets ? bucketInit(G, Sh, B)
                                       : bucketReady(Sh, B);
     return ds::michaelFind(G, &Pol.linkOf(Head)->Next, Steps{*this, Sh, P});
@@ -310,6 +316,11 @@ private:
     }
   }
 
+  /// Bucket of \p Hash among \p Sh's current buckets: its low bits.
+  static std::size_t bucketOf(Shard &Sh, std::uint64_t Hash) {
+    return static_cast<std::size_t>(Hash) & (Sh.Buckets.capacity() - 1);
+  }
+
   /// Reader path: the deepest Linked bucket on \p B's ancestor chain —
   /// never allocates, never blocks.
   std::uintptr_t bucketReady(Shard &Sh, std::size_t B) {
@@ -369,52 +380,54 @@ private:
     std::atomic<std::uintptr_t> &next(std::uintptr_t Raw) const {
       return Ix.Pol.linkOf(Raw)->Next;
     }
-    int order(std::uintptr_t Raw) const {
+    int Tie = 0; ///< `before`'s last `compareTie`, for `matches`
+    bool before(std::uintptr_t Raw) {
       const std::uint64_t So = Ix.Pol.linkOf(Raw)->SoKey;
       if (So != P.SoKey)
-        return So < P.SoKey ? -1 : 1;
-      return Ix.Pol.compareTie(Raw, P);
+        return So < P.SoKey;
+      Tie = Ix.Pol.compareTie(Raw, P);
+      return Tie < 0;
+    }
+    bool matches(std::uintptr_t Raw) const {
+      return Ix.Pol.linkOf(Raw)->SoKey == P.SoKey && Tie == 0;
     }
     void unlinked(guard_type &G, std::uintptr_t Raw) const {
       Sh.Items.Value.fetch_sub(1, std::memory_order_relaxed);
       Ix.Pol.retireUnlinked(G, Raw);
     }
-    std::atomic<std::uintptr_t> *restart(std::atomic<std::uintptr_t> *Head,
-                                         std::atomic<std::uintptr_t> *) const {
+    std::atomic<std::uintptr_t> *
+    restart(std::atomic<std::uintptr_t> *Head) const {
       return Head;
     }
   };
 
-  /// The scan's view: orders every node before the probe, so the walk
-  /// runs to the tail, and visits each live item on the way. After a
-  /// failed re-check it copies the probe of the node it last stood on
-  /// (still protected in the spare slot), re-finds from that node's
-  /// bucket, and skips every node up to and including it.
+  /// The scan's view: puts every node before the probe, so the walk runs
+  /// to the tail, visiting each live item. `Last`, the node last stepped
+  /// past, owns `PrevLink` and stays protected in the spare slot. After a
+  /// failed re-check the scan copies Last's probe, re-finds from Last's
+  /// bucket and skips every node up to and including it; a re-check that
+  /// fails mid-skip keeps that probe and head, so no node is passed twice.
   template <typename Visit> struct ScanSteps : Steps {
     Visit &V;
+    std::uintptr_t Last = 0;
     typename Policy::KeyCopy Copy{};
     bool Skipping = false;
 
-    int order(std::uintptr_t Raw) {
-      if (Skipping && Steps::order(Raw) <= 0)
-        return -1;
+    bool before(std::uintptr_t Raw) {
+      Last = Raw;
+      if (Skipping && (Steps::before(Raw) || Steps::matches(Raw)))
+        return true;
       Skipping = false;
       if (this->Ix.Pol.linkOf(Raw)->SoKey & 1)
         V(Raw);
-      return -1;
+      return true;
     }
-    std::atomic<std::uintptr_t> *restart(std::atomic<std::uintptr_t> *Head,
-                                         std::atomic<std::uintptr_t> *Prev) {
-      if (Prev == Head)
-        return Head; // nothing stood on since the last (re)start
-      auto *L = reinterpret_cast<LinkPart *>(reinterpret_cast<char *>(Prev) -
-                                             offsetof(LinkPart, Next));
-      this->P = this->Ix.Pol.probeOf(this->Ix.Pol.rawOf(L), Copy);
+    std::atomic<std::uintptr_t> *restart(std::atomic<std::uintptr_t> *Head) {
+      if (!Last || Skipping)
+        return Head; // nothing passed yet, or still skipping to P
+      this->P = this->Ix.Pol.probeOf(Last, Copy);
       Skipping = true;
-      // Bucket bits are the hash's low bits, reversed into the key's top.
-      const std::size_t B =
-          static_cast<std::size_t>(bitReverse64(this->P.SoKey)) &
-          (this->Sh.Buckets.capacity() - 1);
+      const std::size_t B = bucketOf(this->Sh, soKeyHash(this->P.SoKey));
       return &this->Ix.Pol.linkOf(this->Ix.bucketReady(this->Sh, B))->Next;
     }
   };

@@ -13,7 +13,8 @@
 /// bucket-claim protocol (a stalled claimer, racing claimers),
 /// snapshot-consistent scans, and CI-sized concurrent checks (snapshot
 /// repeatability under churn, resize churn, disjoint-writer accounting,
-/// node-pool reuse across threads). The store suite is typed over
+/// node-pool reuse across threads, an index scan that never revisits a
+/// key while links change under it). The store suite is typed over
 /// scheme × payload configs:
 /// all nine reclaiming schemes on the store's one node layout, each
 /// with `uint64_t` and `std::string` keys/values, plus struct-payload
@@ -714,6 +715,60 @@ TYPED_TEST(KvStore, ConcurrentSnapshotReadsAreRepeatable) {
   const memory_stats MS = Db.stats();
   EXPECT_GE(MS.allocated, MS.retired);
   EXPECT_GE(MS.retired, MS.freed);
+}
+
+TYPED_TEST(KvStore, ConcurrentScanVisitsEachKeyOnce) {
+  // One list, no growth: writers erase and re-put a few keys while an
+  // index scan runs with no snapshot open, so erased keys are unlinked
+  // at once and links keep changing under the scan, its re-checks fail,
+  // also while it skips back to the node it last stood on. A scan must
+  // never go back over a node it passed, so no key is visited twice.
+  constexpr unsigned Writers = 2;
+  constexpr uint64_t KeyRange = 16;
+  kv::Options O = kvTestOptions(Writers + 1);
+  O.Shards = 1;
+  O.BucketsPerShard = 1;
+  O.MaxLoadFactor = 0;
+  typename TestFixture::Store Db(O);
+  using Key = typename TestFixture::Key;
+  std::vector<std::uint64_t> SoKeys;
+  for (uint64_t X = 0; X < KeyRange; ++X) {
+    SoKeys.push_back(kv::itemSoKey(kv::Codec<Key>::hash(TestFixture::key(X))));
+    Db.put(0, TestFixture::key(X), TestFixture::val(X));
+  }
+  std::sort(SoKeys.begin(), SoKeys.end());
+  ASSERT_TRUE(std::adjacent_find(SoKeys.begin(), SoKeys.end()) ==
+              SoKeys.end());
+
+  std::atomic<unsigned> Running{Writers};
+  std::vector<std::thread> Ts;
+  for (unsigned W = 0; W < Writers; ++W)
+    Ts.emplace_back([&, W] {
+      Xoshiro256 Rng(streamSeed(400 + W));
+      for (int I = 0; I < 4000; ++I) {
+        const uint64_t X = Rng.nextBounded(KeyRange);
+        if (Rng.nextPercent(50))
+          Db.erase(1 + W, TestFixture::key(X));
+        else
+          Db.put(1 + W, TestFixture::key(X), TestFixture::val(X));
+      }
+      Running.fetch_sub(1);
+    });
+  auto &Ix = Db.index();
+  int Twice = 0;
+  do {
+    std::vector<int> Seen(KeyRange, 0);
+    auto G = Db.domain().enter(0);
+    Ix.scan(G, 0, [&](std::uintptr_t Raw) {
+      const auto It = std::lower_bound(SoKeys.begin(), SoKeys.end(),
+                                       Ix.linkOf(Raw)->SoKey);
+      if (++Seen[It - SoKeys.begin()] == 2)
+        ++Twice;
+    });
+  } while (Running.load() != 0);
+  for (auto &T : Ts)
+    T.join();
+  EXPECT_EQ(Twice, 0);
 }
 
 TYPED_TEST(KvStore, ConcurrentDisjointWritersBalance) {
