@@ -49,7 +49,7 @@
 ///                           inline in a grow-only directory)
 ///                │
 ///           key node ── version chain (newest first)
-///                        [stamp | older | commit·tomb | value] → …
+///                        [stamp·record | older·tomb | value] → …
 ///
 ///  - Each shard keeps one sorted lock-free list of key nodes plus
 ///    per-bucket sentinels. A sentinel is a `LinkPart` inside its
@@ -86,24 +86,28 @@
 ///         head of a chain can ever be unsettled or aborted, so stamps
 ///         strictly decrease down every chain. Enforced in one place:
 ///         `publishFold` appends only after `settleHeadForWrite`.
-///      2. *A version with a Pending stamp is never retired.* Trim
-///         boundaries must be settled, suffix nodes below a boundary
-///         are settled by (1), and an aborted head's stamp is cached
-///         to Aborted before the unpublish CAS. This is what makes
-///         dereferencing a version's commit-record pointer safe (see
-///         `pinCommit`). Enforced at each version retire: `trimChain`
-///         calls `detachSuffix` only below a confirmed settled boundary,
-///         `unpublishAbortedHead` retires only a head cached to Aborted,
-///         and `retireUnlinked` runs only after `markDead` took a
-///         settled tombstone or an aborted sole version.
+///      2. *A version whose stamp word is unsettled is never retired.*
+///         Unsettled means `Pending` (a solo write) or `TxnBit | record`
+///         (a transaction's version whose record has not decided). Trim
+///         boundaries must be settled, suffix nodes below a boundary are
+///         settled by (1), and an aborted head's stamp word is cached to
+///         `AbortBit | record` before the unpublish CAS. This is what
+///         makes dereferencing the record address a stamp word carries
+///         safe (see `pinCommit`). Enforced at each version retire:
+///         `trimChain` calls `detachSuffix` only below a confirmed
+///         settled boundary, `unpublishAbortedHead` retires only a head
+///         cached to an abort, and `retireUnlinked` runs only after
+///         `markDead` took a settled tombstone or an aborted sole
+///         version.
 ///      3. *A commit record is retired only after every version it
-///         published has a non-Pending stamp* (the committer's settle
-///         sweep, or the abort sweep's unpublish). Readers re-check the
-///         version stamp after protecting the record (`pinCommit`), so
-///         a Pending observation proves it is still alive. Enforced in
-///         one place: `commitGroups` sweeps every published group
-///         (`settleAndTrim` / `abortPublished`) before the record
-///         retires.
+///         published has left its `TxnBit` word* — settled, or cached to
+///         `AbortBit | record` (the committer's settle sweep, or the abort
+///         sweep's unpublish). Readers protect the record through a
+///         stack-local word and then re-check the version's stamp word
+///         (`pinCommit`), so an unchanged `TxnBit` word proves the record
+///         is still alive. Enforced in one place: `commitGroups` sweeps
+///         every published group (`settleAndTrim` / `abortPublished`)
+///         before the record retires.
 ///
 /// One node layout for every scheme: each node is the scheme's header
 /// followed by one record (version, key or commit record),
@@ -111,10 +115,11 @@
 /// allocation. Records are trivially destructible by construction, so
 /// one raw-storage deleter serves every node shape, and the store's
 /// domain runs in intrusive mode under all nine schemes — `guard::create`
-/// on `domain()` throws. A version's tombstone flag rides in bit 0 of its
-/// write-once commit word, so with a 24 B header (Hyaline) a `uint64_t`
-/// key node and a version are 56 B each; a transparent block would add
-/// 40 B to each.
+/// on `domain()` throws. A version is three words: its stamp word, which
+/// also carries a transaction's commit record while the record is
+/// undecided, its `Older` link, whose bit 0 is the tombstone flag, and
+/// its value. So with a 24 B header (Hyaline) a `uint64_t` version is
+/// 48 B; a transparent block would add 40 B to each node.
 ///
 /// Node memory: when both codecs are fixed size, every node is one slot
 /// of the store-owned `NodePool` (`kv/node_pool.h`), sized for the
@@ -532,13 +537,36 @@ private:
   /// by the shard index).
   static constexpr std::uintptr_t Tag = 1;
 
-  /// Low bit of a version's `Commit` word marks a tombstone. A commit
-  /// record's node is aligned past it (pool slots and `::operator new`
-  /// blocks alike), so bit 0 of its address is always free; every reader
-  /// of the record pointer masks it off.
-  /// HP's hazard slots strip low tag bits, so `protect_link` on the
-  /// tagged word still pins the record.
+  /// Low bit of a version's `Older` word marks a tombstone. Version
+  /// nodes are aligned past it, so bit 0 of a link is always free;
+  /// `toV` and HP's hazard slots (`TagMask`) strip it, so `protect_link`
+  /// on the flagged word still pins the older version.
   static constexpr std::uintptr_t TombBit = 1;
+
+  /// A transactional version's stamp word, while its commit record is
+  /// undecided, holds `TxnBit | record address`; once the record aborts
+  /// it caches `AbortBit | record address`. Both bits lie above every
+  /// settled stamp (48 bits) and every user-space address, and below
+  /// bit 63, which all three registry sentinels set, so the top three
+  /// bits classify a word: 0 settled, `AbortBit`, `TxnBit`, or a
+  /// sentinel (only `Pending`, a solo write, occurs in a version).
+  static constexpr std::uint64_t TxnBit = std::uint64_t{1} << 62;
+  /// \copydoc TxnBit
+  static constexpr std::uint64_t AbortBit = std::uint64_t{1} << 61;
+  static_assert(SnapshotRegistry::StampMask < AbortBit &&
+                    (SnapshotRegistry::Aborted >> 61) == 7,
+                "stamp-word classes must not overlap");
+
+  /// True when stamp word \p W names an undecided commit record.
+  static bool txnPending(std::uint64_t W) { return W >> 61 == TxnBit >> 61; }
+  /// True when stamp word \p W is a cached abort.
+  static bool abortMarked(std::uint64_t W) {
+    return W >> 61 == AbortBit >> 61;
+  }
+  /// The commit record a `TxnBit` / `AbortBit` stamp word names.
+  static std::uintptr_t recordOf(std::uint64_t W) {
+    return static_cast<std::uintptr_t>(W & ~(TxnBit | AbortBit));
+  }
 
   /// Protection slots for version-chain walks (the index walk owns 0–2).
   static constexpr unsigned VSlotA = 3, VSlotB = 4;
@@ -556,29 +584,28 @@ private:
   /// latency histograms. Counters are never sampled — only timing is.
   static constexpr unsigned TelemetryStride = 64;
 
-  /// One version: stamp (Pending until resolved), the link to the next
-  /// older version, the commit word, and the codec-shaped payload
-  /// (variable-size payloads ride in the record's trailing suffix).
-  /// Immutable once stamped, except `Older`, which trimmers `exchange`
-  /// to take ownership of the suffix. `Commit` holds the owning
-  /// `CommitRec` for transactional versions (0 for solo writes) with
-  /// `TombBit` set on tombstones; it is written once before publication
-  /// and never after, so its only hazard is the record's own lifetime
-  /// (see `stampOf`).
+  /// One version: the stamp word, the link to the next older version
+  /// (its bit 0 the tombstone flag), and the codec-shaped payload
+  /// (variable-size payloads ride in the record's trailing suffix). The
+  /// stamp word is `Pending` for a solo write until `resolve` settles it,
+  /// and `TxnBit | record` for a transaction's until the record decides
+  /// (`stampOf` caches the outcome). Immutable once stamped, except
+  /// `Older`'s link, which trimmers take with `fetch_and(TombBit)`; the
+  /// flag is written once before publication and never after.
   struct VersionRec {
-    std::atomic<std::uint64_t> Stamp{SnapshotRegistry::Pending};
+    std::atomic<std::uint64_t> Stamp;
     std::atomic<std::uintptr_t> Older;
-    std::atomic<std::uintptr_t> Commit;
     typename Codec<V>::storage_type Val; // last: trailing bytes follow
 
     VersionRec(bool Tomb, std::uintptr_t Old, std::uintptr_t C = 0)
-        : Older(Old), Commit(C | (Tomb ? TombBit : 0)) {}
+        : Stamp(C ? TxnBit | C : SnapshotRegistry::Pending),
+          Older(Old | (Tomb ? TombBit : 0)) {}
 
-    /// Relaxed suffices: the word's only store precedes the publishing
+    /// Relaxed suffices: the flag's only store precedes the publishing
     /// CAS, and every reader reached the node through an acquire
     /// `protect_link`.
     bool tombstone() const {
-      return Commit.load(std::memory_order_relaxed) & TombBit;
+      return Older.load(std::memory_order_relaxed) & TombBit;
     }
   };
 
@@ -638,10 +665,10 @@ private:
   static_assert(sizeof(typename Scheme::NodeHeader) != 24 ||
                     !std::is_same_v<K, std::uint64_t> ||
                     !std::is_same_v<V, std::uint64_t> ||
-                    (sizeof(VNode) == 56 && sizeof(KNode) == 56),
-                "24 B header + uint64_t K/V: version 56, key 56");
-  static_assert(alignof(CNode) > TombBit,
-                "a commit record's address must leave TombBit free");
+                    (sizeof(VNode) == 48 && sizeof(KNode) == 56),
+                "24 B header + uint64_t K/V: version 48, key 56");
+  static_assert(alignof(VNode) > TombBit,
+                "a version's address must leave TombBit free");
 
   static VNode *toV(std::uintptr_t Raw) {
     return reinterpret_cast<VNode *>(Raw & ~Tag);
@@ -833,33 +860,39 @@ private:
     (void)G.protect_link(Self, VSlotSelf);
   }
 
-  /// The visibility stamp of \p V (which the caller holds protected):
+  /// The visibility stamp of \p VN (which the caller holds protected):
   /// a settled clock value, `Aborted` (the version is invisible and
   /// will be unpublished), or `Pending` (an unpublished transaction —
   /// invisible *for now*, treat as +inf and keep walking). Solo pending
   /// stamps are helped (`resolve`); transactional stamps are resolved
-  /// through the shared commit record (`pinCommit`) and *cached* into
-  /// the version's own stamp word so later readers stop touching it.
+  /// through the commit record their stamp word names (`pinCommit`) and
+  /// the outcome is *cached* into that word, so later readers stop
+  /// touching the record.
   std::uint64_t stampOf(guard_type &G, VNode *VN) {
-    const std::uint64_t S = VN->R.Stamp.load(std::memory_order_seq_cst);
-    if (S != SnapshotRegistry::Pending)
-      return S; // settled or Aborted: immutable from here on
-    const auto [C, S2] = pinCommit(G, VN);
-    if (!C) // solo write: help-stamp it; else settled/aborted meanwhile
-      return S2 == SnapshotRegistry::Pending ? Registry.resolve(VN->R.Stamp)
-                                             : S2;
-    const std::uint64_t CS = Registry.resolveCommit(C->R.Stamp);
-    if (CS == SnapshotRegistry::Unpublished)
-      return SnapshotRegistry::Pending; // not yet committed: do not cache
-    // Aborted or settled: cache into the version (first CAS wins; every
-    // helper caches the same value, so a lost race is benign).
-    std::uint64_t Exp = SnapshotRegistry::Pending;
-    VN->R.Stamp.compare_exchange_strong(Exp, CS, std::memory_order_seq_cst,
-                                        std::memory_order_seq_cst);
-    return CS;
+    for (;;) {
+      const std::uint64_t W = VN->R.Stamp.load(std::memory_order_seq_cst);
+      if (W == SnapshotRegistry::Pending)
+        return Registry.resolve(VN->R.Stamp); // solo write: help-stamp it
+      if (!txnPending(W)) // settled or aborted: immutable from here on
+        return abortMarked(W) ? SnapshotRegistry::Aborted : W;
+      CNode *C = pinCommit(G, VN, W);
+      if (!C)
+        continue; // decided and cached meanwhile: read the word again
+      const std::uint64_t CS = Registry.resolveCommit(C->R.Stamp);
+      if (CS == SnapshotRegistry::Unpublished)
+        return SnapshotRegistry::Pending; // not yet committed: do not cache
+      // Aborted or settled: cache into the version (first CAS wins; every
+      // helper caches the same value, so a lost race is benign). An abort
+      // keeps the record's address, which `abortPublished` matches.
+      std::uint64_t Exp = W;
+      VN->R.Stamp.compare_exchange_strong(
+          Exp, CS == SnapshotRegistry::Aborted ? AbortBit | recordOf(W) : CS,
+          std::memory_order_seq_cst, std::memory_order_seq_cst);
+      return CS;
+    }
   }
 
-  /// Kills the unpublished transaction owning head version \p V: CASes
+  /// Kills the unpublished transaction owning head version \p VN: CASes
   /// its commit word Unpublished -> Aborted so this writer need not wait
   /// for the transaction to finish publishing (solo writes stay
   /// lock-free; transactions are obstruction-free against each other).
@@ -867,7 +900,10 @@ private:
   /// another writer killed it first — either way the next `stampOf`
   /// settles.
   void killUnpublished(guard_type &G, VNode *VN) {
-    if (CNode *C = pinCommit(G, VN).first) {
+    const std::uint64_t W = VN->R.Stamp.load(std::memory_order_seq_cst);
+    if (!txnPending(W))
+      return; // decided meanwhile
+    if (CNode *C = pinCommit(G, VN, W)) {
       std::uint64_t Exp = SnapshotRegistry::Unpublished;
       C->R.Stamp.compare_exchange_strong(Exp, SnapshotRegistry::Aborted,
                                          std::memory_order_seq_cst,
@@ -875,35 +911,34 @@ private:
     }
   }
 
-  /// The commit-record pin: protects \p VN's commit record in `VSlotC`
-  /// and re-checks that \p VN's stamp is still Pending. Returns the
-  /// record and Pending, or null and the stamp: Pending for a solo write
-  /// (no record), the value it left Pending for meanwhile otherwise.
-  /// Lifetime argument: the owner retires the record only after every
-  /// version it published carries a non-Pending stamp (file-header
-  /// invariant 3), so a Pending re-check *after* the hazard/era
-  /// protection is installed proves the retire, if any, comes after the
-  /// protection is visible.
-  std::pair<CNode *, std::uint64_t> pinCommit(guard_type &G, VNode *VN) {
-    const std::uintptr_t CW = G.protect_link(VN->R.Commit, VSlotC) & ~TombBit;
-    if (!CW)
-      return {nullptr, SnapshotRegistry::Pending};
-    const std::uint64_t St = VN->R.Stamp.load(std::memory_order_seq_cst);
-    return {St == SnapshotRegistry::Pending ? toC(CW) : nullptr, St};
+  /// The commit-record pin: protects the record that \p VN's stamp word
+  /// \p W (`TxnBit` set) names in `VSlotC` — through a stack-local word,
+  /// as `protectSelf` does, because the stamp word's high bit is no tag
+  /// a hazard slot strips — and re-checks that the stamp word still
+  /// holds \p W. Returns the record, or null when the word moved on (the
+  /// record decided and a helper cached the outcome). Lifetime argument:
+  /// the owner retires the record only after every version it published
+  /// has left its `TxnBit` word (file-header invariant 3), so an
+  /// unchanged word *after* the hazard/era protection is installed proves
+  /// the retire, if any, comes after the protection is visible.
+  CNode *pinCommit(guard_type &G, VNode *VN, std::uint64_t W) {
+    std::atomic<std::uintptr_t> Rec{recordOf(W)};
+    (void)G.protect_link(Rec, VSlotC);
+    return VN->R.Stamp.load(std::memory_order_seq_cst) == W ? toC(recordOf(W))
+                                                            : nullptr;
   }
 
   /// One protected step down a version chain: protects the older link of
   /// \p Cur (stamp \p St, held in the other V slot) in \p Spare and
-  /// swaps the slots' roles. False when \p St was Pending and the
+  /// swaps the slots' roles. False when \p St was not settled and the
   /// version has turned Aborted since: the killed version may be
   /// unpublished and retired, so the link may be stale. On true \p Cur
   /// is the older version (null past the chain's end).
   bool stepOlder(guard_type &G, VNode *&Cur, std::uint64_t St,
                  unsigned &Spare) {
     const std::uintptr_t Nxt = G.protect_link(Cur->R.Older, Spare);
-    if (St == SnapshotRegistry::Pending &&
-        Cur->R.Stamp.load(std::memory_order_seq_cst) ==
-            SnapshotRegistry::Aborted)
+    if (!SnapshotRegistry::settled(St) &&
+        abortMarked(Cur->R.Stamp.load(std::memory_order_seq_cst)))
       return false;
     Cur = toV(Nxt);
     Spare = Spare == VSlotA ? VSlotB : VSlotA;
@@ -911,13 +946,15 @@ private:
   }
 
   /// Detaches and retires everything older than \p Cur, returning the
-  /// count. Each link is *taken* with an exchange, so concurrent
-  /// detachers (trimmers, the unlinker) retire every node exactly once.
+  /// count. Each link is *taken* with a `fetch_and` that leaves only the
+  /// tombstone flag, so concurrent detachers (trimmers, the unlinker)
+  /// retire every node exactly once and every version keeps its flag.
   std::uint64_t detachSuffix(guard_type &G, VNode *Cur) {
     std::uint64_t N = 0;
-    std::uintptr_t Taken = Cur->R.Older.exchange(0, std::memory_order_seq_cst);
+    std::uintptr_t Taken =
+        Cur->R.Older.fetch_and(TombBit, std::memory_order_seq_cst);
     while (VNode *X = toV(Taken)) {
-      Taken = X->R.Older.exchange(0, std::memory_order_seq_cst);
+      Taken = X->R.Older.fetch_and(TombBit, std::memory_order_seq_cst);
       G.retire(&X->Hdr);
       ++N;
     }
@@ -947,9 +984,11 @@ private:
                             std::uintptr_t Hd) {
     VNode *HeadV = toV(Hd);
     // Immutable for an aborted head: aborted versions are never a trim
-    // boundary (never settled), so nothing exchanges this link until the
-    // unpublish CAS below removes the node from the chain.
-    const std::uintptr_t Old = HeadV->R.Older.load(std::memory_order_seq_cst);
+    // boundary (never settled), so nothing takes this link until the
+    // unpublish CAS below removes the node from the chain. The head's own
+    // tombstone flag stays behind.
+    const std::uintptr_t Old =
+        HeadV->R.Older.load(std::memory_order_seq_cst) & ~TombBit;
     std::uintptr_t Expected = Hd;
     if (!Old)
       markDead(G, L, Hd);
@@ -1096,7 +1135,7 @@ private:
       KNode *KN = L.KN;
       std::uintptr_t Hd = 0;
       if (KN) {
-        std::uint64_t HdStamp;
+        std::uint64_t HdStamp = 0;
         if (!settleHeadForWrite(G, L, Hd, HdStamp))
           continue; // key died (or is dying): re-find — a put re-inserts
                     // a fresh key node, an erase finds nothing
@@ -1166,6 +1205,7 @@ private:
       return R.Appended ? R.Stamp : ReadStamp;
     }
     CNode *C = makeNode<CommitRec>(G, 0);
+    assert(raw(C) < AbortBit && "a record address must fit below AbortBit");
     std::vector<bool> Published(N, false);
     bool Doomed = false;
     for (std::size_t I = 0; I < N && !Doomed; ++I) {
@@ -1229,11 +1269,12 @@ private:
 
   /// Abort-path sweep for one published group: while the key's head
   /// still carries our commit record, cache the Aborted stamp into it
-  /// and unpublish it. A head not carrying \p C proves our version was
-  /// already unpublished (aborted versions are never buried, and the
-  /// record's address cannot be recycled while we still own it — so the
-  /// `Commit` word is a reliable identity even if the version node's
-  /// address was reused).
+  /// and unpublish it. A head whose stamp word names no \p C proves our
+  /// version was already unpublished (aborted versions are never buried,
+  /// the cached abort keeps the record's address, and that address
+  /// cannot be recycled while we still own the record — so the stamp
+  /// word is a reliable identity even if the version node's address was
+  /// reused).
   void abortPublished(guard_type &G, const K &Key, std::uint64_t H,
                       CNode *C) {
     for (;;) {
@@ -1244,8 +1285,10 @@ private:
       if (Hd & Tag)
         return; // dead-marked (possibly by our version's unpublisher)
       VNode *HeadV = toV(Hd);
-      if (!HeadV || (HeadV->R.Commit.load(std::memory_order_seq_cst) &
-                     ~TombBit) != raw(C))
+      if (!HeadV)
+        return;
+      const std::uint64_t W = HeadV->R.Stamp.load(std::memory_order_seq_cst);
+      if (W != (TxnBit | raw(C)) && W != (AbortBit | raw(C)))
         return; // our version is no longer the head: already handled
       const std::uint64_t St = stampOf(G, HeadV);
       if (St != SnapshotRegistry::Aborted)
