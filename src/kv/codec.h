@@ -28,13 +28,17 @@
 ///     protected.
 ///  4. **How are keys hashed and ordered?** `hash` feeds the shard/bucket
 ///     split-order machinery (`kv/shard_index.h`); `compare` breaks
-///     hash-collision ties so Michael chains stay totally ordered.
+///     hash-collision ties so Michael chains stay totally ordered. A
+///     codec whose `HashIsBijective` member is true promises that `hash`
+///     is a bijection with inverse `unhash`: its keys live in their
+///     split-order key, and key records store no key bytes at all.
 ///
 /// Three families are supported out of the box:
 ///
 ///  - `std::uint64_t` and any other **trivially copyable** type
 ///    (fixed-size structs): stored inline, zero trailing bytes, ordered
-///    by `memcmp`.
+///    word by word. 8-byte integers hash by a bijective multiply, so a
+///    key record rebuilds them from its split-order key.
 ///  - `std::string` (**owned byte-strings**): a `BytesStorage` header
 ///    inside the record plus the bytes in the trailing suffix, referenced
 ///    by a self-relative offset (records never move, so the offset is
@@ -57,6 +61,13 @@
 #include <type_traits>
 
 namespace lfsmr::kv {
+
+/// Fibonacci hashing's multiplier (2^64 / φ, made odd) and its inverse
+/// modulo 2^64: the hash of an 8-byte integer key and the map back.
+inline constexpr std::uint64_t FibMul = 0x9e3779b97f4a7c15ULL;
+/// \copydoc FibMul
+inline constexpr std::uint64_t FibInverse = 0xf1de83e19937733dULL;
+static_assert(FibMul * FibInverse == 1, "FibInverse inverts FibMul");
 
 /// Finalizing 64-bit mixer (splitmix64): spreads entropy of byte hashes
 /// into the top bits the shard selector and bottom bits the bucket
@@ -124,6 +135,11 @@ template <typename T, typename Enable = void> struct Codec {
   /// Every record has the same size (no trailing bytes).
   static constexpr bool FixedSize = true;
 
+  /// 8-byte integers hash by an invertible multiply (`hash`), so their
+  /// key records keep only the split-order key.
+  static constexpr bool HashIsBijective =
+      std::is_integral_v<T> && sizeof(T) == 8;
+
   /// Trailing bytes needed beyond the record itself (none: inline).
   static std::size_t trailingBytes(const T &) { return 0; }
 
@@ -146,19 +162,41 @@ template <typename T, typename Enable = void> struct Codec {
                   "lfsmr::kv: trivially-copyable KEY types must have "
                   "unique object representations (no padding, no floats) "
                   "for bytewise hashing/ordering");
-    if constexpr (std::is_integral_v<T> && sizeof(T) == 8)
+    if constexpr (HashIsBijective)
       // Fibonacci multiplicative hashing for 64-bit integer keys (the
       // store's historical default; full-period over any pow-2 mask).
-      return static_cast<std::uint64_t>(V) * 0x9e3779b97f4a7c15ULL;
+      return static_cast<std::uint64_t>(V) * FibMul;
     else
       return hashBytes(&V, sizeof(T));
   }
 
+  /// The key whose `hash` is \p H.
+  static T unhash(std::uint64_t H)
+    requires HashIsBijective
+  {
+    return static_cast<T>(H * FibInverse);
+  }
+
   /// Three-way order of stored key vs probe, used only to break
-  /// hash-collision ties (bytewise, any total order works — see the
-  /// unique-object-representations requirement on `hash`).
+  /// hash-collision ties, so any total order that agrees with bytewise
+  /// equality works (see the unique-object-representations requirement
+  /// on `hash`). Native 8-byte words first, then the tail bytes: unlike a
+  /// `memcmp` whose sign is used, the loop inlines.
   static int compare(const storage_type &S, const T &V) {
-    return std::memcmp(&S, &V, sizeof(T));
+    const auto *A = reinterpret_cast<const unsigned char *>(&S);
+    const auto *B = reinterpret_cast<const unsigned char *>(&V);
+    std::size_t I = 0;
+    for (; I + 8 <= sizeof(T); I += 8) {
+      std::uint64_t X, Y;
+      std::memcpy(&X, A + I, 8);
+      std::memcpy(&Y, B + I, 8);
+      if (X != Y)
+        return X < Y ? -1 : 1;
+    }
+    for (; I < sizeof(T); ++I)
+      if (A[I] != B[I])
+        return A[I] < B[I] ? -1 : 1;
+    return 0;
   }
 };
 
@@ -224,6 +262,12 @@ template <typename T>
 inline constexpr bool IsFixedSizeCodec =
     requires { requires Codec<T>::FixedSize; };
 
+/// True when \p T's codec declares `HashIsBijective` (`unhash` rebuilds
+/// a key from its hash).
+template <typename T>
+inline constexpr bool IsBijectiveHashCodec =
+    requires { requires Codec<T>::HashIsBijective; };
+
 /// Equality of two probe values in the codecs' order: bytewise for
 /// trivially copyable types, `operator==` for byte-strings.
 template <typename T> bool codecEqual(const T &A, const T &B) {
@@ -236,7 +280,7 @@ template <typename T> bool codecEqual(const T &A, const T &B) {
 /// Strict order of two probe values, consistent with `codecEqual`.
 template <typename T> bool codecLess(const T &A, const T &B) {
   if constexpr (std::is_trivially_copyable_v<T>)
-    return std::memcmp(&A, &B, sizeof(T)) < 0;
+    return Codec<T>::compare(A, B) < 0;
   else
     return A < B;
 }

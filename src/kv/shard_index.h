@@ -16,9 +16,12 @@
 /// out —
 ///
 ///  - Each shard keeps ONE sorted lock-free list of nodes, ordered by
-///    the *split-order key* `reverse_bits(hash) | 1` for items and
-///    `reverse_bits(bucket)` for per-bucket **sentinels** (item keys are
-///    odd, sentinel keys even, so they never collide). With
+///    the *split-order key* `reverse_bits(hash)` for items and
+///    `reverse_bits(bucket)` for per-bucket **sentinels**. An item whose
+///    hash equals a bucket index ties with that bucket's sentinel; the
+///    third `LinkPart` word tells them apart (an item's version-chain
+///    head is a node address, a sentinel's bucket state a small
+///    constant), and the sentinel sorts first. With
 ///    power-of-two bucket counts and low-bit bucket selection, doubling
 ///    the bucket array splits every chain *in place*: the nodes of new
 ///    bucket `b + K` form a contiguous suffix of old bucket `b`'s chain,
@@ -89,22 +92,16 @@ static_assert(bitReverse64(1) == (std::uint64_t{1} << 63));
 static_assert(bitReverse64(bitReverse64(0x123456789abcdef0ULL)) ==
               0x123456789abcdef0ULL);
 
-/// Split-order key of an item with hash \p H (odd: low bit set).
-constexpr std::uint64_t itemSoKey(std::uint64_t H) {
-  return bitReverse64(H) | 1;
-}
+/// Split-order key of an item with hash \p H, or of bucket \p H's
+/// sentinel: the reversed bits. The full hash survives, so a key whose
+/// hash is a bijection can be rebuilt from it (`soKeyHash`).
+constexpr std::uint64_t soKey(std::uint64_t H) { return bitReverse64(H); }
 
-/// Split-order key of bucket \p B's sentinel (even).
-constexpr std::uint64_t sentinelSoKey(std::uint64_t B) {
-  return bitReverse64(B);
-}
-
-/// The hash bits split-order key \p K encodes (the inverse of
-/// `sentinelSoKey`, and of `itemSoKey` in all but the top bit).
+/// The hash split-order key \p K encodes (the inverse of `soKey`).
 constexpr std::uint64_t soKeyHash(std::uint64_t K) { return bitReverse64(K); }
 
-static_assert(soKeyHash(sentinelSoKey(6)) == 6 &&
-              (soKeyHash(itemSoKey(0x2a)) & 0xff) == 0x2a);
+static_assert(soKeyHash(soKey(0x8000'0000'0000'002aULL)) ==
+              0x8000'0000'0000'002aULL);
 
 /// Parent of bucket \p B (> 0) in the split hierarchy: \p B with its top
 /// set bit cleared. Bucket 0 is the root and always Linked.
@@ -115,32 +112,50 @@ constexpr std::size_t parentBucket(std::size_t B) {
 static_assert(parentBucket(1) == 0 && parentBucket(5) == 1 &&
               parentBucket(12) == 4);
 
-/// Common prefix of every node linked into a shard list (items and
-/// bucket sentinels alike): the split-order key and the chain link. The
-/// low bit of `Next` is Michael's logical-deletion mark (items only —
-/// sentinels are never marked or removed).
+/// Every node linked into a shard list (items and bucket sentinels
+/// alike) starts with these three words: the split-order key, the chain
+/// link and the version-chain head. The low bit of `Next` is Michael's
+/// logical-deletion mark (items only — sentinels are never marked or
+/// removed).
 struct LinkPart {
-  /// Split-order position (immutable once linked; odd = item, even =
-  /// sentinel).
+  /// Split-order position (immutable once linked).
   std::uint64_t SoKey;
   /// Successor in the shard list; low bit = removal mark.
   std::atomic<std::uintptr_t> Next{0};
+  /// An item's version-chain head: a version's address, marked once the
+  /// key is dead, never 0. A bucket sentinel owns no chain and keeps its
+  /// `Bucket` state here, a constant below every address, so the word
+  /// also tells a sentinel from an item whose split-order key ties with
+  /// it (`sentinel`).
+  std::atomic<std::uintptr_t> VHead;
 
-  explicit LinkPart(std::uint64_t So) : SoKey(So) {}
+  LinkPart(std::uint64_t So, std::uintptr_t Head) : SoKey(So), VHead(Head) {}
+
+  /// True for a bucket sentinel. Relaxed suffices: an item's word holds
+  /// addresses from its construction on, and a sentinel's holds states
+  /// from its directory slot's.
+  bool sentinel() const;
 };
 
-/// One bucket of a shard's directory: its inline sentinel and the
-/// materialization state. Only the thread that wins Unborn → Claimed
-/// writes `L`'s key and links it; Linked is release-stored after the
-/// link CAS, so an acquire load of Linked makes `L` a valid walk head.
+/// One bucket of a shard's directory: its inline sentinel, whose third
+/// word is the materialization state. Only the thread that wins Unborn →
+/// Claimed writes `L`'s key and links it; Linked is release-stored after
+/// the link CAS, so an acquire load of Linked makes `L` a valid walk
+/// head.
 struct Bucket {
-  enum : std::uint8_t { Unborn, Claimed, Linked };
+  enum : std::uintptr_t { Unborn, Claimed, Linked };
 
-  LinkPart L{0};
-  std::atomic<std::uint8_t> State{Unborn};
+  LinkPart L{0, Unborn};
+
+  /// The materialization state (`L`'s third word).
+  std::atomic<std::uintptr_t> &state() { return L.VHead; }
 };
 
-static_assert(sizeof(Bucket) <= 24, "a bucket is its sentinel plus a byte");
+inline bool LinkPart::sentinel() const {
+  return VHead.load(std::memory_order_relaxed) <= Bucket::Linked;
+}
+
+static_assert(sizeof(Bucket) == 24, "a bucket is its inline sentinel");
 
 /// The per-shard split-ordered index over a node layout described by
 /// \p Policy. The policy (the store) provides:
@@ -151,7 +166,8 @@ static_assert(sizeof(Bucket) <= 24, "a bucket is its sentinel plus a byte");
 ///   static Probe sentinelProbe(uint64_t SoKey); // a sentinel's probe
 ///   LinkPart  *linkOf(uintptr_t Raw);     // tag-stripped node -> prefix
 ///   uintptr_t  rawOf(LinkPart *);         // inverse of linkOf
-///   int  compareTie(uintptr_t Raw, const Probe &); // same-SoKey order
+///   int  compareTie(uintptr_t Raw, const Probe &); // same-SoKey order:
+///                                         // a sentinel before its items
 ///   void retireUnlinked(guard_type &, uintptr_t); // unlinked marked item
 ///   using KeyCopy = ...;                  // owns one copied key
 ///   Probe probeOf(uintptr_t Raw, KeyCopy &); // the probe that finds Raw
@@ -187,7 +203,7 @@ public:
     CachePadded<std::atomic<std::int64_t>> Items{std::int64_t{0}};
 
     explicit Shard(std::size_t MinBuckets) : Buckets(MinBuckets) {
-      Buckets.slot(0).State.store(Bucket::Linked, std::memory_order_relaxed);
+      Buckets.slot(0).state().store(Bucket::Linked, std::memory_order_relaxed);
     }
   };
 
@@ -326,7 +342,7 @@ private:
   std::uintptr_t bucketReady(Shard &Sh, std::size_t B) {
     for (;;) {
       Bucket &Bk = Sh.Buckets.slot(B);
-      if (Bk.State.load(std::memory_order_acquire) == Bucket::Linked)
+      if (Bk.state().load(std::memory_order_acquire) == Bucket::Linked)
         return Pol.rawOf(&Bk.L);
       assert(B != 0 && "bucket 0 is born Linked");
       B = parentBucket(B);
@@ -340,16 +356,16 @@ private:
   /// never blocks anyone.
   std::uintptr_t bucketInit(guard_type &G, Shard &Sh, std::size_t B) {
     Bucket &Bk = Sh.Buckets.slot(B);
-    std::uint8_t St = Bk.State.load(std::memory_order_acquire);
+    std::uintptr_t St = Bk.state().load(std::memory_order_acquire);
     if (St == Bucket::Linked)
       return Pol.rawOf(&Bk.L);
     const std::uintptr_t Parent = bucketInit(G, Sh, parentBucket(B));
     if (St != Bucket::Unborn ||
-        !Bk.State.compare_exchange_strong(St, Bucket::Claimed,
-                                          std::memory_order_acquire,
-                                          std::memory_order_acquire))
+        !Bk.state().compare_exchange_strong(St, Bucket::Claimed,
+                                            std::memory_order_acquire,
+                                            std::memory_order_acquire))
       return bucketReady(Sh, B);
-    Bk.L.SoKey = sentinelSoKey(B);
+    Bk.L.SoKey = soKey(B);
     const Probe P = Policy::sentinelProbe(Bk.L.SoKey);
     const std::uintptr_t Self = Pol.rawOf(&Bk.L);
     for (;;) {
@@ -363,13 +379,13 @@ private:
                                                 std::memory_order_acquire))
         break;
     }
-    Bk.State.store(Bucket::Linked, std::memory_order_release);
+    Bk.state().store(Bucket::Linked, std::memory_order_release);
     return Self;
   }
 
   /// `ds::michaelFind`'s view of shard \p Sh's list, probing for \p P:
   /// nodes are `LinkPart` prefixes ordered by split-order key, ties by the
-  /// policy's `compareTie`. The walk's first `PrevLink` lies in a sentinel,
+  /// policy's `compareTie` (a sentinel before the items it ties with). The walk's first `PrevLink` lies in a sentinel,
   /// which never dies; the unlink winner of a marked item decrements the
   /// shard's item count and retires it through the policy.
   struct Steps {
@@ -418,7 +434,7 @@ private:
       if (Skipping && (Steps::before(Raw) || Steps::matches(Raw)))
         return true;
       Skipping = false;
-      if (this->Ix.Pol.linkOf(Raw)->SoKey & 1)
+      if (!this->Ix.Pol.linkOf(Raw)->sentinel())
         V(Raw);
       return true;
     }

@@ -54,7 +54,9 @@
 ///  - Each shard keeps one sorted lock-free list of key nodes plus
 ///    per-bucket sentinels. A sentinel is a `LinkPart` inside its
 ///    directory slot, not a heap node: it has no scheme header, is never
-///    retired, and costs no allocation. Growing the bucket array never
+///    retired, and costs no allocation. The `LinkPart` is the key
+///    record's head too; its third word is the key's version-chain head,
+///    and a sentinel's bucket state. Growing the bucket array never
 ///    moves a node (see `kv/shard_index.h` for the protocol and its
 ///    rationale).
 ///  - Each key node owns a version chain: every `put`/`erase` CAS-appends
@@ -115,11 +117,20 @@
 /// allocation. Records are trivially destructible by construction, so
 /// one raw-storage deleter serves every node shape, and the store's
 /// domain runs in intrusive mode under all nine schemes — `guard::create`
-/// on `domain()` throws. A version is three words: its stamp word, which
-/// also carries a transaction's commit record while the record is
-/// undecided, its `Older` link, whose bit 0 is the tombstone flag, and
-/// its value. So with a 24 B header (Hyaline) a `uint64_t` version is
-/// 48 B; a transparent block would add 40 B to each node.
+/// on `domain()` throws. Both records are three words for `uint64_t`
+/// keys and values:
+///
+///   version  [stamp·record | older·tomb | value]
+///   key      [split-order key | next·mark | version head]
+///
+/// A version's stamp word also carries a transaction's commit record
+/// while the record is undecided, and bit 0 of its `Older` link is the
+/// tombstone flag. A key whose codec hashes by a bijection (`uint64_t`:
+/// `Codec::unhash`) is its full reversed hash, so its record stores no
+/// key bytes; scans, `compact` and `probeOf` rebuild it (`keyOf`), and a
+/// find matches on the split-order key alone. So with a 24 B header
+/// (Hyaline) a `uint64_t` version and key are 48 B each, one pool slot;
+/// a transparent block would add 40 B to each node.
 ///
 /// Node memory: when both codecs are fixed size, every node is one slot
 /// of the store-owned `NodePool` (`kv/node_pool.h`), sized for the
@@ -258,10 +269,10 @@ public:
       while (Raw & ~Tag) {
         LinkPart *L = linkOf(Raw);
         const std::uintptr_t Next = L->Next.load(std::memory_order_relaxed);
-        if (L->SoKey & 1) {
+        if (!L->sentinel()) {
           KNode *KN = toK(Raw);
           std::uintptr_t VW =
-              KN->R.VHead.load(std::memory_order_relaxed) & ~Tag;
+              KN->R.L.VHead.load(std::memory_order_relaxed) & ~Tag;
           while (VNode *VN = toV(VW)) {
             VW = VN->R.Older.load(std::memory_order_relaxed);
             G.discard(&VN->Hdr);
@@ -429,7 +440,7 @@ public:
     for (std::size_t S = 0; S < Opt.Shards; ++S) {
       auto G = Dom.enter(Tid);
       Index->scan(G, S, [&](std::uintptr_t R) {
-        Keys.push_back(K(Codec<K>::view(toK(R)->R.Key)));
+        Keys.push_back(K(keyOf(toK(R))));
       });
     }
     for (const K &Key : Keys) {
@@ -502,7 +513,7 @@ public:
       return 0;
     std::size_t N = 0;
     unsigned Spare = VSlotB;
-    for (VNode *VN = toV(G.protect_link(L.KN->R.VHead, VSlotA)); VN;) {
+    for (VNode *VN = toV(G.protect_link(L.KN->R.L.VHead, VSlotA)); VN;) {
       ++N;
       if (!stepOlder(G, VN, VN->R.Stamp.load(std::memory_order_seq_cst),
                      Spare))
@@ -620,15 +631,25 @@ private:
     std::atomic<std::uint64_t> Stamp{SnapshotRegistry::Unpublished};
   };
 
-  /// One key: the split-order link prefix, the version-chain head, and
-  /// the codec-shaped key payload (last, for the same trailing-suffix
-  /// reason).
+  /// True when a key is rebuilt from its split-order key (its codec's
+  /// hash is a bijection, `Codec<K>::unhash`), so key records carry no
+  /// key bytes: the full reversed hash is the key.
+  static constexpr bool KeyInSoKey = IsBijectiveHashCodec<K>;
+
+  /// The key payload of a key record whose key lives in its split-order
+  /// key.
+  struct NoKeyBytes {};
+
+  /// One key: the split-order key, the list link and the version-chain
+  /// head (`LinkPart`), then the codec-shaped key payload — none when
+  /// `KeyInSoKey` — last, for the same trailing-suffix reason.
   struct KeyRec {
     LinkPart L;
-    std::atomic<std::uintptr_t> VHead;
-    typename Codec<K>::storage_type Key; // last: trailing bytes follow
+    [[no_unique_address]] std::conditional_t<
+        KeyInSoKey, NoKeyBytes, typename Codec<K>::storage_type>
+        Key; // last: trailing bytes follow
 
-    KeyRec(std::uint64_t So, std::uintptr_t Head) : L(So), VHead(Head) {}
+    KeyRec(std::uint64_t So, std::uintptr_t Head) : L(So, Head) {}
   };
 
   static_assert(offsetof(KeyRec, L) == 0,
@@ -665,8 +686,8 @@ private:
   static_assert(sizeof(typename Scheme::NodeHeader) != 24 ||
                     !std::is_same_v<K, std::uint64_t> ||
                     !std::is_same_v<V, std::uint64_t> ||
-                    (sizeof(VNode) == 48 && sizeof(KNode) == 56),
-                "24 B header + uint64_t K/V: version 48, key 56");
+                    (sizeof(VNode) == 48 && sizeof(KNode) == 48),
+                "24 B header + uint64_t K/V: version 48, key 48");
   static_assert(alignof(VNode) > TombBit,
                 "a version's address must leave TombBit free");
 
@@ -763,9 +784,22 @@ private:
 
   KNode *makeKey(guard_type &G, const K &Key, std::uint64_t So,
                  std::uintptr_t Head) {
-    KNode *N = makeNode<KeyRec>(G, Codec<K>::trailingBytes(Key), So, Head);
-    Codec<K>::encode(N->R.Key, trailingOf(N), Key);
-    return N;
+    if constexpr (KeyInSoKey) {
+      return makeNode<KeyRec>(G, 0, So, Head);
+    } else {
+      KNode *N = makeNode<KeyRec>(G, Codec<K>::trailingBytes(Key), So, Head);
+      Codec<K>::encode(N->R.Key, trailingOf(N), Key);
+      return N;
+    }
+  }
+
+  /// \p KN's key as scans hand it out: a view of the stored bytes, or the
+  /// key rebuilt from its split-order key (`KeyInSoKey`).
+  static std::conditional_t<KeyInSoKey, K, key_view> keyOf(const KNode *KN) {
+    if constexpr (KeyInSoKey)
+      return Codec<K>::unhash(soKeyHash(KN->R.L.SoKey));
+    else
+      return Codec<K>::view(KN->R.Key);
   }
 
   //===------------------------------------------------------------------===//
@@ -782,14 +816,21 @@ private:
   /// The probe locating the bucket sentinel at \p So (no user key).
   static Probe sentinelProbe(std::uint64_t So) { return Probe{So, nullptr}; }
 
-  /// Same-split-order-key order: sentinel probes match the (unique)
-  /// sentinel; item probes compare key payloads (two hashes differing
-  /// only in the top bit share a split-order key, so ties do not imply
-  /// equal keys).
+  /// Same-split-order-key order: a bucket's sentinel sorts before the
+  /// items whose hash equals its bucket index, and a sentinel probe
+  /// matches the (unique) sentinel. Items tie only on equal hashes, so
+  /// when the key is its hash (`KeyInSoKey`) a tie is a match; otherwise
+  /// the key payloads decide.
   int compareTie(std::uintptr_t Raw, const Probe &P) const {
+    const bool Sentinel = linkOf(Raw)->sentinel();
     if (!P.Key)
+      return Sentinel ? 0 : 1;
+    if (Sentinel)
+      return -1;
+    if constexpr (KeyInSoKey)
       return 0;
-    return Codec<K>::compare(toK(Raw)->R.Key, *P.Key);
+    else
+      return Codec<K>::compare(toK(Raw)->R.Key, *P.Key);
   }
 
   /// Owned storage for the key of a probe that outlives its node.
@@ -798,11 +839,11 @@ private:
   /// The probe that finds node \p Raw (protected by the caller) again: a
   /// sentinel's, or an item's with its key copied into \p Copy.
   Probe probeOf(std::uintptr_t Raw, KeyCopy &Copy) const {
-    const std::uint64_t So = linkOf(Raw)->SoKey;
-    if (!(So & 1))
-      return sentinelProbe(So);
-    Copy.emplace(Codec<K>::view(toK(Raw)->R.Key));
-    return Probe{So, &*Copy};
+    const LinkPart *L = linkOf(Raw);
+    if (L->sentinel())
+      return sentinelProbe(L->SoKey);
+    Copy.emplace(keyOf(toK(Raw)));
+    return Probe{L->SoKey, &*Copy};
   }
 
   /// Retires an unlinked key node and its version chain. Only the single
@@ -812,7 +853,7 @@ private:
   /// may still be detaching it concurrently.
   void retireUnlinked(guard_type &G, std::uintptr_t Raw) {
     KNode *KN = toK(Raw);
-    if (VNode *HeadV = toV(KN->R.VHead.load(std::memory_order_acquire))) {
+    if (VNode *HeadV = toV(KN->R.L.VHead.load(std::memory_order_acquire))) {
       detachSuffix(G, HeadV);
       G.retire(&HeadV->Hdr);
     }
@@ -838,7 +879,7 @@ private:
   Lookup locate(guard_type &G, const K &Key, std::uint64_t H,
                 bool InitBuckets) {
     const std::size_t S = shardOf(H);
-    const Probe P{itemSoKey(H), &Key};
+    const Probe P{soKey(H), &Key};
     const typename Index_t::Position Pos = Index->find(G, S, H, P, InitBuckets);
     return Lookup{H, S, P, Pos, Pos.Found ? toK(Pos.CurrRaw) : nullptr};
   }
@@ -966,7 +1007,7 @@ private:
   /// tombstone no snapshot can miss, or an aborted sole version.
   void markDead(guard_type &G, const Lookup &L, std::uintptr_t Hd) {
     std::uintptr_t Expected = Hd;
-    if (L.KN->R.VHead.compare_exchange_strong(Expected, Hd | Tag,
+    if (L.KN->R.L.VHead.compare_exchange_strong(Expected, Hd | Tag,
                                                std::memory_order_seq_cst,
                                                std::memory_order_seq_cst))
       Index->helpUnlink(G, L.S, raw(L.KN), L.H, L.P);
@@ -992,7 +1033,7 @@ private:
     std::uintptr_t Expected = Hd;
     if (!Old)
       markDead(G, L, Hd);
-    else if (L.KN->R.VHead.compare_exchange_strong(Expected, Old,
+    else if (L.KN->R.L.VHead.compare_exchange_strong(Expected, Old,
                                                     std::memory_order_seq_cst,
                                                     std::memory_order_seq_cst))
       G.retire(&HeadV->Hdr);
@@ -1007,7 +1048,7 @@ private:
   bool settleHeadForWrite(guard_type &G, const Lookup &L,
                           std::uintptr_t &HdOut, std::uint64_t &StampOut) {
     for (;;) {
-      const std::uintptr_t Hd = G.protect_link(L.KN->R.VHead, VSlotA);
+      const std::uintptr_t Hd = G.protect_link(L.KN->R.L.VHead, VSlotA);
       if (Hd & Tag) {
         Index->helpUnlink(G, L.S, raw(L.KN), L.H, L.P);
         return false;
@@ -1150,7 +1191,7 @@ private:
       KNode *FreshK = KN ? nullptr : makeKey(G, Key, L.P.SoKey, raw(FreshV));
       std::uintptr_t Expected = Hd;
       const bool Linked =
-          KN ? KN->R.VHead.compare_exchange_strong(Expected, raw(FreshV),
+          KN ? KN->R.L.VHead.compare_exchange_strong(Expected, raw(FreshV),
                                                     std::memory_order_seq_cst,
                                                     std::memory_order_seq_cst)
              : Index->insertAt(G, L.S, L.Pos, raw(FreshK));
@@ -1281,7 +1322,7 @@ private:
       const Lookup L = locate(G, Key, H, false);
       if (!L.KN)
         return; // key unlinked: our version was unpublished first
-      const std::uintptr_t Hd = G.protect_link(L.KN->R.VHead, VSlotA);
+      const std::uintptr_t Hd = G.protect_link(L.KN->R.L.VHead, VSlotA);
       if (Hd & Tag)
         return; // dead-marked (possibly by our version's unpublisher)
       VNode *HeadV = toV(Hd);
@@ -1375,7 +1416,7 @@ private:
   /// (`detachSuffix`). Finally, a chain reduced to a settled tombstone
   /// nobody can see dead-marks the key and unlinks it (`markDead`).
   void trimChain(guard_type &G, const Lookup &L) {
-    const std::uintptr_t Hd = G.protect_link(L.KN->R.VHead, VSlotA);
+    const std::uintptr_t Hd = G.protect_link(L.KN->R.L.VHead, VSlotA);
     if (Hd & Tag)
       return;
     VNode *Cur = toV(Hd);
@@ -1468,7 +1509,7 @@ private:
   /// version-chain operation on this guard.
   VNode *readAt(guard_type &G, KNode *KN, std::uint64_t At) {
     for (;;) {
-      const std::uintptr_t Hd = G.protect_link(KN->R.VHead, VSlotA);
+      const std::uintptr_t Hd = G.protect_link(KN->R.L.VHead, VSlotA);
       if (Hd & Tag)
         return nullptr; // removed: every live snapshot saw the tombstone
       VNode *Cur = toV(Hd);
@@ -1497,7 +1538,7 @@ private:
       auto G = Dom.enter(Tid);
       Index->scan(G, S, [&](std::uintptr_t R) {
         KNode *KN = toK(R);
-        key_view KeyV = Codec<K>::view(KN->R.Key);
+        key_view KeyV = keyOf(KN);
         if (!Keep(KeyV))
           return;
         if (VNode *VN = readAt(G, KN, At))

@@ -14,7 +14,10 @@
 /// snapshot-consistent scans, and CI-sized concurrent checks (snapshot
 /// repeatability under churn, resize churn, disjoint-writer accounting,
 /// node-pool reuse across threads, an index scan that never revisits a
-/// key while links change under it). The store suite is typed over
+/// key while links change under it), `uint64_t` keys rebuilt from their
+/// split-order keys (keys whose hash ties a bucket sentinel's, exact
+/// keys out of scans and compact, the 48 B node slot), and the
+/// fixed-size codec order. The store suite is typed over
 /// scheme × payload configs:
 /// all nine reclaiming schemes on the store's one node layout, each
 /// with `uint64_t` and `std::string` keys/values, plus struct-payload
@@ -35,6 +38,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -210,26 +214,33 @@ kv::Options kvClaimOptions(std::size_t Buckets, unsigned MaxThreads = 8) {
 
 /// Materialization state of bucket \p B of shard \p S.
 template <typename StoreT>
-int bucketState(StoreT &Db, std::size_t S, std::size_t B) {
-  return Db.index().shard(S).Buckets.slot(B).State.load();
+std::uintptr_t bucketState(StoreT &Db, std::size_t S, std::size_t B) {
+  return Db.index().shard(S).Buckets.slot(B).state().load();
 }
 
 /// Walks every shard list of the quiescent store \p Db and checks the
-/// split-ordered shape: split-order keys strictly increase, and the
-/// sentinels in the list are exactly the Linked buckets' inline ones,
-/// each once, at its own key. Returns the number of item nodes seen.
-template <typename StoreT> std::int64_t checkShardLists(StoreT &Db) {
+/// split-ordered shape: split-order keys increase, strictly except where
+/// a bucket's sentinel comes right before an item whose hash is that
+/// bucket's index, and the sentinels in the list are exactly the Linked
+/// buckets' inline ones, each once, at its own key. Returns the number
+/// of item nodes seen; \p Ties, when given, receives the number of items
+/// that tie with the sentinel before them.
+template <typename StoreT>
+std::int64_t checkShardLists(StoreT &Db, std::int64_t *Ties = nullptr) {
   auto &Ix = Db.index();
-  std::int64_t Items = 0;
+  std::int64_t Items = 0, Tied = 0;
   for (std::size_t S = 0; S < Ix.shards(); ++S) {
     std::vector<const kv::LinkPart *> Sentinels;
-    std::optional<uint64_t> Prev;
+    const kv::LinkPart *Prev = nullptr;
     for (std::uintptr_t Raw = Ix.root(S); Raw;) {
       const kv::LinkPart *L = Ix.linkOf(Raw);
-      EXPECT_TRUE(!Prev || *Prev < L->SoKey)
+      const bool Tie = Prev && Prev->SoKey == L->SoKey && Prev->sentinel() &&
+                       !L->sentinel();
+      EXPECT_TRUE(!Prev || Prev->SoKey < L->SoKey || Tie)
           << "shard " << S << " out of order at " << L->SoKey;
-      Prev = L->SoKey;
-      if (L->SoKey & 1)
+      Tied += Tie;
+      Prev = L;
+      if (!L->sentinel())
         ++Items;
       else
         Sentinels.push_back(L);
@@ -239,10 +250,10 @@ template <typename StoreT> std::int64_t checkShardLists(StoreT &Db) {
     std::size_t Linked = 0;
     for (std::size_t B = 0; B < Ix.buckets(S); ++B) {
       kv::Bucket &Bk = Ix.shard(S).Buckets.slot(B);
-      if (Bk.State.load() != kv::Bucket::Linked)
+      if (Bk.state().load() != kv::Bucket::Linked)
         continue;
       ++Linked;
-      EXPECT_EQ(Bk.L.SoKey, kv::sentinelSoKey(B)) << "bucket " << B;
+      EXPECT_EQ(Bk.L.SoKey, kv::soKey(B)) << "bucket " << B;
       const auto [Lo, Hi] =
           std::equal_range(Sentinels.begin(), Sentinels.end(), &Bk.L);
       EXPECT_EQ(Hi - Lo, 1) << "bucket " << B << "'s sentinel in shard " << S;
@@ -250,6 +261,8 @@ template <typename StoreT> std::int64_t checkShardLists(StoreT &Db) {
     EXPECT_EQ(Sentinels.size(), Linked)
         << "shard " << S << " lists a sentinel no Linked bucket owns";
   }
+  if (Ties)
+    *Ties = Tied;
   return Items;
 }
 
@@ -554,8 +567,7 @@ TYPED_TEST(KvStore, ScanNeverStepsOutOfAnUnlinkedKey) {
   using Key = typename TestFixture::Key;
   std::vector<std::pair<std::uint64_t, uint64_t>> Order;
   for (uint64_t I = 0; I < 64; ++I)
-    Order.emplace_back(kv::itemSoKey(kv::Codec<Key>::hash(TestFixture::key(I))),
-                       I);
+    Order.emplace_back(kv::soKey(kv::Codec<Key>::hash(TestFixture::key(I))), I);
   std::sort(Order.begin(), Order.end());
   ASSERT_TRUE(std::adjacent_find(Order.begin(), Order.begin() + 5,
                                  [](const auto &A, const auto &B) {
@@ -598,7 +610,7 @@ TYPED_TEST(KvStore, StalledBucketClaimOnlyLengthensWalks) {
   const auto K = [](uint64_t X) { return TestFixture::key(X); };
   const auto V = [](uint64_t X) { return TestFixture::val(X); };
   ASSERT_EQ(bucketState(Db, 0, 1), kv::Bucket::Unborn);
-  Db.index().shard(0).Buckets.slot(1).State.store(kv::Bucket::Claimed);
+  Db.index().shard(0).Buckets.slot(1).state().store(kv::Bucket::Claimed);
 
   constexpr uint64_t N = 256;
   uint64_t Stalled = 0;
@@ -733,7 +745,7 @@ TYPED_TEST(KvStore, ConcurrentScanVisitsEachKeyOnce) {
   using Key = typename TestFixture::Key;
   std::vector<std::uint64_t> SoKeys;
   for (uint64_t X = 0; X < KeyRange; ++X) {
-    SoKeys.push_back(kv::itemSoKey(kv::Codec<Key>::hash(TestFixture::key(X))));
+    SoKeys.push_back(kv::soKey(kv::Codec<Key>::hash(TestFixture::key(X))));
     Db.put(0, TestFixture::key(X), TestFixture::val(X));
   }
   std::sort(SoKeys.begin(), SoKeys.end());
@@ -1037,6 +1049,140 @@ TYPED_TEST(KvStore, ResizeChurnStress) {
 }
 
 //===----------------------------------------------------------------------===//
+// uint64_t keys live in their split-order key, typed over every scheme
+//===----------------------------------------------------------------------===//
+
+template <typename S> class KvU64Keys : public ::testing::Test {
+protected:
+  using Store = kv::Store<S>;
+
+  /// The key whose hash is \p H: its split-order key ties with bucket
+  /// \p H's sentinel once the shard has more than \p H buckets.
+  static uint64_t tieKey(uint64_t H) { return H * kv::FibInverse; }
+};
+
+TYPED_TEST_SUITE(KvU64Keys, AllSchemes, SchemeNames);
+
+TEST(KvU64Keys, SlotBytesPerScheme) {
+  // A uint64_t version and key are each three words behind the header.
+  EXPECT_EQ(kv::Store<core::HyalineS>::node_slot_bytes, 48u);
+  EXPECT_EQ(kv::Store<smr::EBR>::node_slot_bytes, 40u);
+  EXPECT_EQ(kv::Store<smr::HP>::node_slot_bytes, 32u);
+}
+
+TYPED_TEST(KvU64Keys, TieKeysFollowTheirSentinelsWhileTheDirectoryGrows) {
+  // Key tieKey(b) hashes to b, so its split-order key equals bucket b's
+  // sentinel's; the sentinel must sort first. One shard doubling past
+  // one key per bucket: every insert, find and erase below runs while
+  // buckets materialize, many of them right in front of their tied key.
+  constexpr uint64_t N = 128;
+  const auto K = [](uint64_t B) { return TestFixture::tieKey(B); };
+  ASSERT_EQ(kv::Codec<uint64_t>::hash(K(37)), 37u);
+  typename TestFixture::Store Db(kvClaimOptions(1));
+  for (uint64_t B = 0; B < N; ++B) {
+    ASSERT_TRUE(Db.put(0, K(B), B)) << "tie key " << B;
+    for (uint64_t C = 0; C <= B; ++C)
+      ASSERT_EQ(Db.get(0, K(C)), C) << "tie key " << C << " after " << B;
+  }
+  EXPECT_EQ(Db.buckets(0), N);
+  for (uint64_t B = 0; B < N; ++B) // each write links bucket B's sentinel
+    ASSERT_FALSE(Db.put(0, K(B), B + N)) << "tie key " << B;
+  std::int64_t Ties = 0;
+  EXPECT_EQ(checkShardLists(Db, &Ties), static_cast<std::int64_t>(N));
+  EXPECT_EQ(Ties, static_cast<std::int64_t>(N))
+      << "every key sits right after the sentinel it ties with";
+
+  for (uint64_t B = 0; B < N; B += 2)
+    ASSERT_TRUE(Db.erase(0, K(B))) << "tie key " << B;
+  for (uint64_t B = 0; B < 2 * N; ++B) // the keys past N are absent yet
+    EXPECT_EQ(Db.get(0, K(B)),
+              B < N && B % 2 ? std::optional<uint64_t>(B + N) : std::nullopt)
+        << "tie key " << B;
+  for (uint64_t B = N; B < 2 * N; ++B)
+    ASSERT_TRUE(Db.put(0, K(B), B)) << "tie key " << B;
+  EXPECT_EQ(Db.buckets(0), 2 * N);
+
+  kv::snapshot Snap = Db.open_snapshot();
+  std::vector<uint64_t> Seen;
+  Db.scan(0, Snap, [&](uint64_t Key, uint64_t Val) {
+    EXPECT_EQ(Val, kv::Codec<uint64_t>::hash(Key) +
+                       (kv::Codec<uint64_t>::hash(Key) < N ? N : 0));
+    Seen.push_back(Key);
+  });
+  Snap.reset();
+  const auto Live = [](uint64_t B) { return B >= N || B % 2; };
+  std::vector<uint64_t> Want;
+  for (uint64_t B = 0; B < 2 * N; ++B)
+    if (Live(B))
+      Want.push_back(K(B));
+  std::sort(Seen.begin(), Seen.end());
+  std::sort(Want.begin(), Want.end());
+  EXPECT_EQ(Seen, Want);
+
+  for (const uint64_t Key : Want)
+    ASSERT_TRUE(Db.erase(0, Key)) << "tie key " << kv::Codec<uint64_t>::hash(Key);
+  Db.compact(0);
+  EXPECT_EQ(checkShardLists(Db), 0);
+  EXPECT_EQ(Db.shard_keys(0), 0);
+  const memory_stats MS = Db.stats();
+  EXPECT_EQ(MS.allocated, MS.retired);
+}
+
+TYPED_TEST(KvU64Keys, ScanForEachAndCompactRebuildExactKeys) {
+  // The key records store no key bytes, so every key a scan, for_each
+  // or compact hands out is rebuilt from its split-order key.
+  std::vector<uint64_t> Keys = {0,
+                                1,
+                                ~uint64_t{0},
+                                uint64_t{1} << 63,
+                                kv::FibInverse,
+                                kv::FibMul,
+                                TestFixture::tieKey(3)};
+  Xoshiro256 Rng(streamSeed(77));
+  while (Keys.size() < 300)
+    Keys.push_back(Rng.next());
+  std::sort(Keys.begin(), Keys.end());
+  Keys.erase(std::unique(Keys.begin(), Keys.end()), Keys.end());
+  typename TestFixture::Store Db(kvTestOptions());
+  for (std::size_t I = 0; I < Keys.size(); ++I)
+    ASSERT_TRUE(Db.put(0, Keys[I], I));
+
+  kv::snapshot Snap = Db.open_snapshot();
+  std::vector<uint64_t> Scanned, Owned;
+  Db.scan(0, Snap, [&](const uint64_t &Key, const uint64_t &Val) {
+    ASSERT_LT(Val, Keys.size());
+    EXPECT_EQ(Key, Keys[Val]) << "scan rebuilt the wrong key";
+    Scanned.push_back(Key);
+  });
+  Db.for_each(0, Snap, [&](uint64_t Key, uint64_t) { Owned.push_back(Key); });
+  std::sort(Scanned.begin(), Scanned.end());
+  std::sort(Owned.begin(), Owned.end());
+  EXPECT_EQ(Scanned, Keys);
+  EXPECT_EQ(Owned, Keys);
+
+  // Under the snapshot every overwrite keeps two versions; compact must
+  // find each key again by its rebuilt value to trim it back to one.
+  for (std::size_t I = 0; I < Keys.size(); ++I)
+    ASSERT_FALSE(Db.put(0, Keys[I], I + 1));
+  Snap.reset();
+  Db.compact(0);
+  for (const uint64_t Key : Keys)
+    ASSERT_EQ(Db.version_count(0, Key), 1u) << "compact missed key " << Key;
+
+  // Erased under a snapshot, every key stays linked until compact
+  // unlinks it.
+  kv::snapshot Pin = Db.open_snapshot();
+  for (const uint64_t Key : Keys)
+    ASSERT_TRUE(Db.erase(0, Key));
+  Pin.reset();
+  Db.compact(0);
+  for (std::size_t S = 0; S < Db.shards(); ++S)
+    EXPECT_EQ(Db.shard_keys(S), 0) << "shard " << S;
+  const memory_stats MS = Db.stats();
+  EXPECT_EQ(MS.allocated, MS.retired);
+}
+
+//===----------------------------------------------------------------------===//
 // Codec corners: struct payloads, prefix scans
 //===----------------------------------------------------------------------===//
 
@@ -1075,6 +1221,52 @@ template <typename S> void structPayloadRoundTrip() {
   });
   EXPECT_EQ(N, 200u);
   Snap.reset();
+}
+
+/// A 12-byte padding-free payload: one 8-byte word and a 4-byte tail.
+struct Triple {
+  uint32_t A, B, C;
+};
+static_assert(sizeof(Triple) == 12);
+
+/// Checks that `Codec<T>::compare` is a strict total order over \p Vals
+/// that agrees with bytewise equality: reflexive equality, equal iff the
+/// bytes are equal, antisymmetric, and transitive.
+template <typename T> void checkCompareIsTotal(const std::vector<T> &Vals) {
+  const auto Cmp = [](const T &X, const T &Y) {
+    return kv::Codec<T>::compare(X, Y);
+  };
+  for (const T &X : Vals)
+    for (const T &Y : Vals) {
+      const int XY = Cmp(X, Y);
+      EXPECT_EQ(XY == 0, std::memcmp(&X, &Y, sizeof(T)) == 0);
+      EXPECT_EQ(XY < 0, Cmp(Y, X) > 0);
+      EXPECT_EQ(XY < 0, kv::codecLess(X, Y));
+      for (const T &Z : Vals) {
+        if (XY < 0 && Cmp(Y, Z) < 0) {
+          EXPECT_LT(Cmp(X, Z), 0) << "not transitive";
+        }
+      }
+    }
+}
+
+TEST(KvCodec, FixedSizeCompareIsATotalOrderAgreeingWithEquality) {
+  Xoshiro256 Rng(streamSeed(91));
+  std::vector<uint64_t> Words = {0, 1, 0xff, 0x100, ~uint64_t{0},
+                                 uint64_t{1} << 63};
+  std::vector<Triple> Triples;
+  std::vector<Coord> Coords;
+  for (int I = 0; I < 18; ++I) {
+    // Small fields so many values share a word or differ in one byte.
+    const auto R = [&] { return static_cast<uint32_t>(Rng.nextBounded(3)); };
+    Words.push_back(Rng.nextBounded(4) << (8 * Rng.nextBounded(8)));
+    Triples.push_back(Triple{R(), R() << 24, R()});
+    Coords.push_back(Coord{static_cast<int32_t>(R()), -static_cast<int32_t>(R()),
+                           uint64_t{R()} << 56});
+  }
+  checkCompareIsTotal(Words);
+  checkCompareIsTotal(Triples);
+  checkCompareIsTotal(Coords);
 }
 
 TEST(KvCodec, StructKeysAndValuesHyalineS) {
