@@ -201,7 +201,7 @@ protected:
 
   struct PerThread {
     LocalBatch Batch;
-    uint64_t AllocCounter = 0; ///< allocations, for the era tick
+    uint64_t AllocCounter = 0; ///< allocations left before the era tick
   };
 
   const smr::Deleter Free;

@@ -15,6 +15,7 @@
 /// Addressing (paper's formula): slot `i` lives in array
 /// `s = log2(floor(i / Kmin)) + 1` with `log2(0) = -1`; array 0 spans
 /// `[0, Kmin)` and array `s >= 1` spans `[Kmin * 2^(s-1), Kmin * 2^s)`.
+/// `Kmin` is a power of two, so the division is a shift by `log2(Kmin)`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +43,8 @@ public:
   /// even under NDEBUG: the floorLog2 addressing below silently maps
   /// distinct indices onto the same slot for a non-power-of-two KMin, so
   /// a violation is a hard error, not a recoverable one.
-  explicit SlotDirectory(std::size_t KMin) : KMin(KMin), K(KMin) {
+  explicit SlotDirectory(std::size_t KMin)
+      : KMin(KMin), KMinLog(floorLog2(KMin)), K(KMin) {
     if (!isPowerOfTwo(KMin)) {
       std::fprintf(stderr,
                    "lfsmr: fatal: SlotDirectory initial slot count %zu is "
@@ -74,7 +76,7 @@ public:
   T &slot(std::size_t I) {
     if (I < KMin)
       return Arrays[0].load(std::memory_order_acquire)[I];
-    const unsigned S = floorLog2(I / KMin) + 1;
+    const unsigned S = floorLog2(I >> KMinLog) + 1;
     const std::size_t Base = KMin << (S - 1);
     assert(I >= Base && "directory index arithmetic broken");
     return Arrays[S].load(std::memory_order_acquire)[I - Base];
@@ -91,7 +93,7 @@ public:
   void grow(std::size_t ExpectedK) {
     if (K.load(std::memory_order_acquire) != ExpectedK)
       return;
-    const unsigned S = floorLog2(ExpectedK / KMin) + 1;
+    const unsigned S = floorLog2(ExpectedK >> KMinLog) + 1;
     if (S >= MaxArrays)
       return; // 2^64 slots would be required to get here
     if (!Arrays[S].load(std::memory_order_acquire)) {
@@ -110,6 +112,7 @@ public:
 
 private:
   const std::size_t KMin;
+  const unsigned KMinLog; ///< log2(KMin): slot addressing shifts by it
   std::atomic<std::size_t> K;
   std::atomic<T *> Arrays[MaxArrays];
 };

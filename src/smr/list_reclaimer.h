@@ -63,9 +63,14 @@ public:
 
   /// Counts one event of the calling thread in its counter \p Count
   /// (an allocation; a retire for EBR) and advances the era on every
-  /// `Freq`-th (paper Figure 9, lines 16-17).
+  /// `Freq`-th (paper Figure 9, lines 16-17). \p Count counts down the
+  /// events left before the next advance; a zero-initialized counter
+  /// arms at `Freq` on its first event, so the cadence is exact from the
+  /// start and no event pays a division.
   void tick(uint64_t &Count) {
-    if (++Count % Freq == 0) {
+    if (Count == 0)
+      Count = Freq;
+    if (--Count == 0) {
       [[maybe_unused]] const auto NewEra =
           Era.fetch_add(1, std::memory_order_acq_rel) + 1;
       LFSMR_TRACE_EVENT(telemetry::TraceEvent::EraAdvance, NewEra);
@@ -165,7 +170,7 @@ protected:
     Reservation Res;
     Header *Retired = nullptr; ///< LIFO, linked through Header::Next
     std::size_t RetiredCount = 0;
-    uint64_t Ticks = 0; ///< this thread's events toward the era tick
+    uint64_t Ticks = 0; ///< this thread's events left before the era tick
   };
 
   Derived &self() { return static_cast<Derived &>(*this); }

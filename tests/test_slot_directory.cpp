@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Direct coverage for core/slot_directory.h (Section 4.3, Figure 10):
-/// addressing across the geometrically growing arrays, stability of slot
+/// addressing across the geometrically growing arrays (for initial
+/// counts from 1 to 1024), stability of slot
 /// addresses under growth, idempotent/stale grow calls, thread-id folding
 /// above the slot count, and concurrent acquire/release against racing
 /// growers.
@@ -101,6 +102,32 @@ TEST(SlotDirectory, ExactArrayBoundaryIndices) {
   // Const access resolves to the same storage.
   const SlotDirectory<uint64_t> &CD = D;
   EXPECT_EQ(&CD.slot(KMin), &D.slot(KMin));
+}
+
+TEST(SlotDirectory, ShiftAddressingHoldsForEveryKMin) {
+  // `slot` and `grow` shift by log2(KMin) instead of dividing by it.
+  // From KMin 1 up to 1024 (the kv store's default buckets per shard),
+  // every index of six doublings must be distinct storage, and two
+  // neighbouring indices must be adjacent slots of one array unless the
+  // higher one starts an array (a power of two at or above KMin).
+  for (const std::size_t KMin : {std::size_t{1}, std::size_t{2},
+                                 std::size_t{16}, std::size_t{1024}}) {
+    SlotDirectory<uint64_t> D(KMin);
+    while (D.capacity() < KMin << 6)
+      D.grow(D.capacity());
+    const std::size_t K = D.capacity();
+    ASSERT_EQ(K, KMin << 6);
+    for (std::size_t I = 0; I < K; ++I)
+      D.slot(I) = I + 1;
+    for (std::size_t I = 0; I < K; ++I) {
+      ASSERT_EQ(D.slot(I), I + 1) << "KMin " << KMin << " slot " << I;
+      const bool StartsArray = I >= KMin && (I & (I - 1)) == 0;
+      if (I > 0 && !StartsArray) {
+        ASSERT_EQ(&D.slot(I), &D.slot(I - 1) + 1)
+            << "KMin " << KMin << " slot " << I;
+      }
+    }
+  }
 }
 
 TEST(SlotDirectory, ConcurrentGrowWhileReadingBoundarySlots) {
