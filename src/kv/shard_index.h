@@ -385,9 +385,10 @@ private:
 
   /// `ds::michaelFind`'s view of shard \p Sh's list, probing for \p P:
   /// nodes are `LinkPart` prefixes ordered by split-order key, ties by the
-  /// policy's `compareTie` (a sentinel before the items it ties with). The walk's first `PrevLink` lies in a sentinel,
-  /// which never dies; the unlink winner of a marked item decrements the
-  /// shard's item count and retires it through the policy.
+  /// policy's `compareTie` (a sentinel before the items it ties with).
+  /// The walk's first `PrevLink` lies in a sentinel, which never dies;
+  /// the unlink winner of a marked item decrements the shard's item
+  /// count and retires it through the policy.
   struct Steps {
     ShardIndex &Ix;
     Shard &Sh;

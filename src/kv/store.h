@@ -82,7 +82,7 @@
 ///      1. *Never append above an unsettled head.* A writer first
 ///         settles the head's stamp: solo-pending stamps are helped
 ///         (`resolve`), an unpublished transaction is *killed* (its
-///         commit word CASed to Aborted — keeping solo writes
+///         commit record CASed to Aborted — keeping solo writes
 ///         lock-free), and an aborted head is unpublished from the
 ///         chain before anything goes above it. Corollary: only the
 ///         head of a chain can ever be unsettled or aborted, so stamps
@@ -934,7 +934,7 @@ private:
   }
 
   /// Kills the unpublished transaction owning head version \p VN: CASes
-  /// its commit word Unpublished -> Aborted so this writer need not wait
+  /// its commit record Unpublished -> Aborted so this writer need not wait
   /// for the transaction to finish publishing (solo writes stay
   /// lock-free; transactions are obstruction-free against each other).
   /// A lost CAS means the committer opened the record (Pending) or

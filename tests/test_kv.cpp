@@ -1120,7 +1120,8 @@ TYPED_TEST(KvU64Keys, TieKeysFollowTheirSentinelsWhileTheDirectoryGrows) {
   EXPECT_EQ(Seen, Want);
 
   for (const uint64_t Key : Want)
-    ASSERT_TRUE(Db.erase(0, Key)) << "tie key " << kv::Codec<uint64_t>::hash(Key);
+    ASSERT_TRUE(Db.erase(0, Key))
+        << "tie key " << kv::Codec<uint64_t>::hash(Key);
   Db.compact(0);
   EXPECT_EQ(checkShardLists(Db), 0);
   EXPECT_EQ(Db.shard_keys(0), 0);
@@ -1261,8 +1262,8 @@ TEST(KvCodec, FixedSizeCompareIsATotalOrderAgreeingWithEquality) {
     const auto R = [&] { return static_cast<uint32_t>(Rng.nextBounded(3)); };
     Words.push_back(Rng.nextBounded(4) << (8 * Rng.nextBounded(8)));
     Triples.push_back(Triple{R(), R() << 24, R()});
-    Coords.push_back(Coord{static_cast<int32_t>(R()), -static_cast<int32_t>(R()),
-                           uint64_t{R()} << 56});
+    Coords.push_back(Coord{static_cast<int32_t>(R()),
+                           -static_cast<int32_t>(R()), uint64_t{R()} << 56});
   }
   checkCompareIsTotal(Words);
   checkCompareIsTotal(Triples);
