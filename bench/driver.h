@@ -12,6 +12,15 @@
 /// the driver spawns the workers, samples the Figure 12 metric, and folds
 /// each repeat into a `report::DataPoint`.
 ///
+/// Every point-op panel's body is the one op-mix loop, `mixWorker`: per
+/// op it draws a key (`UniformKeys`, or a `workload::ZipfianGenerator`
+/// rank), rolls one dice against a `WorkloadMix`, and calls get, put,
+/// insert or remove on a target adapter. The adapters live with their
+/// suites: a figure structure (value K + 1, suites_paper.cpp), and a u64
+/// store (value 2K, remove = erase), a string store (keys `kvStringKey`)
+/// and an async submitter (futures through a `CompletionWindow`) in
+/// suites_kv.cpp. `prefill` fills any of them before a run.
+///
 /// Two parameter sets:
 ///  - default: CI-sized (short runs, coarse thread sweep);
 ///  - --full:  paper-sized (10 s x 5 repeats, dense sweep; Section 6).
@@ -27,6 +36,7 @@
 #include "core/hyaline1.h"
 #include "devtools/barrier.h"
 #include "devtools/cli.h"
+#include "devtools/random.h"
 #include "devtools/report.h"
 #include "smr/ebr.h"
 #include "smr/he.h"
@@ -38,12 +48,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace lfsmr::bench {
@@ -159,6 +171,18 @@ inline std::vector<int64_t> threadList(const CommandLine &Cmd,
   return Threads;
 }
 
+/// Reads `--secs` with \p Default as the fallback. Exits 2 unless it is
+/// finite and positive: zero or less would time nothing, and an infinite
+/// deadline never arrives.
+inline double secsFlag(const CommandLine &Cmd, double Default) {
+  const double Secs = Cmd.getDouble("secs", Default);
+  if (!(Secs > 0 && std::isfinite(Secs))) {
+    std::fprintf(stderr, "error: --secs must be finite and positive\n");
+    std::exit(2);
+  }
+  return Secs;
+}
+
 inline SweepOptions parseSweep(const CommandLine &Cmd) {
   SweepOptions O;
   const bool Full = Cmd.has("full");
@@ -171,7 +195,7 @@ inline SweepOptions parseSweep(const CommandLine &Cmd) {
                       static_cast<int64_t>(HW ? HW + HW / 3 : 12),
                       static_cast<int64_t>(HW ? 2 * HW : 16)};
   O.Threads = threadList(Cmd, DefaultThreads);
-  O.Secs = Cmd.getDouble("secs", Full ? 10.0 : 0.25);
+  O.Secs = secsFlag(Cmd, Full ? 10.0 : 0.25);
   O.Repeats = static_cast<unsigned>(
       Cmd.getInt("repeats", Full ? 5 : 1, 1, MaxUnsigned));
   O.KeyRange = static_cast<uint64_t>(Cmd.getInt("keyrange", 100000, 1));
@@ -295,6 +319,110 @@ RunResult storeRun(Store &Db, unsigned Threads, double Secs, Body &&Fn) {
                           [&] { return Db.stats().unreclaimed; });
   Rr.Stats = Db.stats();
   return Rr;
+}
+
+//===----------------------------------------------------------------------===//
+// The op-mix loop
+//===----------------------------------------------------------------------===//
+
+/// Percentages of each operation in a point-op mix; they sum to 100.
+/// `put` is insert-or-replace: replacing retires the old binding, which
+/// is what makes a read-dominated mix a *reclamation-unbalanced*
+/// workload (few writers retire while many readers only observe).
+struct WorkloadMix {
+  unsigned GetPct;
+  unsigned PutPct;
+  unsigned InsertPct;
+  unsigned RemovePct;
+  const char *Name;
+};
+
+/// Stride between latency-sampled ops, commits or cycles (a power of
+/// two): timing every one would price the clock.
+constexpr uint64_t LatStride = 64;
+
+/// Nanoseconds since \p T0.
+inline uint64_t nsSince(std::chrono::steady_clock::time_point T0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - T0)
+          .count());
+}
+
+/// Worker \p Stream's seed in repeat \p Repeat: a per-thread stream off
+/// the suite seed, shifted per repeat.
+inline uint64_t workerSeed(const SweepOptions &O, unsigned Repeat,
+                           uint64_t Stream) {
+  return SplitMix64(O.Seed + Repeat * 1024 + Stream).next();
+}
+
+/// Uniform keys in [0, Range): the figure and kv point panels' draw (the
+/// skewed panels draw `workload::ZipfianGenerator` ranks instead).
+struct UniformKeys {
+  uint64_t Range;
+  uint64_t next(Xoshiro256 &Rng) const { return Rng.nextBounded(Range); }
+};
+
+/// The figure prefill keys: a deterministic shuffled \p O.Prefill-subset
+/// of [0, KeyRange), so a structure holds exactly that many distinct keys
+/// (the paper's "prefilled with 50,000 elements").
+inline std::vector<uint64_t> prefillKeys(const SweepOptions &O,
+                                         uint64_t Seed) {
+  std::vector<uint64_t> Keys(O.KeyRange);
+  for (uint64_t I = 0; I < O.KeyRange; ++I)
+    Keys[I] = I;
+  Xoshiro256 Rng(Seed);
+  for (uint64_t I = O.KeyRange - 1; I > 0; --I)
+    std::swap(Keys[I], Keys[Rng.nextBounded(I + 1)]);
+  Keys.resize(O.Prefill);
+  return Keys;
+}
+
+/// Inserts \p Keys through the target adapter \p T (built on thread id
+/// 0, strictly before the workers start). A target with a sorted bulk
+/// load (the list) takes them in one pass instead of one search each.
+template <typename Target, typename Keys>
+void prefill(Target &&T, Keys &&Ks) {
+  if constexpr (requires { T.insertSorted(Ks); })
+    T.insertSorted(std::forward<Keys>(Ks));
+  else
+    for (const uint64_t K : Ks)
+      T.insert(K);
+}
+
+/// The one point-op loop: one worker of a mix panel, returning its op
+/// count. Per op it draws a key from \p Keys (anything with
+/// `next(Xoshiro256 &)`), rolls one dice against \p Mix, and calls the
+/// target adapter's `get`, `put`, `insert` or `remove` with the key; the
+/// adapter picks the thread id and the value. Per 64-op block it checks
+/// \p Stop and `MicroOpsCap`, so the loop stays tight. With \p Lat set,
+/// every LatStride-th op is timed into it.
+template <typename Target, typename KeyDraw>
+uint64_t mixWorker(Target &&T, WorkloadMix Mix, const KeyDraw &Keys,
+                   uint64_t Seed, telemetry::Histogram *Lat,
+                   const std::atomic<bool> &Stop) {
+  Xoshiro256 Rng(Seed);
+  uint64_t Ops = 0;
+  while (!Stop.load(std::memory_order_relaxed) && Ops < MicroOpsCap) {
+    for (unsigned I = 0; I < 64; ++I, ++Ops) {
+      const uint64_t K = Keys.next(Rng);
+      const uint64_t Dice = Rng.nextBounded(100);
+      const bool Timed = Lat && (Ops & (LatStride - 1)) == 0;
+      const auto T0 = Timed ? std::chrono::steady_clock::now()
+                            : std::chrono::steady_clock::time_point{};
+      if (Dice < Mix.GetPct)
+        T.get(K);
+      else if (Dice < Mix.GetPct + Mix.PutPct)
+        T.put(K);
+      else if (Dice < Mix.GetPct + Mix.PutPct + Mix.InsertPct)
+        T.insert(K);
+      else
+        T.remove(K);
+      if (Timed)
+        Lat->record(nsSince(T0));
+    }
+  }
+  return Ops;
 }
 
 //===----------------------------------------------------------------------===//

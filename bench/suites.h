@@ -27,8 +27,9 @@
 /// Every suite writes through the structured report layer
 /// (devtools/report.h), so one invocation yields one JSON/CSV/human
 /// document carrying run metadata. The suites live by family in
-/// suites_paper.cpp and suites_kv.cpp, all on the one timed run and
-/// point loop of driver.h; this header's registry is in suites.cpp.
+/// suites_paper.cpp and suites_kv.cpp, all on the one timed run, point
+/// loop and op-mix loop of driver.h; this header's registry is in
+/// suites.cpp.
 ///
 //===----------------------------------------------------------------------===//
 

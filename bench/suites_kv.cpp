@@ -24,6 +24,8 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <ranges>
+#include <string>
 
 #ifdef __GLIBC__
 #include <malloc.h>
@@ -37,28 +39,6 @@ namespace {
 //===----------------------------------------------------------------------===//
 // Shared store setup
 //===----------------------------------------------------------------------===//
-
-/// Nanoseconds since \p T0.
-double nsSince(std::chrono::steady_clock::time_point T0) {
-  return std::chrono::duration<double, std::nano>(
-             std::chrono::steady_clock::now() - T0)
-      .count();
-}
-
-/// Records the nanoseconds since \p T0 into \p H (no-op when telemetry
-/// is compiled out). Every worker of a repeat records into the one
-/// histogram `timedRun` hands out, and the repeat reads p50/p99 off its
-/// `summarize()` — the same path `store::stats()` reports.
-void recordNsSince(telemetry::Histogram &H,
-                   std::chrono::steady_clock::time_point T0) {
-  H.record(static_cast<uint64_t>(nsSince(T0)));
-}
-
-/// Worker \p Stream's seed in repeat \p Repeat: a per-thread stream off
-/// the suite seed, shifted per repeat like the figure sweeps' seeds.
-uint64_t workerSeed(const SweepOptions &O, unsigned Repeat, uint64_t Stream) {
-  return SplitMix64(O.Seed + Repeat * 1024 + Stream).next();
-}
 
 /// Amply sized store for the point-op and scan panels.
 kv::Options pointOptions(unsigned Threads, uint64_t KeyRange) {
@@ -80,24 +60,74 @@ std::optional<double> heapInUse() {
 #endif
 }
 
-/// A u64 store prefilled with keys [0, \p Prefill) bound to 2K. With
-/// \p BytesPerKey set, it receives the heap bytes the (single-threaded)
-/// fill took per key: the node pool's chunks, plus the bucket-directory
-/// arrays growth appended (bucket sentinels live inline there). It stays
-/// empty off glibc.
-template <typename S>
-std::unique_ptr<kv::Store<S>>
-prefilledStore(kv::Options KO, uint64_t Prefill,
-               std::optional<double> *BytesPerKey = nullptr) {
-  auto Db = std::make_unique<kv::Store<S>>(std::move(KO));
-  const std::optional<double> Before =
-      BytesPerKey ? heapInUse() : std::nullopt;
-  for (uint64_t K = 0; K < Prefill; ++K)
-    Db->put(0, K, K * 2);
-  if (Before && Prefill)
-    *BytesPerKey = (*heapInUse() - *Before) / static_cast<double>(Prefill);
-  return Db;
+/// The kv prefill keys: [0, Prefill), so every hot zipf rank is bound.
+auto storeKeys(const SweepOptions &O) {
+  return std::views::iota(uint64_t{0}, O.Prefill);
 }
+
+/// The kv point-op mixes: read-heavy serving (kv-read, kv-string,
+/// kv-serve's read panels), version churn (kv-write, stall-serve), the
+/// value-dist string blend, and ingest with a hot set (kv-async).
+constexpr WorkloadMix KvReadMix{90, 8, 0, 2, "read"};
+constexpr WorkloadMix KvWriteMix{20, 50, 0, 30, "write"};
+constexpr WorkloadMix ValueDistMix{80, 20, 0, 0, "string"};
+constexpr WorkloadMix IngestMix{0, 80, 0, 20, "write"};
+
+/// The u64 store target adapter for `mixWorker` and `prefill`: a key K
+/// is bound to 2K, remove is erase, and put (insert-or-replace) is also
+/// the store's insert.
+template <typename S> struct U64Target {
+  kv::Store<S> &Db;
+  unsigned Tid;
+  void get(uint64_t K) { (void)Db.get(Tid, K); }
+  void put(uint64_t K) { Db.put(Tid, K, K * 2); }
+  void insert(uint64_t K) { put(K); }
+  void remove(uint64_t K) { Db.erase(Tid, K); }
+};
+
+/// The string-panel key format — one definition, shared by the prefill
+/// and the workers (they must stay byte-identical or the panel measures
+/// an empty store).
+std::string kvStringKey(uint64_t K) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "key/%016llx",
+                static_cast<unsigned long long>(K));
+  return Buf;
+}
+
+/// The string store target adapter: key K is `kvStringKey(K)`, its value
+/// `Value(K)`; remove is erase and put is also insert.
+template <typename Store, typename ValueFn> struct StringTarget {
+  Store &Db;
+  unsigned Tid;
+  ValueFn Value;
+  void get(uint64_t K) { (void)Db.get(Tid, kvStringKey(K)); }
+  void put(uint64_t K) { Db.put(Tid, kvStringKey(K), Value(K)); }
+  void insert(uint64_t K) { put(K); }
+  void remove(uint64_t K) { Db.erase(Tid, kvStringKey(K)); }
+};
+
+/// kv-string's written value: "value/<2K>/" padded past the small-string
+/// buffer.
+constexpr auto PaddedValue = [](uint64_t K) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "value/%llu/padpadpadpadpad",
+                static_cast<unsigned long long>(K * 2));
+  return std::string(Buf);
+};
+
+/// The async target adapter: put and erase go through the submitter,
+/// each future into the client's closed-loop window (drained by the
+/// caller once the loop ends); get reads the store directly.
+template <typename Submitter> struct SubmitTarget {
+  Submitter &Sub;
+  workload::CompletionWindow<typename Submitter::future> &Win;
+  unsigned Tid;
+  void get(uint64_t K) { (void)Sub.db().get(Tid, K); }
+  void put(uint64_t K) { Win.push(Sub.put(Tid, K, K * 2)); }
+  void insert(uint64_t K) { put(K); }
+  void remove(uint64_t K) { Win.push(Sub.erase(Tid, K)); }
+};
 
 /// The contention-story suites' default thread sweep: \p FullSweep under
 /// --full, a CI-sized pair otherwise.
@@ -114,16 +144,16 @@ std::vector<int64_t> compactThreads(const CommandLine &Cmd,
 // kv: versioned key-value store (lfsmr::kv) — snapshot reads, write trim
 //===----------------------------------------------------------------------===//
 
-/// Workload mixes for the kv suite. Read/write are YCSB-ish point-op
-/// blends; snapshot interleaves writes with snapshot-handle read bursts
-/// (version pinning + trimming); scan interleaves writes with whole-store
-/// snapshot scans (the kv/scan.h layer); resize pours fresh keys into
-/// deliberately tiny tables so the cooperative bucket growth runs
-/// continuously.
-enum class KvMix { Read, Write, Snapshot, Scan, Resize };
+/// The kv suite's burst mixes, which are not dice mixes: snapshot
+/// interleaves writes with snapshot-handle read bursts (version pinning
+/// + trimming); scan interleaves writes with whole-store snapshot scans
+/// (the kv/scan.h layer); resize pours fresh keys into deliberately tiny
+/// tables so the cooperative bucket growth runs continuously.
+enum class KvMix { Snapshot, Scan, Resize };
 
-/// One thread of a timed kv run; returns its op count. \p NThreads is
-/// the worker count (the resize mix strides fresh keys across it).
+/// One thread of a timed burst-mix run; returns its op count. \p
+/// NThreads is the worker count (the resize mix strides fresh keys
+/// across it).
 template <typename S>
 uint64_t kvWorker(kv::Store<S> &Db, KvMix Mix, unsigned Tid,
                   unsigned NThreads, uint64_t Seed, uint64_t KeyRange,
@@ -135,24 +165,6 @@ uint64_t kvWorker(kv::Store<S> &Db, KvMix Mix, unsigned Tid,
     for (unsigned I = 0; I < 64; ++I, ++Ops) {
       const uint64_t K = Rng.nextBounded(KeyRange);
       switch (Mix) {
-      case KvMix::Read:
-        // 90% get / 8% put / 2% erase (read-heavy serving).
-        if (Rng.nextPercent(90))
-          (void)Db.get(Tid, K);
-        else if (Rng.nextPercent(80))
-          Db.put(Tid, K, K * 2);
-        else
-          Db.erase(Tid, K);
-        break;
-      case KvMix::Write:
-        // 50% put / 30% erase / 20% get (version churn).
-        if (Rng.nextPercent(50))
-          Db.put(Tid, K, K * 2);
-        else if (Rng.nextPercent(60))
-          Db.erase(Tid, K);
-        else
-          (void)Db.get(Tid, K);
-        break;
       case KvMix::Snapshot:
         // Writers churn while every 256th op opens a snapshot and reads
         // a 32-key burst through it (counted as ops).
@@ -200,47 +212,6 @@ uint64_t kvWorker(kv::Store<S> &Db, KvMix Mix, unsigned Tid,
   return Ops;
 }
 
-/// The string-panel key format — one definition, shared by the prefill
-/// and the workers (they must stay byte-identical or the panel measures
-/// an empty store).
-std::string kvStringKey(uint64_t K) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "key/%016llx",
-                static_cast<unsigned long long>(K));
-  return Buf;
-}
-
-/// One thread of a timed *string-keyed* kv run (read-heavy serving over
-/// `store<S, std::string, std::string>`): the panel that prices the
-/// codec layer's variable-size records.
-template <typename S>
-uint64_t kvStringWorker(kv::Store<S, std::string, std::string> &Db,
-                        unsigned Tid, uint64_t Seed, uint64_t KeyRange,
-                        std::atomic<bool> &Stop) {
-  Xoshiro256 Rng(Seed);
-  uint64_t Ops = 0;
-  char Buf[64];
-  while (!Stop.load(std::memory_order_relaxed) && Ops < MicroOpsCap) {
-    for (unsigned I = 0; I < 64; ++I, ++Ops) {
-      const uint64_t K = Rng.nextBounded(KeyRange);
-      const std::string Key = kvStringKey(K);
-      if (Rng.nextPercent(90))
-        (void)Db.get(Tid, Key);
-      else if (Rng.nextPercent(80)) {
-        std::snprintf(Buf, sizeof(Buf), "value/%llu/padpadpadpadpad",
-                      static_cast<unsigned long long>(K * 2));
-        Db.put(Tid, Key, std::string(Buf));
-      } else
-        Db.erase(Tid, Key);
-    }
-  }
-  return Ops;
-}
-
-/// Stride between latency-sampled commits, cycles, or serve ops (a power
-/// of two): timing every one would price the clock.
-constexpr uint64_t LatStride = 64;
-
 /// One thread of a timed transactional run: each iteration buffers a
 /// \p Batch-key read-modify-write transaction (read-your-writes `get`
 /// then `put`) and commits; every LatStride-th commit is timed into
@@ -270,7 +241,7 @@ uint64_t kvTxnWorker(kv::Store<S> &Db, telemetry::Histogram &Lat,
       if ((Tried & (LatStride - 1)) == 0) {
         const auto T0 = std::chrono::steady_clock::now();
         Ok = Txn.commit(Tid);
-        recordNsSince(Lat, T0);
+        Lat.record(nsSince(T0));
       } else {
         Ok = Txn.commit(Tid);
       }
@@ -293,7 +264,8 @@ template <typename S> struct KvSuiteOp {
   /// store, with the abort share of commit attempts.
   static RunResult txnRepeat(unsigned Batch, const SweepOptions &O,
                              unsigned T, unsigned R) {
-    auto Db = prefilledStore<S>(pointOptions(T, O.KeyRange), O.Prefill);
+    auto Db = std::make_unique<U64Store>(pointOptions(T, O.KeyRange));
+    prefill(U64Target<S>{*Db, 0}, storeKeys(O));
     std::atomic<uint64_t> Attempts{0}, Aborts{0};
     RunResult Rr = storeRun(
         *Db, T, O.Secs,
@@ -318,38 +290,57 @@ template <typename S> struct KvSuiteOp {
       sweepPoints(Rep, point("kv", Name, "kv", Mix, Scheme), O.Threads, 1,
                   O.Repeats, Repeat);
     };
-    struct PanelDef {
-      const char *Panel;
-      const char *Mix;
-      KvMix M;
-    };
-    // u64 point/snapshot/scan panels over a prefilled store. The
-    // snapshot and scan mixes pin version chains mid-run, so the
-    // sampled unreclaimed count matters: the end-of-run residual would
-    // badly understate the true peak.
-    static constexpr PanelDef Panels[] = {
-        {"kv-read", "read", KvMix::Read},
-        {"kv-write", "write", KvMix::Write},
-        {"kv-snapshot", "snapshot", KvMix::Snapshot},
-        {"kv-scan", "scan", KvMix::Scan},
-    };
-    // kv-read also reports the prefill's heap bytes per key.
-    for (const PanelDef &P : Panels)
-      Panel(P.Panel, P.Mix, [&](unsigned T, unsigned R) {
+    // kv-read / kv-write: uniform u64 point-op mixes over a prefilled
+    // store. kv-read also reports the heap bytes per key the
+    // (single-threaded) prefill took: the node pool's chunks, plus the
+    // bucket-directory arrays growth appended (bucket sentinels live
+    // inline there). It stays empty off glibc.
+    const auto PointPanel = [&](const char *Name, const WorkloadMix &Mix,
+                                bool HeapBytes) {
+      Panel(Name, Mix.Name, [&](unsigned T, unsigned R) {
+        auto Db = std::make_unique<U64Store>(pointOptions(T, O.KeyRange));
+        const std::optional<double> Before =
+            HeapBytes ? heapInUse() : std::nullopt;
+        prefill(U64Target<S>{*Db, 0}, storeKeys(O));
         std::optional<double> BytesPerKey;
-        auto Db = prefilledStore<S>(
-            pointOptions(T, O.KeyRange), O.Prefill,
-            P.M == KvMix::Read ? &BytesPerKey : nullptr);
+        if (Before && O.Prefill)
+          BytesPerKey =
+              (*heapInUse() - *Before) / static_cast<double>(O.Prefill);
         RunResult Rr = storeRun(*Db, T, O.Secs,
                                 [&](unsigned Tid, telemetry::Histogram &,
                                     std::atomic<bool> &Stop) {
-                                  return kvWorker(*Db, P.M, Tid, T,
-                                                  workerSeed(O, R, Tid),
-                                                  O.KeyRange, Stop);
+                                  return mixWorker(
+                                      U64Target<S>{*Db, Tid}, Mix,
+                                      UniformKeys{O.KeyRange},
+                                      workerSeed(O, R, Tid), nullptr, Stop);
                                 });
         Rr.HeapBytesPerKey = BytesPerKey;
         return Rr;
       });
+    };
+    PointPanel("kv-read", KvReadMix, /*HeapBytes=*/true);
+    PointPanel("kv-write", KvWriteMix, /*HeapBytes=*/false);
+
+    // kv-snapshot / kv-scan: writers between snapshot bursts over a
+    // prefilled store. These mixes pin version chains mid-run, so the
+    // sampled unreclaimed count matters: the end-of-run residual would
+    // badly understate the true peak.
+    const auto BurstPanel = [&](const char *Name, const char *Mix,
+                                KvMix M) {
+      Panel(Name, Mix, [&](unsigned T, unsigned R) {
+        auto Db = std::make_unique<U64Store>(pointOptions(T, O.KeyRange));
+        prefill(U64Target<S>{*Db, 0}, storeKeys(O));
+        return storeRun(*Db, T, O.Secs,
+                        [&](unsigned Tid, telemetry::Histogram &,
+                            std::atomic<bool> &Stop) {
+                          return kvWorker(*Db, M, Tid, T,
+                                          workerSeed(O, R, Tid), O.KeyRange,
+                                          Stop);
+                        });
+      });
+    };
+    BurstPanel("kv-snapshot", "snapshot", KvMix::Snapshot);
+    BurstPanel("kv-scan", "scan", KvMix::Scan);
 
     // kv-resize: deliberately tiny tables, insert-heavy striped keys —
     // measures throughput *while* the cooperative doubling runs.
@@ -373,14 +364,18 @@ template <typename S> struct KvSuiteOp {
     // layer (variable-size records), read-heavy serving blend.
     Panel("kv-string", "string", [&](unsigned T, unsigned R) {
       auto Db = std::make_unique<StrStore>(pointOptions(T, O.KeyRange));
-      for (uint64_t K = 0; K < O.Prefill; ++K)
-        Db->put(0, kvStringKey(K), "value/" + std::to_string(K * 2));
-      return storeRun(*Db, T, O.Secs,
-                      [&](unsigned Tid, telemetry::Histogram &,
-                          std::atomic<bool> &Stop) {
-                        return kvStringWorker(*Db, Tid, workerSeed(O, R, Tid),
-                                              O.KeyRange, Stop);
-                      });
+      prefill(StringTarget{*Db, 0,
+                           [](uint64_t K) {
+                             return "value/" + std::to_string(K * 2);
+                           }},
+              storeKeys(O));
+      return storeRun(
+          *Db, T, O.Secs,
+          [&](unsigned Tid, telemetry::Histogram &, std::atomic<bool> &Stop) {
+            return mixWorker(StringTarget{*Db, Tid, PaddedValue}, KvReadMix,
+                             UniformKeys{O.KeyRange}, workerSeed(O, R, Tid),
+                             nullptr, Stop);
+          });
     });
 
     // kv-txn: multi-key read-modify-write transactions at three batch
@@ -436,7 +431,7 @@ uint64_t snapCycleWorker(kv::SnapshotRegistry &Reg, telemetry::Histogram &Lat,
         const auto T0 = std::chrono::steady_clock::now();
         const auto T = Reg.acquire();
         Reg.release(T);
-        recordNsSince(Lat, T0);
+        Lat.record(nsSince(T0));
       } else {
         const auto T = Reg.acquire();
         Reg.release(T);
@@ -494,12 +489,12 @@ template <typename S> struct KvSnapCycleOp {
         if ((Ops & 255) == 0) {
           const auto T0 = std::chrono::steady_clock::now();
           kv::snapshot Snap = Db.open_snapshot();
-          const double OpenNs = nsSince(T0);
+          const uint64_t OpenNs = nsSince(T0);
           for (unsigned J = 0; J < 32; ++J)
             (void)Db.get(Tid, Rng.nextBounded(KeyRange), Snap);
           const auto T1 = std::chrono::steady_clock::now();
           Snap.reset();
-          Lat.record(static_cast<uint64_t>(OpenNs + nsSince(T1)));
+          Lat.record(OpenNs + nsSince(T1));
           Ops += 32;
         } else if (Rng.nextPercent(90)) {
           (void)Db.get(Tid, K);
@@ -516,7 +511,9 @@ template <typename S> struct KvSnapCycleOp {
     sweepPoints(
         Rep, point("kv-snap-cycle", "read-mix", "kv", "read", Scheme),
         O.Threads, 1, O.Repeats, [&](unsigned T, unsigned R) {
-          auto Db = prefilledStore<S>(pointOptions(T, O.KeyRange), O.Prefill);
+          auto Db = std::make_unique<kv::Store<S>>(
+              pointOptions(T, O.KeyRange));
+          prefill(U64Target<S>{*Db, 0}, storeKeys(O));
           return storeRun(*Db, T, O.Secs,
                           [&](unsigned Tid, telemetry::Histogram &Lat,
                               std::atomic<bool> &Stop) {
@@ -592,76 +589,6 @@ void zipfPanel(const char *Suite, const char *Panel, const char *Mix,
               Repeat);
 }
 
-/// One serving thread over zipf-ranked u64 keys. Read-heavy models the
-/// cache-serving front (90g/8p/2e); write-heavy models ingest pressure
-/// (50p/30e/20g) — the stall-serve panel's churn side. Every
-/// LatStride-th op is latency-timed into \p Lat.
-template <typename S>
-uint64_t kvServeMixWorker(kv::Store<S> &Db,
-                          const workload::ZipfianGenerator &Z,
-                          telemetry::Histogram &Lat, bool WriteHeavy,
-                          unsigned Tid, uint64_t Seed,
-                          std::atomic<bool> &Stop) {
-  Xoshiro256 Rng(Seed);
-  uint64_t Ops = 0;
-  while (!Stop.load(std::memory_order_relaxed) && Ops < MicroOpsCap) {
-    for (unsigned I = 0; I < 64; ++I, ++Ops) {
-      const uint64_t K = Z.next(Rng);
-      const bool Timed = (Ops & (LatStride - 1)) == 0;
-      std::chrono::steady_clock::time_point T0;
-      if (Timed)
-        T0 = std::chrono::steady_clock::now();
-      if (WriteHeavy) {
-        if (Rng.nextPercent(50))
-          Db.put(Tid, K, K * 2);
-        else if (Rng.nextPercent(60))
-          Db.erase(Tid, K);
-        else
-          (void)Db.get(Tid, K);
-      } else {
-        if (Rng.nextPercent(90))
-          (void)Db.get(Tid, K);
-        else if (Rng.nextPercent(80))
-          Db.put(Tid, K, K * 2);
-        else
-          Db.erase(Tid, K);
-      }
-      if (Timed)
-        recordNsSince(Lat, T0);
-    }
-  }
-  return Ops;
-}
-
-/// One serving thread over zipf-ranked *string* keys with values sized
-/// from \p Dist (80g/20p): the panel that prices variable-size codec
-/// records under skew.
-template <typename S>
-uint64_t kvServeStringWorker(kv::Store<S, std::string, std::string> &Db,
-                             const workload::ZipfianGenerator &Z,
-                             const workload::ValueSizeDist &Dist,
-                             telemetry::Histogram &Lat, unsigned Tid,
-                             uint64_t Seed, std::atomic<bool> &Stop) {
-  Xoshiro256 Rng(Seed);
-  uint64_t Ops = 0;
-  while (!Stop.load(std::memory_order_relaxed) && Ops < MicroOpsCap) {
-    for (unsigned I = 0; I < 64; ++I, ++Ops) {
-      const std::string Key = kvStringKey(Z.next(Rng));
-      const bool Timed = (Ops & (LatStride - 1)) == 0;
-      std::chrono::steady_clock::time_point T0;
-      if (Timed)
-        T0 = std::chrono::steady_clock::now();
-      if (Rng.nextPercent(80))
-        (void)Db.get(Tid, Key);
-      else
-        Db.put(Tid, Key, std::string(Dist.sample(Rng), 'v'));
-      if (Timed)
-        recordNsSince(Lat, T0);
-    }
-  }
-  return Ops;
-}
-
 /// One churn *session*: runs on a fresh OS thread (workload::runSessioned
 /// spawns one per session), mixes zipf point ops with snapshot read
 /// bursts, and exits after a bounded quota so the slot respawns — the
@@ -684,7 +611,7 @@ uint64_t kvServeChurnSession(kv::Store<S> &Db,
         for (unsigned J = 0; J < 16; ++J)
           (void)Db.get(Tid, Z.next(Rng), Snap);
         Snap.reset();
-        recordNsSince(Lat, T0);
+        Lat.record(nsSince(T0));
         Ops += 16;
       } else if (Rng.nextPercent(70)) {
         (void)Db.get(Tid, Z.next(Rng));
@@ -708,8 +635,8 @@ template <typename S> struct KvServeOp {
   /// StallCfg without Stall, so its store is byte-identical to the
   /// stalled side and the latency A/B isolates the stall itself.
   static RunResult u64MixRepeat(const KvServeOptions &KO, unsigned T,
-                                unsigned R, bool WriteHeavy, bool Stall,
-                                bool StallCfg) {
+                                unsigned R, const WorkloadMix &Mix,
+                                bool Stall, bool StallCfg) {
     const SweepOptions &O = KO.Sweep;
     auto StoreOpts = pointOptions(StallCfg ? T + 1 : T, O.KeyRange);
     if (StallCfg) {
@@ -724,7 +651,8 @@ template <typename S> struct KvServeOp {
       StoreOpts.Reclaim.EraFreq = 16;
       StoreOpts.Reclaim.AckThreshold = 512;
     }
-    auto Db = prefilledStore<S>(std::move(StoreOpts), O.Prefill);
+    auto Db = std::make_unique<U64Store>(std::move(StoreOpts));
+    prefill(U64Target<S>{*Db, 0}, storeKeys(O));
     const workload::ZipfianGenerator Z(O.KeyRange, KO.ZipfTheta);
     std::unique_ptr<workload::StalledSnapshotHolder<U64Store>> Holder;
     if (Stall) {
@@ -742,9 +670,9 @@ template <typename S> struct KvServeOp {
     RunResult Rr = storeRun(*Db, T, O.Secs,
                             [&](unsigned Tid, telemetry::Histogram &Lat,
                                 std::atomic<bool> &Stop) {
-                              return kvServeMixWorker(*Db, Z, Lat, WriteHeavy,
-                                                      Tid, workerSeed(O, R, Tid),
-                                                      Stop);
+                              return mixWorker(U64Target<S>{*Db, Tid}, Mix, Z,
+                                               workerSeed(O, R, Tid), &Lat,
+                                               Stop);
                             });
     if (Holder) {
       // Unpark the holder before the stats snapshot so the stall panel
@@ -765,7 +693,7 @@ template <typename S> struct KvServeOp {
 
     // zipf-hot: skewed read-heavy serving, hot-key contention.
     Panel("zipf-hot", "read", 1, [&](unsigned T, unsigned R) {
-      return u64MixRepeat(KO, T, R, /*WriteHeavy=*/false, /*Stall=*/false,
+      return u64MixRepeat(KO, T, R, KvReadMix, /*Stall=*/false,
                           /*StallCfg=*/false);
     });
 
@@ -773,7 +701,7 @@ template <typename S> struct KvServeOp {
     // deliberately past hardware_concurrency (paper Section 6's
     // oversubscription scenario on the kv surface).
     Panel("oversub", "read", 4, [&](unsigned T, unsigned R) {
-      return u64MixRepeat(KO, T, R, /*WriteHeavy=*/false, /*Stall=*/false,
+      return u64MixRepeat(KO, T, R, KvReadMix, /*Stall=*/false,
                           /*StallCfg=*/false);
     });
 
@@ -785,11 +713,11 @@ template <typename S> struct KvServeOp {
     // report — the per-scheme tail-latency cost of a stalled reader,
     // next to the memory-bound robustness story.
     Panel("stall-serve", "write-stalled", 1, [&](unsigned T, unsigned R) {
-      return u64MixRepeat(KO, T, R, /*WriteHeavy=*/true, /*Stall=*/true,
+      return u64MixRepeat(KO, T, R, KvWriteMix, /*Stall=*/true,
                           /*StallCfg=*/true);
     });
     Panel("stall-serve", "write-baseline", 1, [&](unsigned T, unsigned R) {
-      return u64MixRepeat(KO, T, R, /*WriteHeavy=*/true, /*Stall=*/false,
+      return u64MixRepeat(KO, T, R, KvWriteMix, /*Stall=*/false,
                           /*StallCfg=*/true);
     });
 
@@ -798,7 +726,8 @@ template <typename S> struct KvServeOp {
     // drives all the sessions, so throughput is wall-clock — session
     // spawn/join gaps are part of the product.
     Panel("churn", "churn", 1, [&](unsigned T, unsigned R) {
-      auto Db = prefilledStore<S>(pointOptions(T, O.KeyRange), O.Prefill);
+      auto Db = std::make_unique<U64Store>(pointOptions(T, O.KeyRange));
+      prefill(U64Target<S>{*Db, 0}, storeKeys(O));
       const workload::ZipfianGenerator Z(O.KeyRange, KO.ZipfTheta);
       return storeRun(
           *Db, 1, O.Secs,
@@ -816,17 +745,23 @@ template <typename S> struct KvServeOp {
     Panel("value-dist", "string", 1, [&](unsigned T, unsigned R) {
       const workload::ValueSizeDist Dist =
           workload::ValueSizeDist::bimodal(16, 512, 10);
+      // Value sizes draw from a stream of their own, apart from the op-mix
+      // loop's keys and dice.
+      const auto SizedValues = [&](uint64_t Seed) {
+        return [&Dist, Rng = Xoshiro256(Seed)](uint64_t) mutable {
+          return std::string(Dist.sample(Rng), 'v');
+        };
+      };
       auto Db = std::make_unique<StrStore>(pointOptions(T, O.KeyRange));
-      Xoshiro256 PrefillRng(O.Seed);
-      for (uint64_t K = 0; K < O.Prefill; ++K)
-        Db->put(0, kvStringKey(K), std::string(Dist.sample(PrefillRng), 'v'));
+      prefill(StringTarget{*Db, 0, SizedValues(O.Seed)}, storeKeys(O));
       const workload::ZipfianGenerator Z(O.KeyRange, KO.ZipfTheta);
       return storeRun(*Db, T, O.Secs,
                       [&](unsigned Tid, telemetry::Histogram &Lat,
                           std::atomic<bool> &Stop) {
-                        return kvServeStringWorker(*Db, Z, Dist, Lat, Tid,
-                                                   workerSeed(O, R, Tid),
-                                                   Stop);
+                        const uint64_t Seed = workerSeed(O, R, Tid);
+                        return mixWorker(
+                            StringTarget{*Db, Tid, SizedValues(~Seed)},
+                            ValueDistMix, Z, Seed, &Lat, Stop);
                       });
     });
   }
@@ -869,69 +804,6 @@ void lfsmr::bench::runKvServeSuite(const CommandLine &Cmd,
 
 namespace {
 
-/// One direct-API writer (80p/20e over zipf-ranked keys — ingest with a
-/// hot set, the serving-shaped write load): the sync side of the
-/// kv-async A/B. Every LatStride-th op is latency-timed.
-template <typename S>
-uint64_t kvAsyncSyncWorker(kv::Store<S> &Db,
-                           const workload::ZipfianGenerator &Z,
-                           telemetry::Histogram &Lat, unsigned Tid,
-                           uint64_t Seed, std::atomic<bool> &Stop) {
-  Xoshiro256 Rng(Seed);
-  uint64_t Ops = 0;
-  while (!Stop.load(std::memory_order_relaxed) && Ops < MicroOpsCap) {
-    for (unsigned I = 0; I < 64; ++I, ++Ops) {
-      const uint64_t K = Z.next(Rng);
-      const bool Timed = (Ops & (LatStride - 1)) == 0;
-      std::chrono::steady_clock::time_point T0;
-      if (Timed)
-        T0 = std::chrono::steady_clock::now();
-      if (Rng.nextPercent(80))
-        Db.put(Tid, K, K * 2);
-      else
-        Db.erase(Tid, K);
-      if (Timed)
-        recordNsSince(Lat, T0);
-    }
-  }
-  return Ops;
-}
-
-/// The async twin: the same 80p/20e mix submitted through a shared
-/// `kv::submitter`, paced by a closed-loop CompletionWindow of \p Window
-/// in-flight futures per thread. The timed unit is one submit+push —
-/// which *includes* the wait for the window's oldest completion once the
-/// pipeline is full, so the sampled latency is the honest closed-loop
-/// client-visible cost, directly comparable to the sync panel's per-op
-/// number.
-template <typename Submitter>
-uint64_t kvAsyncSubmitWorker(Submitter &Sub,
-                             const workload::ZipfianGenerator &Z,
-                             telemetry::Histogram &Lat, std::size_t Window,
-                             unsigned Tid, uint64_t Seed,
-                             std::atomic<bool> &Stop) {
-  workload::CompletionWindow<typename Submitter::future> Win(Tid, Window);
-  Xoshiro256 Rng(Seed);
-  uint64_t Ops = 0;
-  while (!Stop.load(std::memory_order_relaxed) && Ops < MicroOpsCap) {
-    for (unsigned I = 0; I < 64; ++I, ++Ops) {
-      const uint64_t K = Z.next(Rng);
-      const bool Timed = (Ops & (LatStride - 1)) == 0;
-      std::chrono::steady_clock::time_point T0;
-      if (Timed)
-        T0 = std::chrono::steady_clock::now();
-      if (Rng.nextPercent(80))
-        Win.push(Sub.put(Tid, K, K * 2));
-      else
-        Win.push(Sub.erase(Tid, K));
-      if (Timed)
-        recordNsSince(Lat, T0);
-    }
-  }
-  Win.drain();
-  return Ops;
-}
-
 /// The write-path A/B: panel sync-write drives the direct store API,
 /// panels async-w64/async-w1024 push the identical mix through the
 /// per-shard submission rings with 64/1024 in-flight ops per client. The
@@ -951,7 +823,8 @@ template <typename S> struct KvAsyncOp {
     // the A/B run the identical store config.
     auto StoreOpts = pointOptions(T, O.KeyRange);
     StoreOpts.Shards = 4;
-    auto Db = prefilledStore<S>(std::move(StoreOpts), O.Prefill);
+    auto Db = std::make_unique<kv::Store<S>>(std::move(StoreOpts));
+    prefill(U64Target<S>{*Db, 0}, storeKeys(O));
     const workload::ZipfianGenerator Z(O.KeyRange, KO.ZipfTheta);
     std::unique_ptr<SubmitterT> Sub;
     if (Async) {
@@ -974,10 +847,19 @@ template <typename S> struct KvAsyncOp {
         [&](unsigned Tid, telemetry::Histogram &Lat,
             std::atomic<bool> &Stop) {
           const uint64_t Seed = workerSeed(O, R, Tid);
-          if (Sub)
-            return kvAsyncSubmitWorker(*Sub, Z, Lat, Window, Tid, Seed,
-                                       Stop);
-          return kvAsyncSyncWorker(*Db, Z, Lat, Tid, Seed, Stop);
+          if (!Sub)
+            return mixWorker(U64Target<S>{*Db, Tid}, IngestMix, Z, Seed,
+                             &Lat, Stop);
+          // The timed unit is one submit+push, which includes the wait
+          // for the window's oldest completion once it is full: the
+          // closed-loop client-visible cost, comparable to a sync op.
+          workload::CompletionWindow<typename SubmitterT::future> Win(
+              Tid, Window);
+          const uint64_t Ops =
+              mixWorker(SubmitTarget<SubmitterT>{*Sub, Win, Tid}, IngestMix,
+                        Z, Seed, &Lat, Stop);
+          Win.drain();
+          return Ops;
         });
     if (Sub) {
       // The destructor drain must run before the store dies anyway; run

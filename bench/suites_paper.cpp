@@ -36,18 +36,6 @@ using namespace lfsmr::bench;
 
 namespace {
 
-/// Percentages of each operation in a figure mix; they sum to 100.
-/// `put` is insert-or-replace: replacing retires the old binding, which
-/// is what makes the read-dominated mix a *reclamation-unbalanced*
-/// workload (few writers retire while many readers only observe).
-struct WorkloadMix {
-  unsigned GetPct;
-  unsigned PutPct;
-  unsigned InsertPct;
-  unsigned RemovePct;
-  const char *Name;
-};
-
 /// The paper's two mixes (Section 6): 50% insert / 50% delete, stressing
 /// reclamation, and 90% get / 10% put, the unbalanced-reclamation case.
 constexpr WorkloadMix WriteMix{0, 0, 50, 50, "write"};
@@ -62,56 +50,23 @@ struct FigurePanel {
   smr::Config Cfg; ///< MaxThreads is set per point
 };
 
-/// The prefill keys: a deterministic shuffled \p O.Prefill-subset of
-/// [0, KeyRange), so the structure holds exactly that many distinct keys
-/// (the paper's "prefilled with 50,000 elements").
-std::vector<uint64_t> prefillKeys(const SweepOptions &O, uint64_t Seed) {
-  std::vector<uint64_t> Keys(O.KeyRange);
-  for (uint64_t I = 0; I < O.KeyRange; ++I)
-    Keys[I] = I;
-  Xoshiro256 Rng(Seed);
-  for (uint64_t I = O.KeyRange - 1; I > 0; --I)
-    std::swap(Keys[I], Keys[Rng.nextBounded(I + 1)]);
-  Keys.resize(O.Prefill);
-  return Keys;
-}
-
-/// Inserts \p Keys on thread id 0 (strictly before the workers start).
-/// The list takes them in one sorted pass instead of one search each.
-template <typename DS> void prefill(DS &D, std::vector<uint64_t> Keys) {
-  if constexpr (requires { D.prefillSorted(Keys); }) {
+/// The figure target adapter: a structure's operations under worker id
+/// \p Tid, binding each key K to K + 1.
+template <typename DS> struct StructureTarget {
+  DS &D;
+  unsigned Tid;
+  void get(uint64_t K) { D.get(Tid, K); }
+  void put(uint64_t K) { D.put(Tid, K, K + 1); }
+  void insert(uint64_t K) { D.insert(Tid, K, K + 1); }
+  void remove(uint64_t K) { D.remove(Tid, K); }
+  /// The list's prefill: one sorted pass (the same K + 1 binding).
+  void insertSorted(std::vector<uint64_t> Keys)
+    requires requires(DS &X) { X.prefillSorted(Keys); }
+  {
     std::sort(Keys.begin(), Keys.end());
     D.prefillSorted(Keys);
-  } else {
-    for (const uint64_t K : Keys)
-      D.insert(/*Tid=*/0, K, /*V=*/K + 1);
   }
-}
-
-/// One worker of a figure point: uniform keys, the mix's dice per op,
-/// the stop flag checked every 64 ops to keep the loop tight.
-template <typename DS>
-uint64_t mixWorker(DS &D, const WorkloadMix &Mix, unsigned Tid,
-                   uint64_t KeyRange, uint64_t Seed,
-                   const std::atomic<bool> &Stop) {
-  Xoshiro256 Rng(Seed);
-  uint64_t Ops = 0;
-  while (!Stop.load(std::memory_order_relaxed)) {
-    for (unsigned I = 0; I < 64; ++I, ++Ops) {
-      const uint64_t K = Rng.nextBounded(KeyRange);
-      const uint64_t Dice = Rng.nextBounded(100);
-      if (Dice < Mix.GetPct)
-        D.get(Tid, K);
-      else if (Dice < Mix.GetPct + Mix.PutPct)
-        D.put(Tid, K, K + 1);
-      else if (Dice < Mix.GetPct + Mix.PutPct + Mix.InsertPct)
-        D.insert(Tid, K, K + 1);
-      else
-        D.remove(Tid, K);
-    }
-  }
-  return Ops;
-}
+};
 
 /// False for the structures a scheme cannot run: HP and HE cannot run
 /// the Bonsai tree (unbounded per-operation protections; paper Section 6).
@@ -139,14 +94,16 @@ template <template <typename> class DS> struct FigureOp {
               smr::Config C = P.Cfg;
               C.MaxThreads = T;
               DS<S> D(C);
-              prefill(D, prefillKeys(O, O.Seed + R));
+              prefill(StructureTarget<DS<S>>{D, 0},
+                      prefillKeys(O, O.Seed + R));
               const MemCounter &MC = D.smr().memCounter();
               return timedRun(
                   T, O.Secs,
                   [&](unsigned Tid, telemetry::Histogram &,
                       std::atomic<bool> &Stop) {
-                    return mixWorker(D, P.Mix, Tid, O.KeyRange,
-                                     O.Seed + R + 0x1000 + Tid, Stop);
+                    return mixWorker(StructureTarget<DS<S>>{D, Tid}, P.Mix,
+                                     UniformKeys{O.KeyRange},
+                                     workerSeed(O, R, Tid), nullptr, Stop);
                   },
                   [&] { return MC.unreclaimed(); });
             });
@@ -390,7 +347,7 @@ void lfsmr::bench::runEnterLeaveSuite(const CommandLine &Cmd,
   O.Threads = threadList(Cmd, Full ? std::vector<int64_t>{1, 2, 4, 8, 16, 32}
                                    : std::vector<int64_t>{
                                          1, static_cast<int64_t>(HW ? HW : 4)});
-  O.Secs = Cmd.getDouble("secs", Full ? 2.0 : 0.1);
+  O.Secs = secsFlag(Cmd, Full ? 2.0 : 0.1);
   O.Repeats = static_cast<unsigned>(
       Cmd.getInt("repeats", Full ? 5 : 1, 1, MaxUnsigned));
   O.Schemes = expandSchemes(Cmd.getStringList("schemes", paperSchemes()));

@@ -15,6 +15,7 @@
 #ifndef LFSMR_SUPPORT_ALIGN_H
 #define LFSMR_SUPPORT_ALIGN_H
 
+#include <bit>
 #include <cstddef>
 #include <new>
 #include <utility>
@@ -56,12 +57,10 @@ static_assert(isPowerOfTwo(1));
 static_assert(isPowerOfTwo(64));
 static_assert(!isPowerOfTwo(24));
 
-/// Returns \p N rounded up to the next power of two (minimum 1).
+/// Returns \p N rounded up to the next power of two (minimum 1); \p N
+/// must not exceed the largest power of two a `size_t` holds.
 constexpr std::size_t nextPowerOfTwo(std::size_t N) {
-  std::size_t P = 1;
-  while (P < N)
-    P <<= 1;
-  return P;
+  return std::bit_ceil(N);
 }
 
 static_assert(nextPowerOfTwo(0) == 1);
@@ -70,12 +69,9 @@ static_assert(nextPowerOfTwo(3) == 4);
 static_assert(nextPowerOfTwo(24) == 32);
 static_assert(nextPowerOfTwo(128) == 128);
 
-/// Returns floor(log2(N)) for N > 0.
+/// Returns floor(log2(N)) for N > 0 (one `bsr`/`lzcnt`).
 constexpr unsigned floorLog2(std::size_t N) {
-  unsigned L = 0;
-  while (N >>= 1)
-    ++L;
-  return L;
+  return static_cast<unsigned>(std::bit_width(N)) - 1;
 }
 
 static_assert(floorLog2(1) == 0);

@@ -9,6 +9,7 @@
 #include "devtools/random.h"
 #include "devtools/stats.h"
 #include "devtools/workload.h"
+#include "kv/shard_index.h"
 #include "support/align.h"
 #include "support/mem_counter.h"
 
@@ -35,6 +36,16 @@ TEST(Align, CachePaddedIsolation) {
   EXPECT_GE(B - A, CacheLineSize);
 }
 
+/// Every 2^k - 1, 2^k and 2^k + 1 for k in [1, 63], plus 0 and 1.
+static std::vector<uint64_t> powerOfTwoNeighbours() {
+  std::vector<uint64_t> Ns = {0, 1};
+  for (unsigned K = 1; K < 64; ++K)
+    for (const uint64_t N : {(uint64_t{1} << K) - 1, uint64_t{1} << K,
+                             (uint64_t{1} << K) + 1})
+      Ns.push_back(N);
+  return Ns;
+}
+
 TEST(Align, NextPowerOfTwo) {
   EXPECT_EQ(nextPowerOfTwo(0), 1u);
   EXPECT_EQ(nextPowerOfTwo(1), 1u);
@@ -42,6 +53,14 @@ TEST(Align, NextPowerOfTwo) {
   EXPECT_EQ(nextPowerOfTwo(5), 8u);
   EXPECT_EQ(nextPowerOfTwo(1023), 1024u);
   EXPECT_EQ(nextPowerOfTwo(1024), 1024u);
+  for (const uint64_t N : powerOfTwoNeighbours()) {
+    if (N > uint64_t{1} << 63)
+      continue; // the next power of two does not fit 64 bits
+    uint64_t P = 1;
+    while (P < N)
+      P <<= 1;
+    EXPECT_EQ(nextPowerOfTwo(N), P) << N;
+  }
 }
 
 TEST(Align, FloorLog2) {
@@ -49,6 +68,24 @@ TEST(Align, FloorLog2) {
   EXPECT_EQ(floorLog2(7), 2u);
   EXPECT_EQ(floorLog2(8), 3u);
   EXPECT_EQ(floorLog2(uint64_t{1} << 40), 40u);
+  for (const uint64_t N : powerOfTwoNeighbours()) {
+    if (N == 0)
+      continue;
+    unsigned L = 0;
+    for (uint64_t X = N; X >>= 1;)
+      ++L;
+    EXPECT_EQ(floorLog2(N), L) << N;
+  }
+  // The split-order parent clears the top set bit, past 32-bit indices
+  // too.
+  for (const uint64_t B : {(uint64_t{1} << 32) + 5, uint64_t{1} << 33,
+                           (uint64_t{1} << 40) + (uint64_t{1} << 39),
+                           ~uint64_t{0}}) {
+    uint64_t Top = uint64_t{1} << 63;
+    while (!(B & Top))
+      Top >>= 1;
+    EXPECT_EQ(kv::parentBucket(B), B - Top) << B;
+  }
 }
 
 //===----------------------------------------------------------------------===
