@@ -17,6 +17,8 @@
 
 #include <bit>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <new>
 #include <utility>
 
@@ -57,9 +59,28 @@ static_assert(isPowerOfTwo(1));
 static_assert(isPowerOfTwo(64));
 static_assert(!isPowerOfTwo(24));
 
-/// Returns \p N rounded up to the next power of two (minimum 1); \p N
-/// must not exceed the largest power of two a `size_t` holds.
+/// The largest power of two a `size_t` holds.
+inline constexpr std::size_t MaxPowerOfTwo = ~(~std::size_t{0} >> 1);
+
+/// Reports a count that no power of two fits and aborts. Out of line and
+/// cold, so each caller adds only a compare and a call.
+[[noreturn, gnu::cold, gnu::noinline]] inline void
+abortPastPowerOfTwo(std::size_t N) {
+  std::fprintf(stderr,
+               "lfsmr: fatal: count %zu exceeds the largest power of two "
+               "%zu\n",
+               N, MaxPowerOfTwo);
+  std::abort();
+}
+
+/// Returns \p N rounded up to the next power of two (minimum 1). Past
+/// `MaxPowerOfTwo` no result fits (and `std::bit_ceil` is undefined), so
+/// such an \p N aborts even under NDEBUG: callers pass caller-supplied
+/// counts (shards, buckets, slots, ring capacities), and a wrapped count
+/// would silently size one.
 constexpr std::size_t nextPowerOfTwo(std::size_t N) {
+  if (N > MaxPowerOfTwo)
+    abortPastPowerOfTwo(N);
   return std::bit_ceil(N);
 }
 

@@ -202,6 +202,18 @@ TEST(KvOptions, ZeroValuesClampToOne) {
   EXPECT_EQ(*Db.get(0, 1), 2u);
 }
 
+#ifndef LFSMR_TSAN
+// Death tests fork; skip them under TSan (fork + the runtime is
+// unreliable there). The ASan and release presets keep the coverage.
+TEST(KvOptions, ShardsPastTwoToThe63Abort) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  kv::Options O;
+  O.Shards = SIZE_MAX; // no power of two fits: not a silent one shard
+  EXPECT_DEATH(kv::Store<core::HyalineS> Db(O),
+               "exceeds the largest power of two");
+}
+#endif
+
 /// A one-shard store that starts at \p Buckets buckets and doubles past
 /// one key per bucket, so bucket materialization runs on every few puts.
 kv::Options kvClaimOptions(std::size_t Buckets, unsigned MaxThreads = 8) {

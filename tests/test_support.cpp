@@ -63,6 +63,18 @@ TEST(Align, NextPowerOfTwo) {
   }
 }
 
+#ifndef LFSMR_TSAN
+// Death tests fork; skip them under TSan (fork + the runtime is
+// unreliable there). The ASan and release presets keep the coverage.
+TEST(Align, NextPowerOfTwoRejectsPastTwoToThe63) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EQ(nextPowerOfTwo(uint64_t{1} << 63), uint64_t{1} << 63);
+  EXPECT_DEATH(nextPowerOfTwo((uint64_t{1} << 63) + 1),
+               "exceeds the largest power of two");
+  EXPECT_DEATH(nextPowerOfTwo(SIZE_MAX), "exceeds the largest power of two");
+}
+#endif
+
 TEST(Align, FloorLog2) {
   EXPECT_EQ(floorLog2(1), 0u);
   EXPECT_EQ(floorLog2(7), 2u);
